@@ -270,7 +270,8 @@ class Catalog:
 
 def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
-    relator consistency at the matrix level, faithfulness, orientability."""
+    parameter-free holonomy exponents, relator consistency at the matrix
+    level, faithfulness, orientability."""
     names = set(record.presentation.generator_names)
     for name, mat in record.matrices.items():
         if name not in names:
@@ -286,6 +287,7 @@ def check_record(record: AlmostBieberbachRecord) -> None:
             raise InconsistentRecord(
                 f"family {record.family}: holonomy generator {g!r} has no matrix"
             )
+    fp.check_holonomy_exponents(record)
     identity = linalg.int_identity(DIM)
     for rel in record.presentation.relators:
         M = identity

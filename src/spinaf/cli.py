@@ -421,13 +421,9 @@ def export(catalog_path, family, params, fmt) -> None:
         "parallelizable": result.parallelizable,
         "assignments": [a.as_dict() for a in result.valid_assignments],
     }
-    try:
-        base = fp.base_preimages(record)
-    except UnsupportedScalar:
-        base = None
-    if base is not None:
+    if record.spin_base is not None:
         payload["base_preimages"] = {
-            name: _spin_element_json(x) for name, x in sorted(base.items())
+            name: _spin_element_json(x) for name, x in sorted(record.spin_base.items())
         }
     click.echo(_dump_json(payload))
 

@@ -1,5 +1,5 @@
-"""Finitely presented almost-Bieberbach groups and the sign-enumeration
-algorithm for counting spin structures.
+"""Finitely presented almost-Bieberbach groups and the counting of spin
+structures.
 
 A group record carries a presentation whose generators are split into
 *lattice* generators (mapping into the nilpotent lattice, hence acting
@@ -12,9 +12,13 @@ every relator evaluates to +1 in Spin(4).
 Because -1 is central, flipping the sign of a generator flips a relator's
 value exactly when the relator's exponent sum in that generator is odd, so
 validity of an assignment is an affine condition over F_2 on top of the
-relator's base value.  ``enumerate_lifts`` exploits this (the full Clifford
-evaluation is kept available in ``evaluate_word`` and exercised by the test
-suite).
+relator's base value.  Lattice generators map to 1 and parameters appear
+only in lattice-generator exponents (checked at load time), so that base
+value (+-1) is a constant of the record: each record computes its spin
+preimages and one sign bit per relator once, on first use
+(``AlmostBieberbachRecord.spin_base`` and ``relator_signs``), and every
+parameter row is then counted with F_2 parity alone.  ``evaluate_word`` is the honest Clifford
+product behind those sign bits; the test suite also uses it as an oracle.
 
 For holonomy groups of odd or mixed order the preimages need not have
 coordinates in Q(sqrt 2); existence is then decided on the pullback of a
@@ -24,17 +28,13 @@ from the torsor structure: 2^(mod-2 abelianization rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import groups, linalg, spin
+from . import chartables, groups, linalg, spin
 from .clifford import CliffordElement
-from .errors import (
-    EnumerationBoundExceeded,
-    InconsistentRecord,
-    NotInSO,
-    UnsupportedScalar,
-)
+from .errors import EnumerationBoundExceeded, InconsistentRecord, UnsupportedScalar
 from .groups import CosetTable
 
 DIM = 4
@@ -146,12 +146,53 @@ class AlmostBieberbachRecord:
     holonomy_presentation: Optional[HolonomyPresentation] = None
     nilpotency_class: int = 2
     source: str = "reconstruction"
-    sylow_pullback: Optional["AlmostBieberbachRecord"] = None
 
     def matrix_of(self, gen: str) -> Tuple[Tuple[int, ...], ...]:
         if gen in self.matrices:
             return self.matrices[gen]
         return linalg.int_identity(DIM)
+
+    @cached_property
+    def spin_base(self) -> Optional[Mapping[str, CliffordElement]]:
+        """Canonical spin preimage per generator (``base_preimages``), or None
+        when some holonomy matrix has no preimage over Q(sqrt 2).
+
+        This and ``relator_signs`` are computed on first use and kept on the
+        record object, so loading a catalog does no spin arithmetic and every
+        parameter row of a record shares them.
+        """
+        try:
+            return base_preimages(self)
+        except UnsupportedScalar:
+            return None
+
+    @cached_property
+    def relator_signs(self) -> Tuple[int, ...]:
+        """Per relator, 1 iff it evaluates to -1 in Spin(4) under ``spin_base``.
+
+        Raises UnsupportedScalar when the record has no ``spin_base``.
+        """
+        check_holonomy_exponents(self)
+        base = self.spin_base
+        if base is None:
+            raise UnsupportedScalar(
+                f"family {self.family}: some holonomy matrix has no spin preimage over Q(sqrt 2)"
+            )
+        holonomy = set(self.presentation.holonomy_generators())
+        one = CliffordElement.scalar(DIM, 1)
+        signs: List[int] = []
+        for rel in self.presentation.relators:
+            value = evaluate_word([(g, e.const) for g, e in rel if g in holonomy], {}, base)
+            if value == one:
+                signs.append(0)
+            elif value == -one:
+                signs.append(1)
+            else:
+                raise InconsistentRecord(
+                    f"family {self.family}: relator {_render_word(rel)} evaluates to "
+                    f"{value}, not to +-1; the matrices do not satisfy the presentation"
+                )
+        return tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -182,10 +223,9 @@ class LiftResult:
 # ---------------------------------------------------------------------------
 
 
-def reduce_params_mod2(record_or_params, params: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+def reduce_params_mod2(params: Mapping[str, int]) -> Dict[str, int]:
     """Reduce a parameter assignment mod 2 (the count only depends on this)."""
-    p = params if params is not None else record_or_params
-    return {k: v % 2 for k, v in p.items()}
+    return {k: v % 2 for k, v in params.items()}
 
 
 def _check_params(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> None:
@@ -209,20 +249,34 @@ def instantiate_relators(presentation: Presentation, params: Mapping[str, int]) 
     return out
 
 
+def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
+    """Parameters may appear only in lattice-generator exponents.
+
+    This is what makes a relator's base value a constant of the record and
+    the mod-2 reduction of parameters sound.
+    """
+    holonomy = set(record.presentation.holonomy_generators())
+    for rel in record.presentation.relators:
+        for gen, expr in rel:
+            if gen in holonomy and expr.coeffs:
+                raise InconsistentRecord(
+                    f"family {record.family}: relator {_render_word(rel)} has a parameter "
+                    f"in the exponent of holonomy generator {gen!r}; parameters may "
+                    "appear only in lattice-generator exponents"
+                )
+
+
 # ---------------------------------------------------------------------------
 # base preimages and word evaluation
 # ---------------------------------------------------------------------------
 
 
-def base_preimages(
-    record: AlmostBieberbachRecord, params: Optional[Mapping[str, int]] = None
-) -> Dict[str, CliffordElement]:
+def base_preimages(record: AlmostBieberbachRecord) -> Dict[str, CliffordElement]:
     """Canonical spin preimage per generator (lattice generators map to 1).
 
     Raises UnsupportedScalar when some holonomy matrix has no preimage over
     Q(sqrt 2); callers fall back to the Sylow strategy.
     """
-    del params  # the matrices do not depend on the parameters
     one = CliffordElement.scalar(DIM, 1)
     out: Dict[str, CliffordElement] = {}
     for gen in record.presentation.generators:
@@ -260,6 +314,19 @@ def evaluate_word(
     return result
 
 
+def _parity_rows(presentation: Presentation, params: Mapping[str, int]) -> List[int]:
+    """Per relator, the bit mask of the generators with odd exponent sum."""
+    pos = {n: i for i, n in enumerate(presentation.generator_names)}
+    rows: List[int] = []
+    for concrete in instantiate_relators(presentation, params):
+        row = 0
+        for gen, exp in concrete:
+            if exp % 2:
+                row ^= 1 << pos[gen]
+        rows.append(row)
+    return rows
+
+
 def _relator_system(
     record: AlmostBieberbachRecord, params: Mapping[str, int]
 ) -> Tuple[List[str], List[int], List[int]]:
@@ -267,34 +334,11 @@ def _relator_system(
 
     Returns (generator names, rows, rhs): an assignment s (bit vector,
     bit i = 1 meaning generator i carries -1) is valid iff for every
-    relator r, parity(rows[r] & s) == rhs[r].
+    relator r, parity(rows[r] & s) == rhs[r].  Raises UnsupportedScalar
+    when the record's preimages leave Q(sqrt 2).
     """
-    names = record.presentation.generator_names
-    pos = {n: i for i, n in enumerate(names)}
-    base = base_preimages(record)
-    one = CliffordElement.scalar(DIM, 1)
-    rows: List[int] = []
-    rhs: List[int] = []
-    for rel, concrete in zip(
-        record.presentation.relators, instantiate_relators(record.presentation, params)
-    ):
-        value = evaluate_word(concrete, {}, base)
-        if value == one:
-            b = 0
-        elif value == -one:
-            b = 1
-        else:
-            raise InconsistentRecord(
-                f"family {record.family}: relator {_render_word(rel)} evaluates to "
-                f"{value}, not to +-1; the matrices do not satisfy the presentation"
-            )
-        row = 0
-        for gen, exp in concrete:
-            if exp % 2:
-                row ^= 1 << pos[gen]
-        rows.append(row)
-        rhs.append(b)
-    return names, rows, rhs
+    rhs = list(record.relator_signs)
+    return record.presentation.generator_names, _parity_rows(record.presentation, params), rhs
 
 
 def _render_word(w: Word) -> str:
@@ -321,17 +365,9 @@ def _f2_rank_and_consistency(rows: Sequence[int], rhs: Sequence[int]) -> Tuple[i
 
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
     """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
-    names = presentation.generator_names
-    pos = {n: i for i, n in enumerate(names)}
-    rows = []
-    for concrete in instantiate_relators(presentation, params):
-        row = 0
-        for gen, exp in concrete:
-            if exp % 2:
-                row ^= 1 << pos[gen]
-        rows.append(row)
+    rows = _parity_rows(presentation, params)
     rank, _ = _f2_rank_and_consistency(rows, [0] * len(rows))
-    return len(names) - rank
+    return len(presentation.generator_names) - rank
 
 
 def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
@@ -372,16 +408,10 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 # ---------------------------------------------------------------------------
 
 
-def _holonomy_order(record: AlmostBieberbachRecord) -> int:
-    mats = [record.matrix_of(g) for g in record.presentation.holonomy_generators()]
-    if not mats:
-        return 1
-    G = groups.FiniteGroup.generated(mats, linalg.int_mat_mul, linalg.int_identity(DIM))
-    return len(G)
-
-
 def is_two_group_holonomy(record: AlmostBieberbachRecord) -> bool:
-    order = _holonomy_order(record)
+    """Whether |F| is a power of two.  F is the named holonomy group, whose
+    order ``catalog.check_record`` matches against the matrix closure."""
+    order = chartables.get_table(record.holonomy_name).order
     return order & (order - 1) == 0
 
 
@@ -389,17 +419,10 @@ def coset_enumerate(
     hol: HolonomyPresentation, subgroup_words: Sequence[Tuple[Tuple[str, int], ...]]
 ) -> CosetTable:
     """Todd-Coxeter on the holonomy presentation, named-generator flavour."""
-    idx = {g: i + 1 for i, g in enumerate(hol.generators)}
-
-    def to_letters(w) -> Tuple[int, ...]:
-        out = []
-        for gen, exp in w:
-            letter = idx[gen] if exp > 0 else -idx[gen]
-            out.extend([letter] * abs(exp))
-        return tuple(out)
-
-    relators = [to_letters(pr.base) * pr.power for pr in hol.power_relators]
-    return groups.todd_coxeter(len(hol.generators), relators, [to_letters(w) for w in subgroup_words])
+    pos = {g: i for i, g in enumerate(hol.generators)}
+    relators = [groups.word_to_letters(pr.base, pos) * pr.power for pr in hol.power_relators]
+    subgroup = [groups.word_to_letters(w, pos) for w in subgroup_words]
+    return groups.todd_coxeter(len(hol.generators), relators, subgroup)
 
 
 def sylow_pullback_record(
@@ -432,15 +455,9 @@ def sylow_pullback_record(
             row[2 * gi + 1] = f_table.table[c][2 * fi + 1]
         lifted_rows.append(row)
     gamma_table = CosetTable(len(names), lifted_rows)
-
-    def to_letters(concrete: ConcreteWord) -> Tuple[int, ...]:
-        out: List[int] = []
-        for gen, exp in concrete:
-            letter = pos[gen] + 1 if exp > 0 else -(pos[gen] + 1)
-            out.extend([letter] * abs(exp))
-        return tuple(out)
-
-    gamma_relators = [to_letters(w) for w in instantiate_relators(record.presentation, params)]
+    gamma_relators = [
+        groups.word_to_letters(w, pos) for w in instantiate_relators(record.presentation, params)
+    ]
     subgens, subrels, transversal = groups.reidemeister_schreier(
         len(names), gamma_relators, gamma_table
     )
@@ -495,7 +512,7 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     _check_params(record, params)
     if is_two_group_holonomy(record):
         return enumerate_lifts(record, params)
-    pullback = record.sylow_pullback or sylow_pullback_record(record, params)
+    pullback = sylow_pullback_record(record, params)
     _, rows, rhs = _relator_system(pullback, {})
     _, consistent = _f2_rank_and_consistency(rows, rhs)
     if not consistent:
@@ -530,19 +547,11 @@ def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
         raise InconsistentRecord(
             f"family {record.family}: no holonomy presentation to lift"
         )
-    idx = {g: i + 1 for i, g in enumerate(hol.generators)}
+    pos = {g: i for i, g in enumerate(hol.generators)}
     c = len(hol.generators) + 1  # the central kernel generator
     relators: List[Tuple[int, ...]] = [(c, c)]
-    for g in idx.values():
+    for g in range(1, c):
         relators.append((g, c, -g, -c))
-
-    def to_letters(w) -> Tuple[int, ...]:
-        out: List[int] = []
-        for gen, exp in w:
-            letter = idx[gen] if exp > 0 else -idx[gen]
-            out.extend([letter] * abs(exp))
-        return tuple(out)
-
     for pr in hol.power_relators:
         M = linalg.int_identity(DIM)
         for gen, exp in pr.base:
@@ -551,7 +560,7 @@ def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
                 g = linalg.int_mat_inverse(g)
             M = linalg.int_mat_mul(M, linalg.int_mat_pow(g, abs(exp)))
         sign = lift_power_sign(M, pr.power)
-        rel = to_letters(pr.base) * pr.power
+        rel = groups.word_to_letters(pr.base, pos) * pr.power
         if sign < 0:
             rel = rel + (c,)
         relators.append(rel)
@@ -567,9 +576,8 @@ def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
     is closed explicitly inside the Clifford algebra (together with -1);
     otherwise it is identified abstractly from the holonomy presentation.
     """
-    try:
-        base = base_preimages(record)
-    except UnsupportedScalar:
+    base = record.spin_base
+    if base is None:
         return _lift_group_abstract(record)
     one = CliffordElement.scalar(DIM, 1)
     gens = [base[g] for g in record.presentation.holonomy_generators()]

@@ -14,11 +14,21 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ClosureBoundExceeded, EnumerationBoundExceeded, UnknownGroup
 
 Word = Tuple[int, ...]
+
+
+def word_to_letters(word: Sequence[Tuple[str, int]], pos: Mapping[str, int]) -> Word:
+    """A word of (generator name, integer exponent) pairs as letters, where
+    ``pos`` gives each name's 0-based generator index."""
+    out: List[int] = []
+    for gen, exp in word:
+        letter = pos[gen] + 1 if exp > 0 else -(pos[gen] + 1)
+        out.extend([letter] * abs(exp))
+    return tuple(out)
 
 
 def closure(
@@ -239,10 +249,6 @@ def identify_group(G: FiniteGroup) -> str:
         # Both SL(2,3) and C3:Q8 have a unique involution; they differ in
         # their order statistics (C3:Q8 has elements of order 12).
         if profile.get(12):
-            if _find_presentation(G, (3, 4), ((2, 1, -2, 1),)) is not None:
-                # <a,b | a^3, b a b^-1 a> with b of order 4 generates the
-                # dicyclic group of order 12 only; require order 24 via x.
-                pass
             # dicyclic of order 24: <a, b | a^12, a^6 b^-2, b a b^-1 a>
             if (
                 _find_presentation(
@@ -277,9 +283,6 @@ class CosetTable:
     @property
     def index(self) -> int:
         return len(self.table)
-
-    def apply_letter(self, c: int, letter: int) -> int:
-        return self.table[c][letter]
 
     def apply_word(self, c: int, word: Word) -> int:
         for w in word:
@@ -435,26 +438,12 @@ def regular_representation(ngens: int, relators: Sequence[Word], bound: int = 81
     transversal word of the right factor from the left factor's coset.
     """
     ct = todd_coxeter(ngens, relators, subgroup=(), bound=bound)
-    n = ct.index
-    # Schreier transversal: a word (as letters) reaching each coset from 0.
-    words: List[Optional[List[int]]] = [None] * n
-    words[0] = []
-    queue = [0]
-    while queue:
-        c = queue.pop(0)
-        for x in range(2 * ngens):
-            d = ct.table[c][x]
-            if words[d] is None:
-                words[d] = words[c] + [x]
-                queue.append(d)
+    words = [w for w, _edge in schreier_transversal(ct)]
 
     def mul(a: int, b: int) -> int:
-        c = a
-        for x in words[b]:
-            c = ct.table[c][x]
-        return c
+        return ct.apply_word(a, words[b])
 
-    return FiniteGroup(list(range(n)), mul, 0)
+    return FiniteGroup(list(range(ct.index)), mul, 0)
 
 
 # ---------------------------------------------------------------------------

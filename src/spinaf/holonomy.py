@@ -10,7 +10,7 @@ character table of the named group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 from . import chartables, groups, linalg
 from .chartables import CharacterTable, render_decomposition
@@ -50,14 +50,6 @@ def _closure_group(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
     return groups.FiniteGroup.generated(mats, linalg.int_mat_mul, identity)
 
 
-def _letters(word: Sequence[Tuple[str, int]], pos: Mapping[str, int]) -> Tuple[int, ...]:
-    out: List[int] = []
-    for gen, exp in word:
-        letter = pos[gen] + 1 if exp > 0 else -(pos[gen] + 1)
-        out.extend([letter] * abs(exp))
-    return tuple(out)
-
-
 def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
     """Close the holonomy matrices and match them to the named group.
 
@@ -79,7 +71,7 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
         if g not in power_of:
             raise InconsistentRecord(f"{table.name}: generator {g} has no power relator")
         gen_orders.append(power_of[g])
-    relator_words = [_letters(base, pos) * power for base, power in table.relators]
+    relator_words = [groups.word_to_letters(base, pos) * power for base, power in table.relators]
     combo = groups._find_presentation(G, gen_orders, relator_words)
     if combo is None:
         raise InconsistentRecord(
@@ -133,18 +125,11 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
     return tuple(values)
 
 
-def decompose_character(
-    values: Sequence[Cyc12], table: CharacterTable
-) -> Tuple[int, ...]:
-    """Exact multiplicities of a class function in the table's irreducibles."""
-    return chartables.decompose(values, table)
-
-
 def character_of_record(record: AlmostBieberbachRecord) -> Tuple[Tuple[int, ...], str]:
     """Decomposition of the holonomy representation; returns multiplicities
     and the rendered form such as '2χ1+χ3+χ4'."""
     table = chartables.get_table(record.holonomy_name)
-    mults = decompose_character(trace_character(record), table)
+    mults = chartables.decompose(trace_character(record), table)
     return mults, render_decomposition(mults)
 
 

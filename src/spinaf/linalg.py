@@ -43,11 +43,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
-def mat_vec(A: Matrix, v: Sequence[QSqrt2]) -> Tuple[QSqrt2, ...]:
-    n = len(A)
-    return tuple(sum((A[i][k] * v[k] for k in range(n)), QSqrt2(0)) for i in range(n))
-
-
 def transpose(A: Matrix) -> Matrix:
     return tuple(zip(*A))
 
@@ -141,17 +136,6 @@ def nullspace(rows: List[List[QSqrt2]], width: int) -> List[List[QSqrt2]]:
             vec[pc] = -mat[ri][fc]
         basis.append(vec)
     return basis
-
-
-def int_matrix(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise DimensionError("matrix must be square")
-        for x in row:
-            if not isinstance(x, int):
-                raise TypeError("integer matrix entries must be int")
-    return tuple(tuple(row) for row in rows)
 
 
 def int_mat_mul(A, B):

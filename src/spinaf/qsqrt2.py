@@ -40,10 +40,6 @@ class QSqrt2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, x: RationalLike) -> "QSqrt2":
-        return cls(x, 0)
-
-    @classmethod
     def sqrt2(cls) -> "QSqrt2":
         return cls(0, 1)
 

@@ -15,12 +15,12 @@ exists over the field.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Sequence, Tuple
 
-from . import linalg
+from . import groups, linalg
 from .clifford import CliffordElement, vector_embed, vector_extract
 from .errors import (
-    ClosureBoundExceeded,
     NonVectorError,
     NotInImage,
     NotInSO,
@@ -28,10 +28,6 @@ from .errors import (
 )
 from .linalg import Matrix
 from .qsqrt2 import QSqrt2, HALF_SQRT2
-
-# A spin group element is just a Clifford element satisfying is_spin;
-# the alias documents intent in signatures.
-SpinElement = CliffordElement
 
 DEFAULT_CLOSURE_BOUND = 4096
 
@@ -207,21 +203,4 @@ def subgroup_closure(
     """
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].n
-    one = CliffordElement.scalar(n, 1)
-    seen = {one}
-    frontier = [one]
-    order = [one]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= bound:
-                        raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return order
+    return groups.closure(gens, operator.mul, CliffordElement.scalar(gens[0].n, 1), bound)

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from click.testing import CliRunner
+
 from spinaf import catalog as cat
+from spinaf import fp
+from spinaf.cli import main
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
 
@@ -45,6 +49,44 @@ def test_corrupted_relator_rejected(tmp_path):
     p.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(InconsistentRecord):
         cat.load_catalog(p)
+
+
+def test_parameter_in_holonomy_exponent_rejected_at_load(tmp_path):
+    # family 4 with its relator al^2 a^-1 turned into al^(2+k1) a^-1: a
+    # relator's spin sign would then depend on k1, not only on k1 mod 2
+    data = _bundled_json()
+    rec = next(d for d in data["records"] if d["family"] == "4")
+    rel = next(r for r in rec["relators"] if r == [["al", {"const": 2}], ["a", {"const": -1}]])
+    rel[0][1]["coeffs"] = {"k1": 1}
+    p = tmp_path / "holonomy_parameter.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InconsistentRecord, match="holonomy generator 'al'"):
+        cat.load_catalog(p)
+    runner = CliRunner()
+    for k1 in (0, 1, 2):
+        result = runner.invoke(
+            main, ["classify", "--catalog", str(p), "--family", "4", "--params", f"k1={k1}"]
+        )
+        assert result.exit_code == 2
+        assert "al^(2 +1*k1)*a^(-1)" in result.output
+
+
+def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):
+    calls = []
+    original = fp.base_preimages
+
+    def counting(record):
+        calls.append(record.family)
+        return original(record)
+
+    monkeypatch.setattr(fp, "base_preimages", counting)
+    catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
+    assert calls == []
+    rows = [r for r in cat.load_expectations(cat.bundled_path("expectations.json"))
+            if r.family == "4"]
+    assert len(rows) == 3
+    assert cat.verify(catalog, rows).failures == 0
+    assert calls == ["4"]
 
 
 def test_unknown_holonomy_name_rejected(tmp_path):

@@ -72,19 +72,25 @@ def test_strategies_agree_on_two_group_holonomy(catalog):
                     == fp.sylow_strategy(r, p).count)
 
 
-def brute_force_count(record, params):
+def sign_bits(signs):
+    """Bit i set iff generator i carries -1."""
+    return sum(1 << i for i, s in enumerate(signs) if s < 0)
+
+
+def brute_force_assignments(record, params):
     """Independent oracle: try all sign assignments on the holonomy and
-    lattice generators and evaluate every relator as a Clifford product."""
+    lattice generators and evaluate every relator as a Clifford product.
+    Returns the valid ones as ``sign_bits`` masks."""
     base = fp.base_preimages(record)
     names = record.presentation.generator_names
     relators = fp.instantiate_relators(record.presentation, params)
     one = CliffordElement.scalar(fp.DIM, 1)
-    count = 0
+    valid = []
     for signs in itertools.product((1, -1), repeat=len(names)):
         assignment = dict(zip(names, signs))
         if all(fp.evaluate_word(rel, assignment, base) == one for rel in relators):
-            count += 1
-    return count
+            valid.append(sign_bits(signs))
+    return valid
 
 
 def test_count_is_2_to_rank_against_brute_force(catalog):
@@ -92,10 +98,17 @@ def test_count_is_2_to_rank_against_brute_force(catalog):
     for family in ["1", "4", "9b", "27", "33b", "75", "104", "B1", "B5b"]:
         r = catalog.find(family)
         names = r.presentation.parameters
+        generators = tuple(r.presentation.generator_names)
         for _ in range(3):
             params = {n: rng.randint(0, 1) for n in names}
             res = fp.enumerate_lifts(r, params)
-            assert res.count == brute_force_count(r, params)
+            # the exact list export prints: the brute-force set, in
+            # increasing bit order with generator i on bit i
+            assert all(tuple(n for n, _ in a.signs) == generators
+                       for a in res.valid_assignments)
+            listed = [sign_bits(s for _, s in a.signs) for a in res.valid_assignments]
+            assert listed == sorted(brute_force_assignments(r, params))
+            assert res.count == len(listed)
             if res.count:
                 # count = 2^(n - rank) is a power of two
                 assert res.count & (res.count - 1) == 0
