@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import chartables, groups, linalg, spin
+from . import groups, linalg, spin
 from .clifford import CliffordElement
 from .errors import EnumerationBoundExceeded, InconsistentRecord, UnsupportedScalar
 from .groups import CosetTable
@@ -151,6 +151,13 @@ class AlmostBieberbachRecord:
         if gen in self.matrices:
             return self.matrices[gen]
         return linalg.int_identity(DIM)
+
+    @cached_property
+    def holonomy_group(self) -> groups.FiniteGroup:
+        """The closure of the holonomy matrices, computed once per record."""
+        mats = [self.matrix_of(g) for g in self.presentation.holonomy_generators()]
+        identity = linalg.int_identity(DIM)
+        return groups.FiniteGroup.generated(mats or [identity], linalg.int_mat_mul, identity)
 
     @cached_property
     def spin_base(self) -> Optional[Mapping[str, CliffordElement]]:
@@ -409,9 +416,8 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 
 
 def is_two_group_holonomy(record: AlmostBieberbachRecord) -> bool:
-    """Whether |F| is a power of two.  F is the named holonomy group, whose
-    order ``catalog.check_record`` matches against the matrix closure."""
-    order = chartables.get_table(record.holonomy_name).order
+    """Whether |F|, the order of the holonomy matrix closure, is a power of two."""
+    order = len(record.holonomy_group)
     return order & (order - 1) == 0
 
 

@@ -42,14 +42,6 @@ def orientability(record: AlmostBieberbachRecord) -> bool:
     )
 
 
-def _closure_group(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
-    mats = [record.matrix_of(g) for g in record.presentation.holonomy_generators()]
-    identity = linalg.int_identity(DIM)
-    if not mats:
-        mats = [identity]
-    return groups.FiniteGroup.generated(mats, linalg.int_mat_mul, identity)
-
-
 def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
     """Close the holonomy matrices and match them to the named group.
 
@@ -58,7 +50,7 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
     no generating tuple satisfies the table's presentation.
     """
     table = chartables.get_table(record.holonomy_name)
-    G = _closure_group(record)
+    G = record.holonomy_group
     if len(G) != table.order:
         raise InconsistentRecord(
             f"family {record.family}: holonomy closure has order {len(G)}, "

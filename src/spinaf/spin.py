@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from typing import List, Sequence, Tuple
 
-from . import groups, linalg
+from . import linalg
 from .clifford import CliffordElement, vector_embed, vector_extract
 from .errors import (
     NonVectorError,
@@ -201,6 +201,8 @@ def subgroup_closure(
     Elements of Spin(n) have finite order only in the cases we care about;
     the bound guards against accidentally infinite input.
     """
+    from .groups import closure  # imported here so that spin alone stays light
+
     if not gens:
         raise ValueError("need at least one generator")
-    return groups.closure(gens, operator.mul, CliffordElement.scalar(gens[0].n, 1), bound)
+    return closure(gens, operator.mul, CliffordElement.scalar(gens[0].n, 1), bound)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -47,6 +48,15 @@ def test_c6_sylow_counts(catalog):
         res = fp.sylow_strategy(r, params_of(r, bits))
         assert res.count == count
         assert res.strategy == "sylow"
+
+
+def test_two_group_test_follows_the_matrices_not_the_name(catalog):
+    # records built in code skip load's check of the name against the closure
+    for family, is_two_group in [("4", True), ("173", False)]:
+        r = catalog.find(family)
+        for name in ["C6", "C2", "no-such-group"]:
+            renamed = dataclasses.replace(r, holonomy_name=name)
+            assert fp.is_two_group_holonomy(renamed) is is_two_group
 
 
 def test_direct_strategy_rejects_irrational_holonomy(catalog):
