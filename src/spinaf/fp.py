@@ -17,8 +17,9 @@ only in lattice-generator exponents (checked at load time), so that base
 value (+-1) is a constant of the record: each record computes its spin
 preimages and one sign bit per relator once, on first use
 (``AlmostBieberbachRecord.spin_base`` and ``relator_signs``), and every
-parameter row is then counted with F_2 parity alone.  ``evaluate_word`` is the honest Clifford
-product behind those sign bits; the test suite also uses it as an oracle.
+parameter row is then counted with F_2 parity alone.  ``evaluate_word`` is
+the honest Clifford product behind those sign bits; the test suite also
+uses it as an oracle.
 
 For holonomy groups of odd or mixed order the preimages need not have
 coordinates in Q(sqrt 2); existence is then decided on the pullback of a
@@ -153,11 +154,9 @@ class AlmostBieberbachRecord:
         return linalg.int_identity(DIM)
 
     @cached_property
-    def holonomy_group(self) -> groups.FiniteGroup:
-        """The closure of the holonomy matrices, computed once per record."""
-        mats = [self.matrix_of(g) for g in self.presentation.holonomy_generators()]
-        identity = linalg.int_identity(DIM)
-        return groups.FiniteGroup.generated(mats or [identity], linalg.int_mat_mul, identity)
+    def holonomy_order(self) -> int:
+        """|F|, the order of ``holonomy_closure``; only the number is kept."""
+        return len(holonomy_closure(self))
 
     @cached_property
     def spin_base(self) -> Optional[Mapping[str, CliffordElement]]:
@@ -200,6 +199,13 @@ class AlmostBieberbachRecord:
                     f"{value}, not to +-1; the matrices do not satisfy the presentation"
                 )
         return tuple(signs)
+
+
+def holonomy_closure(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
+    """The finite group generated by the record's holonomy matrices."""
+    mats = [record.matrix_of(g) for g in record.presentation.holonomy_generators()]
+    identity = linalg.int_identity(DIM)
+    return groups.FiniteGroup.generated(mats or [identity], linalg.int_mat_mul, identity)
 
 
 @dataclass(frozen=True)
@@ -417,7 +423,7 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 
 def is_two_group_holonomy(record: AlmostBieberbachRecord) -> bool:
     """Whether |F|, the order of the holonomy matrix closure, is a power of two."""
-    order = len(record.holonomy_group)
+    order = record.holonomy_order
     return order & (order - 1) == 0
 
 

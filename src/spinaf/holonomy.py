@@ -16,7 +16,7 @@ from . import chartables, groups, linalg
 from .chartables import CharacterTable, render_decomposition
 from .cyclotomic import Cyc12
 from .errors import InconsistentRecord
-from .fp import DIM, AlmostBieberbachRecord
+from .fp import DIM, AlmostBieberbachRecord, holonomy_closure
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -50,7 +50,7 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
     no generating tuple satisfies the table's presentation.
     """
     table = chartables.get_table(record.holonomy_name)
-    G = record.holonomy_group
+    G = holonomy_closure(record)
     if len(G) != table.order:
         raise InconsistentRecord(
             f"family {record.family}: holonomy closure has order {len(G)}, "
