@@ -12,12 +12,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 import jsonschema
 
 from . import fp, holonomy, linalg
-from .errors import CatalogFormatError, InconsistentRecord
+from .errors import (
+    CatalogFormatError,
+    ClosureBoundExceeded,
+    EnumerationBoundExceeded,
+    InconsistentRecord,
+)
 from .fp import (
     DIM,
     AlmostBieberbachRecord,
@@ -271,18 +276,19 @@ class Catalog:
 def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
     parameter-free holonomy exponents, relator consistency at the matrix
-    level, faithfulness, orientability."""
-    names = set(record.presentation.generator_names)
+    level, faithfulness, orientability, and that the record's counting
+    route can run."""
+    holonomy_gens = record.presentation.holonomy_generators()
     for name, mat in record.matrices.items():
-        if name not in names:
+        if name not in holonomy_gens:
             raise InconsistentRecord(
-                f"family {record.family}: matrix for undeclared generator {name!r}"
+                f"family {record.family}: matrix for {name!r}, which is not a holonomy generator"
             )
         if abs(linalg.int_det(mat)) != 1:
             raise InconsistentRecord(
                 f"family {record.family}: matrix of {name!r} is not unimodular"
             )
-    for g in record.presentation.holonomy_generators():
+    for g in holonomy_gens:
         if g not in record.matrices:
             raise InconsistentRecord(
                 f"family {record.family}: holonomy generator {g!r} has no matrix"
@@ -290,23 +296,61 @@ def check_record(record: AlmostBieberbachRecord) -> None:
     fp.check_holonomy_exponents(record)
     identity = linalg.int_identity(DIM)
     for rel in record.presentation.relators:
-        M = identity
-        for gen, expr in rel:
-            theta = record.matrix_of(gen)
-            # at the matrix level lattice generators vanish and exponents
-            # only matter through the holonomy part, which is parameter-free
-            e = expr.const if gen in record.matrices else 0
-            if gen in record.matrices:
-                M = linalg.int_mat_mul(M, linalg.int_mat_pow(theta, e))
-        if M != identity:
+        # lattice generators act trivially and holonomy exponents are constants
+        if fp.word_matrix(record.matrices, [(g, e.const) for g, e in rel]) != identity:
             raise InconsistentRecord(
                 f"family {record.family}: relator {fp._render_word(rel)} does not "
                 "hold for the holonomy matrices"
             )
     # faithfulness (also validates the holonomy name against the closure)
-    holonomy.matrix_group_closure(record)
+    try:
+        order = holonomy.matrix_group_closure(record).order
+    except ClosureBoundExceeded as exc:
+        raise InconsistentRecord(
+            f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
+        ) from exc
     if not holonomy.orientability(record):
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
+    _check_counting_route(record, order)
+
+
+def _check_counting_route(record: AlmostBieberbachRecord, order: int) -> None:
+    """The direct route needs signed-permutation holonomy matrices; the Sylow
+    route needs a presentation of F, checked against the matrices, and
+    Sylow generators of odd index whose matrices are signed permutations."""
+    hol = record.holonomy_presentation
+    if hol is None:
+        if not record.signed_perm_holonomy:
+            raise InconsistentRecord(
+                f"family {record.family}: some holonomy matrix is not a signed "
+                "permutation, so the record needs a holonomy_presentation"
+            )
+        return
+
+    def fail(message: str) -> NoReturn:
+        raise InconsistentRecord(f"family {record.family}: holonomy presentation: {message}")
+
+    if sorted(hol.generators) != sorted(record.presentation.holonomy_generators()):
+        fail(f"generators {list(hol.generators)} are not the holonomy generators")
+    words = [pr.base for pr in hol.power_relators] + list(hol.sylow_generators)
+    if any(g not in hol.generators for w in words for g, _ in w):
+        fail("a word mentions a generator it does not declare")
+    identity = linalg.int_identity(DIM)
+    for pr in hol.power_relators:
+        if linalg.int_mat_pow(fp.word_matrix(record.matrices, pr.base), pr.power) != identity:
+            fail(f"power relator ({fp._render_word(pr.base)})^{pr.power} does not hold for the matrices")
+    try:
+        presented = fp.coset_enumerate(hol, ()).index
+        index = fp.coset_enumerate(hol, hol.sylow_generators).index
+    except EnumerationBoundExceeded as exc:
+        fail(f"it does not present a finite group of order {order} ({exc})")
+    if presented != order:
+        fail(f"it presents a group of order {presented}, but the matrices generate one of order {order}")
+    if index % 2 == 0:
+        fail(f"sylow_generators generate a subgroup of even index {index}")
+    for w in hol.sylow_generators:
+        if not linalg.is_signed_perm(fp.word_matrix(record.matrices, w)):
+            fail(f"the matrix of Sylow generator {fp._render_word(w)} is not a signed permutation")
 
 
 def load_catalog(path) -> Catalog:

@@ -245,15 +245,9 @@ def classify(catalog_path, family, params, fmt) -> None:
         records = sorted(catalog.records, key=lambda r: r.family)
     rows: List[cat.ClassifyRow] = []
     for record in records:
-        if not holonomy.orientability(record):
-            _fail(
-                EXIT_INVALID,
-                f"family {record.family} is not orientable (its holonomy does not "
-                "lie in SL(4, Z)); spin structures are undefined",
-            )
         try:
             rows.append(cat.classify_record(record, _param_vector(record, params)))
-        except InconsistentRecord as exc:
+        except SpinafError as exc:
             _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
         click.echo(_dump_json([

@@ -142,9 +142,6 @@ class CliffordElement:
     def grades(self) -> set:
         return {m.bit_count() for m in self._terms}
 
-    def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(self.n, {m: c for m, c in self._terms.items() if m.bit_count() == k})
-
     def is_even(self) -> bool:
         return all(m.bit_count() % 2 == 0 for m in self._terms)
 

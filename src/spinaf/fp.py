@@ -21,10 +21,14 @@ parameter row is then counted with F_2 parity alone.  ``evaluate_word`` is
 the honest Clifford product behind those sign bits; the test suite also
 uses it as an oracle.
 
-For holonomy groups of odd or mixed order the preimages need not have
-coordinates in Q(sqrt 2); existence is then decided on the pullback of a
-2-Sylow subgroup of F (whose holonomy *is* rational) and the count follows
-from the torsor structure: 2^(mod-2 abelianization rank).
+The counting route is a property of the record's integer matrices
+(``AlmostBieberbachRecord.signed_perm_holonomy``).  When every holonomy
+matrix is a signed permutation its spin preimages have coordinates in
+Q(sqrt 2) and the assignments are enumerated directly.  Otherwise existence
+is decided on the pullback of a subgroup of F of odd index whose matrices
+are signed permutations (the record's ``sylow_generators``), and the count
+follows from the torsor structure: 2^(mod-2 abelianization rank).  Loading
+a catalog checks that the chosen route can run.
 """
 
 from __future__ import annotations
@@ -119,9 +123,6 @@ class Presentation:
     def holonomy_generators(self) -> List[str]:
         return [g.name for g in self.generators if g.role == HOLONOMY]
 
-    def lattice_generators(self) -> List[str]:
-        return [g.name for g in self.generators if g.role == LATTICE]
-
 
 @dataclass(frozen=True)
 class PowerRelator:
@@ -154,23 +155,23 @@ class AlmostBieberbachRecord:
         return linalg.int_identity(DIM)
 
     @cached_property
-    def holonomy_order(self) -> int:
-        """|F|, the order of ``holonomy_closure``; only the number is kept."""
-        return len(holonomy_closure(self))
+    def signed_perm_holonomy(self) -> bool:
+        """Whether every holonomy matrix is a signed permutation, i.e. has
+        spin preimages over Q(sqrt 2); this decides the counting route."""
+        return all(
+            linalg.is_signed_perm(self.matrix_of(g)) for g in self.presentation.holonomy_generators()
+        )
 
     @cached_property
     def spin_base(self) -> Optional[Mapping[str, CliffordElement]]:
         """Canonical spin preimage per generator (``base_preimages``), or None
-        when some holonomy matrix has no preimage over Q(sqrt 2).
+        when some holonomy matrix is not a signed permutation.
 
         This and ``relator_signs`` are computed on first use and kept on the
         record object, so loading a catalog does no spin arithmetic and every
         parameter row of a record shares them.
         """
-        try:
-            return base_preimages(self)
-        except UnsupportedScalar:
-            return None
+        return base_preimages(self) if self.signed_perm_holonomy else None
 
     @cached_property
     def relator_signs(self) -> Tuple[int, ...]:
@@ -201,6 +202,17 @@ class AlmostBieberbachRecord:
         return tuple(signs)
 
 
+def word_matrix(
+    matrices: Mapping[str, Tuple[Tuple[int, ...], ...]], w: Sequence[Tuple[str, int]]
+) -> Tuple[Tuple[int, ...], ...]:
+    """The integer matrix of a word; generators without a matrix act trivially."""
+    M = linalg.int_identity(DIM)
+    for gen, exp in w:
+        if gen in matrices:
+            M = linalg.int_mat_mul(M, linalg.int_mat_pow(matrices[gen], exp))
+    return M
+
+
 def holonomy_closure(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
     """The finite group generated by the record's holonomy matrices."""
     mats = [record.matrix_of(g) for g in record.presentation.holonomy_generators()]
@@ -211,12 +223,6 @@ def holonomy_closure(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
 @dataclass(frozen=True)
 class SignAssignment:
     signs: Tuple[Tuple[str, int], ...]
-
-    def sign_of(self, gen: str) -> int:
-        for name, s in self.signs:
-            if name == gen:
-                return s
-        raise KeyError(gen)
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.signs)
@@ -287,21 +293,20 @@ def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
 def base_preimages(record: AlmostBieberbachRecord) -> Dict[str, CliffordElement]:
     """Canonical spin preimage per generator (lattice generators map to 1).
 
-    Raises UnsupportedScalar when some holonomy matrix has no preimage over
-    Q(sqrt 2); callers fall back to the Sylow strategy.
+    Raises UnsupportedScalar unless every holonomy matrix is a signed
+    permutation; such records are counted by the Sylow strategy.
     """
+    if not record.signed_perm_holonomy:
+        raise UnsupportedScalar(
+            f"family {record.family}: some holonomy matrix is not a signed permutation"
+        )
     one = CliffordElement.scalar(DIM, 1)
     out: Dict[str, CliffordElement] = {}
     for gen in record.presentation.generators:
         if gen.role == LATTICE:
             out[gen.name] = one
             continue
-        M = linalg.as_matrix(record.matrix_of(gen.name))
-        if not linalg.is_orthogonal(M):
-            raise UnsupportedScalar(
-                f"holonomy matrix of {gen.name!r} is not orthogonal over Q(sqrt 2)"
-            )
-        x, _ = spin.preimage(M)
+        x, _ = spin.preimage(linalg.as_matrix(record.matrix_of(gen.name)))
         out[gen.name] = x
     return out
 
@@ -421,12 +426,6 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 # ---------------------------------------------------------------------------
 
 
-def is_two_group_holonomy(record: AlmostBieberbachRecord) -> bool:
-    """Whether |F|, the order of the holonomy matrix closure, is a power of two."""
-    order = record.holonomy_order
-    return order & (order - 1) == 0
-
-
 def coset_enumerate(
     hol: HolonomyPresentation, subgroup_words: Sequence[Tuple[Tuple[str, int], ...]]
 ) -> CosetTable:
@@ -474,15 +473,6 @@ def sylow_pullback_record(
         len(names), gamma_relators, gamma_table
     )
 
-    def theta_of_word(letters: Sequence[int]):
-        M = linalg.int_identity(DIM)
-        for letter in letters:
-            g = record.matrix_of(names[abs(letter) - 1])
-            if letter < 0:
-                g = linalg.int_mat_inverse(g)
-            M = linalg.int_mat_mul(M, g)
-        return M
-
     identity = linalg.int_identity(DIM)
     new_gens: List[GeneratorDecl] = []
     new_mats: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
@@ -490,7 +480,8 @@ def sylow_pullback_record(
     for i, (coset, g) in enumerate(subgens):
         w = transversal[coset] + (g,)
         target = gamma_table.apply_word(0, w)
-        M = theta_of_word(list(transversal[coset]) + [g] + [-x for x in reversed(transversal[target])])
+        letters = w + tuple(-x for x in reversed(transversal[target]))
+        M = word_matrix(record.matrices, [(names[abs(x) - 1], 1 if x > 0 else -1) for x in letters])
         name = f"s{i}"
         gen_names.append(name)
         if M == identity:
@@ -514,16 +505,15 @@ def sylow_pullback_record(
 
 
 def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
-    """Lift count via restriction to the 2-Sylow pullback.
+    """Lift count via restriction to the Sylow pullback.
 
-    For 2-group holonomy this is literally direct enumeration.  Otherwise
-    existence is decided on the pullback record (all of whose holonomy
-    matrices are 2-group images, hence rational) and the count is
-    2^(mod-2 abelianization rank) of the full record when a lift exists.
+    Existence is decided on the pullback record, whose holonomy matrices lie
+    in the group generated by the Sylow generators' signed permutations, and
+    the count is 2^(mod-2 abelianization rank) of the full record when a
+    lift exists.  Restriction to a subgroup of odd index loses no
+    obstruction, which is why any such subgroup serves.
     """
     _check_params(record, params)
-    if is_two_group_holonomy(record):
-        return enumerate_lifts(record, params)
     pullback = sylow_pullback_record(record, params)
     _, rows, rhs = _relator_system(pullback, {})
     _, consistent = _f2_rank_and_consistency(rows, rhs)
@@ -565,13 +555,7 @@ def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
     for g in range(1, c):
         relators.append((g, c, -g, -c))
     for pr in hol.power_relators:
-        M = linalg.int_identity(DIM)
-        for gen, exp in pr.base:
-            g = record.matrix_of(gen)
-            if exp < 0:
-                g = linalg.int_mat_inverse(g)
-            M = linalg.int_mat_mul(M, linalg.int_mat_pow(g, abs(exp)))
-        sign = lift_power_sign(M, pr.power)
+        sign = lift_power_sign(word_matrix(record.matrices, pr.base), pr.power)
         rel = groups.word_to_letters(pr.base, pos) * pr.power
         if sign < 0:
             rel = rel + (c,)
@@ -584,9 +568,9 @@ def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
 def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
     """The preimage group of the holonomy group under the double cover.
 
-    When every holonomy matrix has a spin preimage over Q(sqrt 2) the group
-    is closed explicitly inside the Clifford algebra (together with -1);
-    otherwise it is identified abstractly from the holonomy presentation.
+    When every holonomy matrix is a signed permutation the group is closed
+    explicitly inside the Clifford algebra (together with -1); otherwise it
+    is identified abstractly from the holonomy presentation.
     """
     base = record.spin_base
     if base is None:
@@ -603,10 +587,8 @@ def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
 
 
 def count_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
-    """Dispatch: direct enumeration whenever every holonomy matrix has a
-    spin preimage over Q(sqrt 2); otherwise fall back to the Sylow
-    strategy."""
-    try:
+    """Direct enumeration when every holonomy matrix is a signed
+    permutation, the Sylow strategy otherwise."""
+    if record.signed_perm_holonomy:
         return enumerate_lifts(record, params)
-    except UnsupportedScalar:
-        return sylow_strategy(record, params)
+    return sylow_strategy(record, params)

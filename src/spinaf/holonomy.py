@@ -10,13 +10,13 @@ character table of the named group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Tuple
+from typing import List, Tuple
 
 from . import chartables, groups, linalg
 from .chartables import CharacterTable, render_decomposition
 from .cyclotomic import Cyc12
 from .errors import InconsistentRecord
-from .fp import DIM, AlmostBieberbachRecord, holonomy_closure
+from .fp import DIM, AlmostBieberbachRecord, holonomy_closure, word_matrix
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -99,9 +99,7 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
     values: List[Cyc12] = []
     seen = set()
     for rep_word, size in zip(table.class_reps, table.class_sizes):
-        m = linalg.int_identity(DIM)
-        for gen, exp in rep_word:
-            m = linalg.int_mat_mul(m, linalg.int_mat_pow(mats[gen], exp))
+        m = word_matrix(mats, rep_word)
         idx = class_of[m]
         if idx in seen:
             raise InconsistentRecord(
@@ -124,38 +122,3 @@ def character_of_record(record: AlmostBieberbachRecord) -> Tuple[Tuple[int, ...]
     mults = chartables.decompose(trace_character(record), table)
     return mults, render_decomposition(mults)
 
-
-def characters_equal(
-    rep_a: Mapping[str, IntMatrix], rep_b: Mapping[str, IntMatrix]
-) -> bool:
-    """Whether two representations of the same abstract group (given on
-    matched generator names) have equal characters.
-
-    Traces are compared on every element of the group generated by rep_a,
-    each realized by an explicit word in the generators (BFS, so the word
-    set deterministically covers all conjugacy classes).
-    """
-    if set(rep_a) != set(rep_b):
-        raise InconsistentRecord(
-            f"generator mismatch: {sorted(rep_a)} vs {sorted(rep_b)}"
-        )
-    names = sorted(rep_a)
-    identity = linalg.int_identity(DIM)
-    frontier = [(identity, identity)]
-    seen = {identity}
-    while frontier:
-        next_frontier = []
-        for ma, mb in frontier:
-            for name in names:
-                na = linalg.int_mat_mul(ma, rep_a[name])
-                nb = linalg.int_mat_mul(mb, rep_b[name])
-                if na in seen:
-                    continue
-                seen.add(na)
-                if sum(na[i][i] for i in range(DIM)) != sum(
-                    nb[i][i] for i in range(DIM)
-                ):
-                    return False
-                next_frontier.append((na, nb))
-        frontier = next_frontier
-    return True

@@ -73,8 +73,9 @@ def check_special_orthogonal(A: Matrix) -> None:
         raise NotInSO("matrix is orthogonal but has determinant -1")
 
 
-def signed_perm_decompose(A: Matrix) -> List[Tuple[int, int]]:
-    """For a signed permutation matrix, return column data.
+def signed_perm_decompose(A) -> List[Tuple[int, int]]:
+    """For a signed permutation matrix (integer or Q(sqrt 2) entries),
+    return column data.
 
     The result is a list ``d`` with ``d[j] = (i, s)`` meaning column *j*
     carries ``s * e_{i+1}``.  Raises NotSignedPerm otherwise.
@@ -86,11 +87,11 @@ def signed_perm_decompose(A: Matrix) -> List[Tuple[int, int]]:
         hit = None
         for i in range(n):
             x = A[i][j]
-            if x.is_zero():
+            if not x:
                 continue
-            if hit is not None or (x != QSqrt2(1) and x != QSqrt2(-1)):
+            if hit is not None or x not in (1, -1):
                 raise NotSignedPerm(f"column {j + 1} is not a signed unit vector")
-            hit = (i, 1 if x == QSqrt2(1) else -1)
+            hit = (i, 1 if x == 1 else -1)
         if hit is None or hit[0] in seen:
             raise NotSignedPerm(f"column {j + 1} is not a signed unit vector")
         seen.add(hit[0])
@@ -98,7 +99,7 @@ def signed_perm_decompose(A: Matrix) -> List[Tuple[int, int]]:
     return out
 
 
-def is_signed_perm(A: Matrix) -> bool:
+def is_signed_perm(A) -> bool:
     try:
         signed_perm_decompose(A)
     except NotSignedPerm:
@@ -189,6 +190,7 @@ def int_mat_pow(A, k: int):
     while k:
         if k & 1:
             R = int_mat_mul(R, A)
-        A = int_mat_mul(A, A)
         k >>= 1
+        if k:
+            A = int_mat_mul(A, A)
     return R

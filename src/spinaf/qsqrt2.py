@@ -183,9 +183,6 @@ class QSqrt2:
     def __bool__(self):
         return not self.is_zero()
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * 2 ** 0.5
-
     def __repr__(self):
         return f"QSqrt2({self.a!r}, {self.b!r})"
 
@@ -216,7 +213,4 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-ZERO = QSqrt2(0)
-ONE = QSqrt2(1)
-SQRT2 = QSqrt2(0, 1)
 HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt(2)

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
-from spinaf import fp
+from spinaf import fp, holonomy
 from spinaf.cli import main
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
@@ -69,6 +70,104 @@ def test_parameter_in_holonomy_exponent_rejected_at_load(tmp_path):
         )
         assert result.exit_code == 2
         assert "al^(2 +1*k1)*a^(-1)" in result.output
+
+
+def _record(data, family):
+    return next(d for d in data["records"] if d["family"] == family)
+
+
+def _hol(data, family):
+    return _record(data, family)["holonomy_presentation"]
+
+
+@pytest.mark.parametrize("family, mutate", [
+    pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
+        al=[[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), id="4-al-not-signed-perm"),
+    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(power=6),
+                 id="143-al^6"),
+    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(
+        word=[["al", 1], ["al", -1]]), id="143-infinite-presentation"),
+    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(word=[["zz", 1]]),
+                 id="143-undeclared-generator"),
+    pytest.param("168", lambda d: _hol(d, "168").update(sylow_generators=[[["al", 2]]]),
+                 id="168-sylow-al^2"),
+    pytest.param("168", lambda d: _hol(d, "168").update(sylow_generators=[]),
+                 id="168-sylow-empty"),
+    pytest.param("169", lambda d: _hol(d, "169")["power_relators"][0].update(power=2),
+                 id="169-power-2"),
+    pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
+        al=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), id="4-non-orientable"),
+    pytest.param("4", lambda d: _record(d, "4").update(
+        relators=[], matrices={"al": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+        id="4-infinite-holonomy"),
+])
+def test_mutant_rejected_at_load_with_exit_2(tmp_path, family, mutate):
+    data = _bundled_json()
+    mutate(data)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InconsistentRecord, match=f"family {family}:"):
+        cat.load_catalog(p)
+    result = CliRunner().invoke(main, ["classify", "--catalog", str(p), "--family", family])
+    assert result.exit_code == 2
+    assert f"error: family {family}:" in result.output
+
+
+_MUTATIONS = ("coefficient", "matrix_entry", "role", "relator_exponent",
+              "holonomy_power", "holonomy_word", "sylow_generators")
+
+
+@st.composite
+def _mutated_record_json(draw):
+    """One bundled record dict with one small random mutation."""
+    d = copy.deepcopy(draw(st.sampled_from(_bundled_json()["records"])))
+    hol = d.get("holonomy_presentation")
+    kinds = [k for k in _MUTATIONS
+             if (k != "coefficient" or d["parameters"])
+             and (k != "matrix_entry" or d["matrices"])
+             and (not k.startswith(("holonomy_", "sylow_")) or hol)]
+    kind = draw(st.sampled_from(kinds))
+    small = st.integers(-2, 2).filter(bool)
+    if kind in ("coefficient", "relator_exponent"):
+        rel = draw(st.sampled_from([r for r in d["relators"] if r]))
+        letter = rel[draw(st.integers(0, len(rel) - 1))]
+        if kind == "coefficient":
+            letter[1].setdefault("coeffs", {})[draw(st.sampled_from(d["parameters"]))] = draw(small)
+        else:
+            letter[1]["const"] += draw(small)
+    elif kind == "matrix_entry":
+        row = d["matrices"][draw(st.sampled_from(sorted(d["matrices"])))][draw(st.integers(0, 3))]
+        row[draw(st.integers(0, 3))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "role":
+        gen = draw(st.sampled_from(d["generators"]))
+        gen["role"] = "lattice" if gen["role"] == "holonomy" else "holonomy"
+    elif kind == "holonomy_power":
+        draw(st.sampled_from(hol["power_relators"]))["power"] = draw(st.integers(1, 12))
+    elif kind == "holonomy_word":
+        letter = draw(st.sampled_from([x for pr in hol["power_relators"] for x in pr["word"]]))
+        letter[0] = draw(st.sampled_from(hol["generators"]))
+        letter[1] += draw(small)
+    else:
+        word = st.lists(st.tuples(st.sampled_from(hol["generators"]), small).map(list),
+                        min_size=1, max_size=2)
+        hol["sylow_generators"] = draw(st.lists(word, max_size=2))
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=_mutated_record_json(), data=st.data())
+def test_mutated_record_is_rejected_or_fully_usable(d, data):
+    # a record either fails at load, or every command's computation runs
+    try:
+        record = cat.record_from_json(d)
+        cat.check_record(record)
+    except InconsistentRecord:
+        return
+    params = {n: data.draw(st.integers(0, 1), label=n) for n in record.presentation.parameters}
+    assert fp.count_lifts(record, params) == fp.count_lifts(
+        record, {n: v + 2 for n, v in params.items()})
+    assert fp.lift_group(record).order == 2 * holonomy.matrix_group_closure(record).order
+    holonomy.character_of_record(record)
 
 
 def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):

@@ -42,7 +42,7 @@ def test_family_5_nonspin_row(catalog):
 
 def test_c6_sylow_counts(catalog):
     r = catalog.find("173")
-    assert not fp.is_two_group_holonomy(r)
+    assert not r.signed_perm_holonomy
     for bits, count in {(0, 0, 0, 0): 4, (1, 0, 0, 0): 2,
                         (0, 0, 0, 1): 4, (1, 0, 0, 1): 2}.items():
         res = fp.sylow_strategy(r, params_of(r, bits))
@@ -50,13 +50,15 @@ def test_c6_sylow_counts(catalog):
         assert res.strategy == "sylow"
 
 
-def test_two_group_test_follows_the_matrices_not_the_name(catalog):
+def test_route_follows_the_matrices_not_the_name(catalog):
     # records built in code skip load's check of the name against the closure
-    for family, is_two_group in [("4", True), ("173", False)]:
+    for family, strategy in [("4", "direct"), ("158", "direct"), ("173", "sylow")]:
         r = catalog.find(family)
+        zeros = {n: 0 for n in r.presentation.parameters}
         for name in ["C6", "C2", "no-such-group"]:
             renamed = dataclasses.replace(r, holonomy_name=name)
-            assert fp.is_two_group_holonomy(renamed) is is_two_group
+            assert renamed.signed_perm_holonomy is (strategy == "direct")
+            assert fp.count_lifts(renamed, zeros).strategy == strategy
 
 
 def test_direct_strategy_rejects_irrational_holonomy(catalog):
@@ -65,21 +67,23 @@ def test_direct_strategy_rejects_irrational_holonomy(catalog):
         fp.base_preimages(r)
     with pytest.raises(UnsupportedScalar):
         fp.enumerate_lifts(r, params_of(r, (0, 0, 0, 0)))
-    # count_lifts falls back to the sylow strategy transparently
-    assert fp.count_lifts(r, params_of(r, (0, 0, 0, 0))).count == 4
+    # count_lifts routes it to the sylow strategy
+    result = fp.count_lifts(r, params_of(r, (0, 0, 0, 0)))
+    assert (result.strategy, result.count) == ("sylow", 4)
 
 
-def test_strategies_agree_on_two_group_holonomy(catalog):
-    for family in ["3", "27", "75", "103", "B4"]:
+def test_strategies_agree_on_s3_records(catalog):
+    # the S3 records have signed-permutation matrices and a holonomy
+    # presentation, so both strategies apply to them
+    for family in ["158", "159", "161"]:
         r = catalog.find(family)
-        assert fp.is_two_group_holonomy(r)
+        assert r.signed_perm_holonomy and r.holonomy_presentation is not None
         names = r.presentation.parameters
-        rng = random.Random(hash(family) & 0xFFFF)
-        for _ in range(4):
-            bits = tuple(rng.randint(0, 1) for _ in names)
+        for bits in itertools.product((0, 1), repeat=len(names)):
             p = dict(zip(names, bits))
-            assert (fp.enumerate_lifts(r, p).count
-                    == fp.sylow_strategy(r, p).count)
+            direct, sylow = fp.enumerate_lifts(r, p), fp.sylow_strategy(r, p)
+            assert (direct.strategy, sylow.strategy) == ("direct", "sylow")
+            assert direct.count == sylow.count
 
 
 def sign_bits(signs):

@@ -2,7 +2,6 @@ import pytest
 
 from spinaf import catalog as cat
 from spinaf import holonomy
-from spinaf.errors import InconsistentRecord
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +41,3 @@ def test_trace_character_values(catalog):
     chi = holonomy.trace_character(catalog.find("1"))
     assert [c.rational_part() for c in chi] == [4]
 
-
-def test_characters_equal(catalog):
-    r = catalog.find("27")
-    rep = dict(r.matrices)
-    assert holonomy.characters_equal(rep, rep)
-    # conjugate representation has the same character
-    other = {name: tuple(tuple(row) for row in mat) for name, mat in rep.items()}
-    assert holonomy.characters_equal(rep, other)
-    with pytest.raises(InconsistentRecord):
-        holonomy.characters_equal(rep, {"zz": next(iter(rep.values()))})

@@ -33,13 +33,17 @@ def test_det_and_orthogonality():
 
 
 def test_signed_perm_decompose():
-    M = linalg.as_matrix([[0, 0, 1, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1]])
-    cols = linalg.signed_perm_decompose(M)
+    rows = [[0, 0, 1, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1]]
+    cols = linalg.signed_perm_decompose(linalg.as_matrix(rows))
     # column j carries sign * e_{sigma(j)}
     assert cols[0] == (1, 1)
     assert cols[1] == (2, -1)
     assert cols[2] == (0, 1)
     assert cols[3] == (3, -1)
+    # integer entries decompose the same way
+    assert linalg.signed_perm_decompose(rows) == cols
+    assert not linalg.is_signed_perm([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    assert not linalg.is_signed_perm([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(NotSignedPerm):
         half = QSqrt2(0, Fraction(1, 2))
         linalg.signed_perm_decompose(linalg.as_matrix(
