@@ -1,4 +1,4 @@
-"""Catalog and expectations files: schema, loading, classify and verify.
+"""Catalog and expectations files: reading, checking, classify and verify.
 
 The catalog is a JSON file carrying one record per family: a finitely
 presented group (generators split into lattice and holonomy roles, relators
@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
-
-import jsonschema
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import fp, holonomy, linalg
+from .chartables import TABLES
 from .errors import (
     CatalogFormatError,
     ClosureBoundExceeded,
@@ -25,6 +24,8 @@ from .errors import (
 )
 from .fp import (
     DIM,
+    HOLONOMY,
+    LATTICE,
     AlmostBieberbachRecord,
     ExponentExpr,
     GeneratorDecl,
@@ -34,148 +35,6 @@ from .fp import (
 )
 
 FORMAT_VERSION = 1
-
-_EXPONENT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "const": {"type": "integer"},
-        "coeffs": {"type": "object", "additionalProperties": {"type": "integer"}},
-    },
-    "required": ["const"],
-    "additionalProperties": False,
-}
-
-_WORD_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "prefixItems": [{"type": "string"}, _EXPONENT_SCHEMA],
-        "minItems": 2,
-        "maxItems": 2,
-    },
-}
-
-_CONCRETE_WORD_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "prefixItems": [{"type": "string"}, {"type": "integer"}],
-        "minItems": 2,
-        "maxItems": 2,
-    },
-}
-
-_MATRIX_SCHEMA = {
-    "type": "array",
-    "minItems": DIM,
-    "maxItems": DIM,
-    "items": {
-        "type": "array",
-        "minItems": DIM,
-        "maxItems": DIM,
-        "items": {"type": "integer"},
-    },
-}
-
-_HOLONOMY_NAMES = ["C1", "C2", "C2xC2", "C3", "C4", "C6", "S3", "D8", "D12"]
-
-CATALOG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "format_version": {"const": FORMAT_VERSION},
-        "records": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "family": {"type": "string"},
-                    "holonomy": {"enum": _HOLONOMY_NAMES},
-                    "nilpotency_class": {"type": "integer", "minimum": 1},
-                    "generators": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "name": {"type": "string"},
-                                "role": {"enum": ["lattice", "holonomy"]},
-                            },
-                            "required": ["name", "role"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "parameters": {"type": "array", "items": {"type": "string"}},
-                    "relators": {"type": "array", "items": _WORD_SCHEMA},
-                    "matrices": {
-                        "type": "object",
-                        "additionalProperties": _MATRIX_SCHEMA,
-                    },
-                    "holonomy_presentation": {
-                        "type": "object",
-                        "properties": {
-                            "generators": {"type": "array", "items": {"type": "string"}},
-                            "power_relators": {
-                                "type": "array",
-                                "items": {
-                                    "type": "object",
-                                    "properties": {
-                                        "word": _CONCRETE_WORD_SCHEMA,
-                                        "power": {"type": "integer", "minimum": 1},
-                                    },
-                                    "required": ["word", "power"],
-                                    "additionalProperties": False,
-                                },
-                            },
-                            "sylow_generators": {
-                                "type": "array",
-                                "items": _CONCRETE_WORD_SCHEMA,
-                            },
-                        },
-                        "required": ["generators", "power_relators", "sylow_generators"],
-                        "additionalProperties": False,
-                    },
-                    "source": {"type": "string"},
-                },
-                "required": [
-                    "family",
-                    "holonomy",
-                    "nilpotency_class",
-                    "generators",
-                    "parameters",
-                    "relators",
-                    "matrices",
-                    "source",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["format_version", "records"],
-    "additionalProperties": False,
-}
-
-EXPECTATIONS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "format_version": {"const": FORMAT_VERSION},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "family": {"type": "string"},
-                    "holonomy": {"enum": _HOLONOMY_NAMES},
-                    "params": {"type": "array", "items": {"enum": [0, 1]}},
-                    "count": {"type": "integer", "minimum": 0},
-                },
-                "required": ["family", "holonomy", "params", "count"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["format_version", "rows"],
-    "additionalProperties": False,
-}
-
 
 # ---------------------------------------------------------------------------
 # (de)serialization
@@ -187,10 +46,6 @@ def _expr_to_json(e: ExponentExpr) -> dict:
     if e.coeffs:
         out["coeffs"] = {k: v for k, v in e.coeffs}
     return out
-
-
-def _expr_from_json(d: Mapping) -> ExponentExpr:
-    return ExponentExpr.make(d["const"], d.get("coeffs"))
 
 
 def record_to_json(record: AlmostBieberbachRecord) -> dict:
@@ -224,37 +79,147 @@ def record_to_json(record: AlmostBieberbachRecord) -> dict:
     return out
 
 
-def record_from_json(d: Mapping) -> AlmostBieberbachRecord:
-    gens = tuple(GeneratorDecl(g["name"], g["role"]) for g in d["generators"])
-    relators = tuple(
-        tuple((gen, _expr_from_json(expr)) for gen, expr in rel) for rel in d["relators"]
+# Reading checks every value as it goes; the first bad one raises
+# CatalogFormatError naming its JSON path, e.g. ['records', 12, 'matrices',
+# 'al', 3].  Each reader takes the JSON value and its path.
+
+JsonPath = Tuple[object, ...]
+
+
+def _bad(at: JsonPath, message: str) -> NoReturn:
+    raise CatalogFormatError(f"{message} at {list(at)}")
+
+
+def _show(v) -> str:
+    """A JSON value in an error message: scalars as written, containers by kind."""
+    if isinstance(v, dict):
+        return "an object"
+    if isinstance(v, list):
+        return "an array"
+    return json.dumps(v)
+
+
+def _object(v, at: JsonPath, keys: Optional[Sequence[str]] = None, optional: Sequence[str] = ()) -> dict:
+    """``v`` as an object; given ``keys``, it has all of them and no other
+    keys than those and ``optional``."""
+    if not isinstance(v, dict):
+        _bad(at, f"expected an object, got {_show(v)}")
+    if keys is not None:
+        for k in keys:
+            if k not in v:
+                _bad(at, f"missing key {k!r}")
+        for k in v:
+            if k not in keys and k not in optional:
+                _bad(at, f"unexpected key {k!r}")
+    return v
+
+
+def _array(v, at: JsonPath, length: Optional[int] = None) -> list:
+    if not isinstance(v, list):
+        _bad(at, f"expected an array, got {_show(v)}")
+    if length is not None and len(v) != length:
+        _bad(at, f"expected {length} items, got {len(v)}")
+    return v
+
+
+def _int(v, at: JsonPath, minimum: Optional[int] = None) -> int:
+    # neither a boolean nor a number such as 2.0 is a JSON integer
+    if type(v) is not int:
+        _bad(at, f"expected an integer, got {_show(v)}")
+    if minimum is not None and v < minimum:
+        _bad(at, f"expected an integer >= {minimum}, got {v}")
+    return v
+
+
+def _str(v, at: JsonPath) -> str:
+    if not isinstance(v, str):
+        _bad(at, f"expected a string, got {_show(v)}")
+    return v
+
+
+def _enum(v, at: JsonPath, allowed: Sequence):
+    if not any(type(v) is type(a) and v == a for a in allowed):
+        _bad(at, f"expected one of {list(allowed)}, got {_show(v)}")
+    return v
+
+
+def _items(v, at: JsonPath, read, *args) -> tuple:
+    """An array, each item read by ``read(item, path, *args)``."""
+    return tuple(read(x, at + (i,), *args) for i, x in enumerate(_array(v, at)))
+
+
+def _field(d: dict, at: JsonPath, key: str, read, *args):
+    return read(d[key], at + (key,), *args)
+
+
+def _expr_from_json(v, at: JsonPath) -> ExponentExpr:
+    d = _object(v, at, ("const",), ("coeffs",))
+    coeffs = _object(d.get("coeffs", {}), at + ("coeffs",))
+    return ExponentExpr.make(
+        _field(d, at, "const", _int),
+        {name: _int(c, at + ("coeffs", name)) for name, c in coeffs.items()},
     )
-    presentation = Presentation(gens, relators, tuple(d["parameters"]))
-    matrices = {
-        name: tuple(tuple(int(x) for x in row) for row in mat)
-        for name, mat in d["matrices"].items()
-    }
-    hol = None
-    if "holonomy_presentation" in d:
-        h = d["holonomy_presentation"]
-        hol = HolonomyPresentation(
-            generators=tuple(h["generators"]),
-            power_relators=tuple(
-                PowerRelator(tuple((g, int(e)) for g, e in pr["word"]), pr["power"])
-                for pr in h["power_relators"]
-            ),
-            sylow_generators=tuple(
-                tuple((g, int(e)) for g, e in w) for w in h["sylow_generators"]
-            ),
-        )
+
+
+def _letter(v, at: JsonPath, read_exponent) -> tuple:
+    gen, exp = _array(v, at, 2)
+    return _str(gen, at + (0,)), read_exponent(exp, at + (1,))
+
+
+def _word(v, at: JsonPath, read_exponent) -> tuple:
+    """An array of [generator, exponent] letters."""
+    return _items(v, at, _letter, read_exponent)
+
+
+def _matrix(v, at: JsonPath) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(
+        tuple(_int(x, at + (i, j)) for j, x in enumerate(_array(row, at + (i,), DIM)))
+        for i, row in enumerate(_array(v, at, DIM))
+    )
+
+
+def _generator(v, at: JsonPath) -> GeneratorDecl:
+    _object(v, at, ("name", "role"))
+    return GeneratorDecl(_field(v, at, "name", _str), _field(v, at, "role", _enum, (LATTICE, HOLONOMY)))
+
+
+def _power_relator(v, at: JsonPath) -> PowerRelator:
+    _object(v, at, ("word", "power"))
+    return PowerRelator(_field(v, at, "word", _word, _int), _field(v, at, "power", _int, 1))
+
+
+def _holonomy_presentation(v, at: JsonPath) -> HolonomyPresentation:
+    _object(v, at, ("generators", "power_relators", "sylow_generators"))
+    return HolonomyPresentation(
+        generators=_field(v, at, "generators", _items, _str),
+        power_relators=_field(v, at, "power_relators", _items, _power_relator),
+        sylow_generators=_field(v, at, "sylow_generators", _items, _word, _int),
+    )
+
+
+_RECORD_KEYS = ("family", "holonomy", "nilpotency_class", "generators",
+                "parameters", "relators", "matrices", "source")
+
+
+def record_from_json(d, at: JsonPath = ()) -> AlmostBieberbachRecord:
+    """The record read from its JSON object ``d``, found at ``at`` in its file."""
+    _object(d, at, _RECORD_KEYS, ("holonomy_presentation",))
+    matrices = _field(d, at, "matrices", _object)
     return AlmostBieberbachRecord(
-        family=d["family"],
-        holonomy_name=d["holonomy"],
-        presentation=presentation,
-        matrices=matrices,
-        holonomy_presentation=hol,
-        nilpotency_class=d["nilpotency_class"],
-        source=d["source"],
+        family=_field(d, at, "family", _str),
+        holonomy_name=_field(d, at, "holonomy", _enum, tuple(TABLES)),
+        presentation=Presentation(
+            _field(d, at, "generators", _items, _generator),
+            _field(d, at, "relators", _items, _word, _expr_from_json),
+            _field(d, at, "parameters", _items, _str),
+        ),
+        matrices={name: _matrix(m, at + ("matrices", name)) for name, m in matrices.items()},
+        holonomy_presentation=(
+            _field(d, at, "holonomy_presentation", _holonomy_presentation)
+            if "holonomy_presentation" in d else None
+        ),
+        nilpotency_class=_field(d, at, "nilpotency_class", _int, 1),
+        source=_field(d, at, "source", _str),
     )
 
 
@@ -353,26 +318,36 @@ def _check_counting_route(record: AlmostBieberbachRecord, order: int) -> None:
             fail(f"the matrix of Sylow generator {fp._render_word(w)} is not a signed permutation")
 
 
-def load_catalog(path) -> Catalog:
+def _read_file(path, kind: str, key: str, read_item, identity) -> tuple:
+    """The items of the JSON file ``{"format_version": 1, key: [item, ...]}``
+    at ``path``, each read by ``read_item``; no two may have the same
+    ``identity``.  Any failure raises CatalogFormatError naming the file,
+    caused by the OSError when the file cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CatalogFormatError(f"cannot read catalog {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CatalogFormatError(f"catalog {path} is not valid JSON: {exc}") from exc
+        raise CatalogFormatError(f"cannot read {kind} {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+        raise CatalogFormatError(f"{kind} {path} is not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(data, CATALOG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CatalogFormatError(
-            f"catalog {path} violates the schema at {list(exc.absolute_path)}: {exc.message}"
-        ) from exc
-    records = tuple(record_from_json(d) for d in data["records"])
-    seen = set()
+        _object(data, (), ("format_version", key))
+        _field(data, (), "format_version", _enum, (FORMAT_VERSION,))
+        items = _field(data, (), key, _items, read_item)
+        seen = set()
+        for i, item in enumerate(items):
+            if identity(item) in seen:
+                _bad((key, i), f"duplicate {identity(item)}")
+            seen.add(identity(item))
+    except CatalogFormatError as exc:
+        raise CatalogFormatError(f"{kind} {path}: {exc}") from None
+    return items
+
+
+def load_catalog(path) -> Catalog:
+    records = _read_file(path, "catalog", "records", record_from_json,
+                         lambda r: f"family {r.family!r}")
     for r in records:
-        if r.family in seen:
-            raise CatalogFormatError(f"duplicate family id {r.family!r}")
-        seen.add(r.family)
         check_record(r)
     return Catalog(records)
 
@@ -385,29 +360,19 @@ class ExpectationRow:
     count: int
 
 
-def load_expectations(path) -> Tuple[ExpectationRow, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CatalogFormatError(f"cannot read expectations {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CatalogFormatError(f"expectations {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, EXPECTATIONS_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CatalogFormatError(
-            f"expectations {path} violates the schema at "
-            f"{list(exc.absolute_path)}: {exc.message}"
-        ) from exc
-    rows = tuple(
-        ExpectationRow(r["family"], r["holonomy"], tuple(r["params"]), r["count"])
-        for r in data["rows"]
+def _expectation_row(v, at: JsonPath) -> ExpectationRow:
+    _object(v, at, ("family", "holonomy", "params", "count"))
+    return ExpectationRow(
+        family=_field(v, at, "family", _str),
+        holonomy=_field(v, at, "holonomy", _enum, tuple(TABLES)),
+        params=_field(v, at, "params", _items, _enum, (0, 1)),
+        count=_field(v, at, "count", _int, 0),
     )
-    keys = [(r.family, r.params) for r in rows]
-    if len(set(keys)) != len(keys):
-        raise CatalogFormatError("duplicate (family, params) rows in expectations")
-    return rows
+
+
+def load_expectations(path) -> Tuple[ExpectationRow, ...]:
+    return _read_file(path, "expectations", "rows", _expectation_row,
+                      lambda r: f"row for family {r.family!r} with params {list(r.params)}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +462,16 @@ def verify(catalog: Catalog, expectations: Sequence[ExpectationRow]) -> Report:
     for exp in sorted(expectations, key=lambda r: (r.family, r.params)):
         try:
             record = catalog.find(exp.family)
-            computed: Optional[int] = classify_record(record, exp.params).count
-        except (CatalogFormatError, InconsistentRecord):
-            computed = None
+        except CatalogFormatError:
+            computed: Optional[int] = None
+        else:
+            takes = len(record.presentation.parameters)
+            if len(exp.params) != takes:
+                raise CatalogFormatError(
+                    f"expectations row for family {exp.family} has {len(exp.params)} "
+                    f"parameters, but the family takes {takes}"
+                )
+            computed = classify_record(record, exp.params).count
         rows.append(
             ReportRow(
                 family=exp.family,

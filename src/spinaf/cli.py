@@ -284,6 +284,8 @@ def verify(catalog_path, expected_path, fmt) -> None:
         click.echo("warning: expectations file has no rows", err=True)
     try:
         report = cat.verify(catalog, expectations)
+    except CatalogFormatError as exc:  # a row's parameters do not fit its family
+        _fail(EXIT_INVALID, str(exc))
     except SpinafError as exc:
         _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":

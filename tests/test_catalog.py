@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,13 +192,114 @@ def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):
     assert calls == ["4"]
 
 
-def test_unknown_holonomy_name_rejected(tmp_path):
-    data = _bundled_json()
-    data["records"][0]["holonomy"] = "Q8"
-    p = tmp_path / "bad.json"
+def _bundled_expectations_json():
+    with open(cat.bundled_path("expectations.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _put(path, value):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
+
+
+_INDEX = {d["family"]: i for i, d in enumerate(_bundled_json()["records"])}
+_REC = ["records", _INDEX["3"]]  # family 3: one holonomy generator al, parameters k1..k4
+_EXP = _REC + ["relators", 1, 4, 1]  # the exponent {"const": 0, "coeffs": {"k1": -1}}
+_MAT = _REC + ["matrices", "al"]
+_HOL = ["records", _INDEX["143"], "holonomy_presentation"]
+_ROW = ["rows", 0]  # family 1, params [0, 0, 0]
+
+
+@pytest.mark.parametrize("kind, path, mutate", [
+    pytest.param("catalog", [], _drop(["records"]), id="top-missing-key"),
+    pytest.param("catalog", [], _put(["extra"], 1), id="top-extra-key"),
+    pytest.param("catalog", ["format_version"], _put(["format_version"], 2), id="format-version-2"),
+    pytest.param("catalog", _REC, _drop(_REC + ["source"]), id="record-missing-key"),
+    pytest.param("catalog", _REC, _put(_REC + ["extra"], 1), id="record-extra-key"),
+    pytest.param("catalog", _EXP, _drop(_EXP + ["const"]), id="exponent-missing-key"),
+    pytest.param("catalog", _EXP, _put(_EXP + ["extra"], 1), id="exponent-extra-key"),
+    pytest.param("catalog", _HOL, _drop(_HOL + ["sylow_generators"]),
+                 id="holonomy-presentation-missing-key"),
+    pytest.param("catalog", _HOL, _put(_HOL + ["extra"], 1), id="holonomy-presentation-extra-key"),
+    pytest.param("catalog", _REC + ["holonomy"], _put(_REC + ["holonomy"], "Q8"), id="holonomy-Q8"),
+    pytest.param("catalog", _REC + ["generators", 0, "role"],
+                 _put(_REC + ["generators", 0, "role"], "fibre"), id="role-fibre"),
+    pytest.param("catalog", _REC + ["nilpotency_class"], _put(_REC + ["nilpotency_class"], 0),
+                 id="nilpotency-class-0"),
+    pytest.param("catalog", _HOL + ["power_relators", 0, "power"],
+                 _put(_HOL + ["power_relators", 0, "power"], 0), id="power-0"),
+    pytest.param("catalog", _MAT, _drop(_MAT + [3]), id="matrix-3-rows"),
+    pytest.param("catalog", _MAT + [3], _put(_MAT + [3], [0, 0, 0, 1, 0]), id="matrix-row-5-entries"),
+    pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], "1"), id="matrix-entry-string"),
+    pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], True), id="matrix-entry-boolean"),
+    pytest.param("catalog", _REC + ["relators", 0, 0],
+                 _put(_REC + ["relators", 0, 0], ["b", {"const": 1}, 0]), id="letter-3-elements"),
+    pytest.param("catalog", _EXP + ["coeffs", "k1"], _put(_EXP + ["coeffs", "k1"], "-1"),
+                 id="coeff-string"),
+    pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], 2),
+                 id="params-2"),
+    pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], True),
+                 id="params-true"),
+    pytest.param("expectations", _ROW + ["count"], _put(_ROW + ["count"], -1), id="count-negative"),
+    # JSON numbers with a fraction part, even when it is zero, are not integers
+    pytest.param("catalog", ["format_version"], _put(["format_version"], 1.0),
+                 id="float-format-version"),
+    pytest.param("catalog", _HOL + ["power_relators", 0, "power"],
+                 _put(_HOL + ["power_relators", 0, "power"], 3.0), id="float-power"),
+    pytest.param("catalog", _EXP + ["const"], _put(_EXP + ["const"], 2.0), id="float-const"),
+    pytest.param("catalog", _REC + ["nilpotency_class"], _put(_REC + ["nilpotency_class"], 2.0),
+                 id="float-nilpotency-class"),
+    pytest.param("expectations", _ROW + ["params", 0], _put(_ROW + ["params"], [0.0, 0.0, 0.0]),
+                 id="float-params"),
+])
+def test_format_rule_rejected_with_path_and_exit_2(tmp_path, kind, path, mutate):
+    data = _bundled_json() if kind == "catalog" else _bundled_expectations_json()
+    mutate(data)
+    p = tmp_path / f"{kind}.json"
     p.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(CatalogFormatError):
-        cat.load_catalog(p)
+    load = cat.load_catalog if kind == "catalog" else cat.load_expectations
+    with pytest.raises(CatalogFormatError) as info:
+        load(p)
+    assert str(path) in str(info.value)
+    if kind == "catalog":
+        args = ["classify", "--catalog", str(p), "--family", "143"]
+    else:
+        args = ["verify", "--expected", str(p)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert str(path) in result.output
+
+
+def test_expectations_row_of_wrong_length_is_an_error_not_missing_data(tmp_path):
+    data = _bundled_expectations_json()
+    del data["rows"][0]["params"][-1]  # family 1 takes three parameters
+    p = tmp_path / "short_row.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
+    message = "expectations row for family 1 has 2 parameters, but the family takes 3"
+    with pytest.raises(CatalogFormatError, match=message):
+        cat.verify(catalog, cat.load_expectations(p))
+    result = CliRunner().invoke(main, ["verify", "--expected", str(p)])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_loading_needs_no_jsonschema():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, spinaf.cli, spinaf.catalog; spinaf.catalog.load_bundled(); "
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_duplicate_family_rejected(tmp_path):
@@ -209,6 +314,13 @@ def test_duplicate_family_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CatalogFormatError):
         cat.load_catalog(tmp_path / "absent.json")
+
+
+def test_file_that_is_not_utf8_rejected(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"format_version": 1, "records": [], "note": "\xe9"}')
+    with pytest.raises(CatalogFormatError, match="is not valid JSON"):
+        cat.load_catalog(p)
 
 
 def test_verify_full_table(bundled):
