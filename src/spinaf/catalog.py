@@ -197,6 +197,16 @@ def _holonomy_presentation(v, at: JsonPath) -> HolonomyPresentation:
     )
 
 
+def _presentation(d: dict, at: JsonPath) -> Presentation:
+    generators = _field(d, at, "generators", _items, _generator)
+    relators = _field(d, at, "relators", _items, _word, _expr_from_json)
+    parameters = _field(d, at, "parameters", _items, _str)
+    try:
+        return Presentation(generators, relators, parameters)
+    except InconsistentRecord as exc:  # a duplicate or undeclared generator name
+        _bad(at, str(exc))
+
+
 _RECORD_KEYS = ("family", "holonomy", "nilpotency_class", "generators",
                 "parameters", "relators", "matrices", "source")
 
@@ -208,11 +218,7 @@ def record_from_json(d, at: JsonPath = ()) -> AlmostBieberbachRecord:
     return AlmostBieberbachRecord(
         family=_field(d, at, "family", _str),
         holonomy_name=_field(d, at, "holonomy", _enum, tuple(TABLES)),
-        presentation=Presentation(
-            _field(d, at, "generators", _items, _generator),
-            _field(d, at, "relators", _items, _word, _expr_from_json),
-            _field(d, at, "parameters", _items, _str),
-        ),
+        presentation=_presentation(d, at),
         matrices={name: _matrix(m, at + ("matrices", name)) for name, m in matrices.items()},
         holonomy_presentation=(
             _field(d, at, "holonomy_presentation", _holonomy_presentation)

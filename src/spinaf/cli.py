@@ -30,7 +30,6 @@ from .errors import (
     InconsistentRecord,
     NotInImage,
     NotInSO,
-    NotSignedPerm,
     SpinafError,
     UnsupportedScalar,
 )
@@ -319,7 +318,7 @@ def preimage(matrix, fmt) -> None:
     M = _parse_matrix(matrix)
     try:
         x, neg = spin.preimage(M)
-    except (NotInSO, NotSignedPerm) as exc:
+    except NotInSO as exc:
         _fail(EXIT_INVALID, f"matrix is not in SO(4): {exc}")
     except (NotInImage, UnsupportedScalar) as exc:
         _fail(EXIT_INVALID, str(exc))

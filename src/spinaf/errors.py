@@ -22,10 +22,6 @@ class NotInSO(SpinafError):
     """A matrix expected to be special orthogonal was not."""
 
 
-class NotSignedPerm(SpinafError):
-    """A matrix expected to be a signed permutation was not."""
-
-
 class NotInImage(SpinafError):
     """A matrix has no preimage under the covering map over the supported
     coefficient field."""

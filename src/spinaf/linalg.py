@@ -7,10 +7,9 @@ interesting ones are 4 x 4), so clarity wins.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .errors import DimensionError, NotInSO, NotSignedPerm
+from .errors import DimensionError, NotInSO
 from .qsqrt2 import QSqrt2
 
 Matrix = Tuple[Tuple[QSqrt2, ...], ...]
@@ -73,70 +72,12 @@ def check_special_orthogonal(A: Matrix) -> None:
         raise NotInSO("matrix is orthogonal but has determinant -1")
 
 
-def signed_perm_decompose(A) -> List[Tuple[int, int]]:
-    """For a signed permutation matrix (integer or Q(sqrt 2) entries),
-    return column data.
-
-    The result is a list ``d`` with ``d[j] = (i, s)`` meaning column *j*
-    carries ``s * e_{i+1}``.  Raises NotSignedPerm otherwise.
-    """
-    n = len(A)
-    out: List[Tuple[int, int]] = []
-    seen = set()
-    for j in range(n):
-        hit = None
-        for i in range(n):
-            x = A[i][j]
-            if not x:
-                continue
-            if hit is not None or x not in (1, -1):
-                raise NotSignedPerm(f"column {j + 1} is not a signed unit vector")
-            hit = (i, 1 if x == 1 else -1)
-        if hit is None or hit[0] in seen:
-            raise NotSignedPerm(f"column {j + 1} is not a signed unit vector")
-        seen.add(hit[0])
-        out.append(hit)
-    return out
-
-
 def is_signed_perm(A) -> bool:
-    try:
-        signed_perm_decompose(A)
-    except NotSignedPerm:
-        return False
-    return True
-
-
-def nullspace(rows: List[List[QSqrt2]], width: int) -> List[List[QSqrt2]]:
-    """Basis of the right nullspace of a matrix over Q(sqrt 2)."""
-    # Row-reduce a working copy.
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [QSqrt2(0)] * width
-        vec[fc] = QSqrt2(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
-        basis.append(vec)
-    return basis
+    """Whether every row and every column of A (integer or Q(sqrt 2)
+    entries) has exactly one nonzero entry, and that entry is +-1."""
+    return all(x in (0, 1, -1) for row in A for x in row) and all(
+        sum(1 for x in line if x) == 1 for line in (*A, *zip(*A))
+    )
 
 
 def int_mat_mul(A, B):

@@ -212,5 +212,3 @@ def _isqrt_exact(n: int) -> int | None:
     r = math.isqrt(n)
     return r if r * r == n else None
 
-
-HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt(2)

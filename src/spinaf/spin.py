@@ -5,31 +5,24 @@ conjugation v -> x v conj(x) preserves the span of the generators.  The
 covering map ``lam`` sends such an x to the special orthogonal matrix of
 that action; its kernel is {+1, -1}.
 
-Preimages are computed exactly.  Signed permutation matrices factor through
-products of (1 + e_p e_q)/sqrt(2) and diagonal blades; a general special
-orthogonal matrix over Q(sqrt 2) is handled by solving the linear system
-x e_j = (M e_j) x over the even subalgebra and normalising, which fails
-with :class:`NotInImage` / :class:`UnsupportedScalar` when no preimage
-exists over the field.
+Preimages are computed exactly by one closed formula for every special
+orthogonal matrix over Q(sqrt 2): the frame-to-rotor construction (see
+Doran & Lasenby, *Geometric Algebra for Physicists*, 2003) builds a
+multiple of the preimage from the images of the basis blades, and
+normalising it fails with :class:`UnsupportedScalar` when the norm's square
+root leaves the field.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .clifford import CliffordElement, vector_embed, vector_extract
-from .errors import (
-    NonVectorError,
-    NotInImage,
-    NotInSO,
-    UnsupportedScalar,
-)
+from .clifford import CliffordElement, blade_product, vector_embed, vector_extract
+from .errors import NotInImage, UnsupportedScalar
 from .linalg import Matrix
-from .qsqrt2 import QSqrt2, HALF_SQRT2
-
-DEFAULT_CLOSURE_BOUND = 4096
+from .qsqrt2 import QSqrt2
 
 
 def is_spin(x: CliffordElement) -> bool:
@@ -75,134 +68,64 @@ def canonical_sign(x: CliffordElement) -> CliffordElement:
     return x
 
 
-def transposition_element(n: int, p: int, q: int) -> CliffordElement:
-    """(1 + e_p e_q)/sqrt(2), a spin preimage of a signed transposition."""
-    one = CliffordElement.scalar(n, 1)
-    return (one + CliffordElement.blade(n, sorted((p, q)))) * HALF_SQRT2
+def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
+    """Both preimages (x, -x) of a special orthogonal matrix, x sign-canonical.
 
+    With F_A = (M e_a1)...(M e_ak) the image x e_A x^-1 of each blade e_A,
+    the frame-to-rotor identity reads
 
-def diagonal_blade(n: int, negatives: Sequence[int]) -> CliffordElement:
-    """e_{n1}...e_{nl}: a preimage of the diagonal matrix with -1 exactly
-    at the (even number of) given 1-based positions."""
-    if len(negatives) % 2:
-        raise NotInImage("a diagonal matrix with an odd number of -1 entries has determinant -1")
-    return CliffordElement.blade(n, sorted(negatives))
+        sum_A F_A e_B e_A^-1 = 2^n <x^-1 e_B>_0 x,
 
-
-def preimage_signed_perm(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
-    """Both preimages of a signed permutation matrix in SO(n).
-
-    Returns (x, -x) with x sign-canonical.  Raises NotSignedPerm /
-    NotInSO as appropriate.
+    so the first even blade e_B giving a nonzero sum y yields x = y / |y|,
+    where |y|^2 is the scalar y * conj(y).  Raises NotInSO when M is not in
+    SO(n) and UnsupportedScalar when |y| lies outside Q(sqrt 2).
     """
     n = len(M)
-    cols = linalg.signed_perm_decompose(M)
-    if linalg.det(M) != QSqrt2(1):
-        raise NotInSO("signed permutation matrix has determinant -1")
-    # Factor the underlying permutation (column j carries +-e_{sigma(j)})
-    # into transpositions and take the standard preimage of each.
-    sigma = [i for i, _s in cols]
-    x = CliffordElement.scalar(n, 1)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start] or sigma[start] == start:
-            seen[start] = True
+    linalg.check_special_orthogonal(M)
+    images = [CliffordElement.scalar(n, 1)]
+    for A in range(1, 1 << n):
+        top = A.bit_length() - 1
+        images.append(images[A ^ (1 << top)] * vector_embed(n, [row[top] for row in M]))
+    # (A, m, c): the term c e_m of F_A, with the sign of e_A^-1 = +-e_A folded in
+    terms = [
+        (A, m, c if blade_product(A, A)[0] > 0 else -c)
+        for A, F in enumerate(images)
+        for m, c in F.terms.items()
+    ]
+    for B in range(1 << n):
+        if B.bit_count() % 2:
             continue
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = sigma[j]
-        # (c0 c1 ... ck) = (c0 ck)···(c0 c2)(c0 c1) as left-acting matrices
-        for k in range(len(cycle) - 1, 0, -1):
-            x = x * transposition_element(n, cycle[0] + 1, cycle[k] + 1)
-    # The residue M * lam(x)^T is diagonal with entries +-1.
-    residue = linalg.mat_mul(M, linalg.transpose(lam(x)))
-    negs = [i + 1 for i in range(n) if residue[i][i] == QSqrt2(-1)]
-    x = diagonal_blade(n, negs) * x
+        acc: Dict[int, QSqrt2] = {}
+        for A, m, c in terms:
+            s1, mb = blade_product(m, B)
+            s2, mask = blade_product(mb, A)
+            acc[mask] = acc.get(mask, QSqrt2(0)) + (c if s1 == s2 else -c)
+        y = CliffordElement(n, acc)
+        if not y.is_zero():
+            break
+    else:  # pragma: no cover - some <x^-1 e_B>_0 is nonzero for x != 0
+        raise NotInImage("internal error: every frame sum vanished")
+    # the scalar y * conj(y) is the sum of the squared coefficients of y
+    root = sum((c * c for c in y.terms.values()), QSqrt2(0)).sqrt()
+    if root is None:
+        raise UnsupportedScalar(
+            "normalising the preimage requires a square root outside Q(sqrt 2)"
+        )
+    x = y.scale(root.inverse())
     if lam(x) != M:  # pragma: no cover - internal consistency guard
         raise NotInImage("internal error: constructed element does not cover the matrix")
     x = canonical_sign(x)
     return x, -x
 
 
-def preimage_general(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
-    """Both preimages of a special orthogonal matrix over Q(sqrt 2).
-
-    Solves x e_j = (M e_j) x over the even subalgebra, then normalises a
-    nonzero solution y by the square root of the scalar y * conj(y).
-    Raises UnsupportedScalar when that square root leaves Q(sqrt 2), and
-    NotInImage when the linear system has no nonzero solution.
-    """
-    n = len(M)
-    linalg.check_special_orthogonal(M)
-    even_masks = [m for m in range(1 << n) if m.bit_count() % 2 == 0]
-    col_of = {m: i for i, m in enumerate(even_masks)}
-    width = len(even_masks)
-    rows: List[List[QSqrt2]] = []
-    row_index = {}
-
-    def row_for(j: int, mask: int) -> List[QSqrt2]:
-        key = (j, mask)
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append([QSqrt2(0)] * width)
-        return rows[row_index[key]]
-
-    for j in range(n):
-        mcol = [M[i][j] for i in range(n)]
-        for bm in even_masks:
-            # x e_j term: blade bm times e_{j+1}
-            B = CliffordElement(n, {bm: 1})
-            lhs = B * CliffordElement.generator(n, j + 1)
-            for m, c in lhs.terms.items():
-                r = row_for(j, m)
-                r[col_of[bm]] = r[col_of[bm]] + c
-            # -(M e_j) x term
-            rhs = vector_embed(n, mcol) * B
-            for m, c in rhs.terms.items():
-                r = row_for(j, m)
-                r[col_of[bm]] = r[col_of[bm]] - c
-    basis = linalg.nullspace(rows, width)
-    if not basis:
-        raise NotInImage("matrix has no even Clifford element intertwining it")
-    y = CliffordElement(n, {even_masks[i]: c for i, c in enumerate(basis[0])})
-    norm = y * y.conjugate()
-    if not norm.is_scalar():
-        raise NotInImage("intertwiner has non-scalar norm")
-    s = norm.scalar_part()
-    if s.sign() <= 0:
-        raise UnsupportedScalar("intertwiner norm is not positive")
-    root = s.sqrt()
-    if root is None:
-        raise UnsupportedScalar(
-            "normalising the preimage requires a square root outside Q(sqrt 2)"
-        )
-    x = y.scale(root.inverse())
-    if not is_spin(x) or lam(x) != M:
-        raise NotInImage("normalised intertwiner is not a spin preimage")
-    x = canonical_sign(x)
-    return x, -x
-
-
-def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
-    """Preimages of M, using the signed-permutation fast path when it applies."""
-    if linalg.is_signed_perm(M):
-        return preimage_signed_perm(M)
-    return preimage_general(M)
-
-
-def subgroup_closure(
-    gens: Sequence[CliffordElement], bound: int = DEFAULT_CLOSURE_BOUND
-) -> List[CliffordElement]:
+def subgroup_closure(gens: Sequence[CliffordElement]) -> List[CliffordElement]:
     """The subgroup generated by spin elements, as an explicit element list.
 
     Elements of Spin(n) have finite order only in the cases we care about;
-    the bound guards against accidentally infinite input.
+    the closure's default bound guards against accidentally infinite input.
     """
     from .groups import closure  # imported here so that spin alone stays light
 
     if not gens:
         raise ValueError("need at least one generator")
-    return closure(gens, operator.mul, CliffordElement.scalar(gens[0].n, 1), bound)
+    return closure(gens, operator.mul, CliffordElement.scalar(gens[0].n, 1))

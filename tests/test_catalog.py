@@ -219,6 +219,7 @@ _EXP = _REC + ["relators", 1, 4, 1]  # the exponent {"const": 0, "coeffs": {"k1"
 _MAT = _REC + ["matrices", "al"]
 _HOL = ["records", _INDEX["143"], "holonomy_presentation"]
 _ROW = ["rows", 0]  # family 1, params [0, 0, 0]
+_7B = ["records", _INDEX["7b"]]
 
 
 @pytest.mark.parametrize("kind, path, mutate", [
@@ -247,6 +248,10 @@ _ROW = ["rows", 0]  # family 1, params [0, 0, 0]
                  _put(_REC + ["relators", 0, 0], ["b", {"const": 1}, 0]), id="letter-3-elements"),
     pytest.param("catalog", _EXP + ["coeffs", "k1"], _put(_EXP + ["coeffs", "k1"], "-1"),
                  id="coeff-string"),
+    pytest.param("catalog", _7B, _put(_7B + ["relators", 0, 0, 0], "zz"),
+                 id="relator-undeclared-generator"),
+    pytest.param("catalog", _7B, _put(_7B + ["generators", 1, "name"], "a"),
+                 id="duplicate-generator"),
     pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], 2),
                  id="params-2"),
     pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], True),

@@ -1,8 +1,6 @@
 from fractions import Fraction
-import pytest
 
 from spinaf import linalg
-from spinaf.errors import NotSignedPerm
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -32,32 +30,20 @@ def test_det_and_orthogonality():
     assert not linalg.is_orthogonal(linalg.as_matrix([[2 if i == j else 0 for j in range(4)] for i in range(4)]))
 
 
-def test_signed_perm_decompose():
+def test_is_signed_perm():
     rows = [[0, 0, 1, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1]]
-    cols = linalg.signed_perm_decompose(linalg.as_matrix(rows))
-    # column j carries sign * e_{sigma(j)}
-    assert cols[0] == (1, 1)
-    assert cols[1] == (2, -1)
-    assert cols[2] == (0, 1)
-    assert cols[3] == (3, -1)
-    # integer entries decompose the same way
-    assert linalg.signed_perm_decompose(rows) == cols
+    # integer and Q(sqrt 2) entries alike
+    assert linalg.is_signed_perm(rows)
+    assert linalg.is_signed_perm(linalg.as_matrix(rows))
+    assert linalg.is_signed_perm(I4)
+    # a row and a column with two nonzero entries
     assert not linalg.is_signed_perm([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    # an entry other than +-1
     assert not linalg.is_signed_perm([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(NotSignedPerm):
-        half = QSqrt2(0, Fraction(1, 2))
-        linalg.signed_perm_decompose(linalg.as_matrix(
-            [[half, -half, 0, 0], [half, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        ))
-
-
-def test_nullspace():
-    # rank-1 system over Q(sqrt2)
-    A = [[QSqrt2(1), QSqrt2(1)], [QSqrt2(2), QSqrt2(2)]]
-    basis = linalg.nullspace(A, 2)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + v[1] == QSqrt2(0)
-    # full-rank system has trivial nullspace
-    B = [[QSqrt2(1), QSqrt2(0)], [QSqrt2(0), QSqrt2(1)]]
-    assert linalg.nullspace(B, 2) == []
+    # one nonzero entry per column, but two in a row and none in another
+    assert not linalg.is_signed_perm([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    # orthogonal over Q(sqrt 2), but not a signed permutation
+    half = QSqrt2(0, Fraction(1, 2))
+    assert not linalg.is_signed_perm(linalg.as_matrix(
+        [[half, -half, 0, 0], [half, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    ))

@@ -38,13 +38,13 @@ def test_signed_perm_roundtrip_all_192():
         assert spin.lam(neg) == M
 
 
-def test_preimage_general_agrees_on_signed_perms():
-    rng = random.Random(7)
-    mats = signed_perm_matrices()
-    for M in rng.sample(mats, 24):
-        x, _ = spin.preimage_signed_perm(M)
-        y, _ = spin.preimage_general(M)
-        assert y == x or y == -x
+def test_preimage_round_trips_over_spin_pool():
+    # includes products with the mixed rotation, whose images are not
+    # signed permutations
+    for x in spin_pool():
+        p, neg = spin.preimage(spin.lam(x))
+        assert p == x or p == -x
+        assert neg == -p
 
 
 def test_preimage_rejects_det_minus_one():
@@ -63,7 +63,7 @@ def mixed_plane_rotation():
     return CliffordElement(4, {0: half, 0b0011: quarter, 0b0101: quarter})
 
 
-def test_preimage_general_mixed_plane_rotation():
+def test_preimage_mixed_plane_rotation():
     x0 = mixed_plane_rotation()
     M = spin.lam(x0)
     assert not linalg.is_signed_perm(M)
@@ -84,12 +84,27 @@ def test_preimage_45_degree_rotation_leaves_the_field():
         spin.preimage(M)
 
 
+def test_preimage_without_scalar_part():
+    # (e1e2 + e1e3 + sqrt2 e1e4)/2, the half-turn in the plane of e1 and
+    # (e2 + e3 + sqrt2 e4)/2: the first even blade, the scalar 1, gives a
+    # zero frame sum, and the image is not a signed permutation
+    one_half, half_sqrt2 = QSqrt2(Fraction(1, 2)), QSqrt2(0, Fraction(1, 2))
+    x0 = CliffordElement(4, {0b0011: one_half, 0b0101: one_half, 0b1001: half_sqrt2})
+    assert spin.is_spin(x0)
+    M = spin.lam(x0)
+    assert not linalg.is_signed_perm(M)
+    x, neg = spin.preimage(M)
+    assert x == spin.canonical_sign(x0)
+    assert neg == -x
+
+
 def test_preimage_order_three_rotation_not_representable():
-    # a 3-fold rotation has entries with denominators outside Q(sqrt 2)
-    # when diagonalised, e.g. the integer matrix of order 3 below is not
-    # orthogonal, so the general preimage path cannot apply
-    M = [[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]
-    assert not linalg.is_orthogonal(linalg.as_matrix(M))
+    # the integer matrix of order 3 below is not orthogonal, so it has no
+    # preimage under the covering map
+    M = linalg.as_matrix([[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    assert not linalg.is_orthogonal(M)
+    with pytest.raises(NotInSO, match="not orthogonal"):
+        spin.preimage(M)
 
 
 def spin_pool():

@@ -7,7 +7,11 @@ catalog parsed and checked once:
 - ``verify`` in text and ``--format json``;
 - ``classify --format json`` and ``export`` for every expectation row;
 - ``lift-group --format json`` and ``char --format json`` for every family;
-- ``classify`` over the whole catalog.
+- ``classify`` over the whole catalog;
+- ``preimage`` in text and ``--format json`` for the 192 signed permutation
+  matrices in SO(4), the 16 rotations L_q and R_q for q = (1 +- i +- j +- k)/2,
+  the rotation by the angle with cosine 3/5 (its preimage leaves Q(sqrt 2)),
+  ``diag:1,1,1,-1`` and a matrix that is not orthogonal.
 
 Each line is ``<sha256 of exit code and output>  <command>``.  Run it in two
 checkouts and diff the outputs to show that a change leaves every command's
@@ -19,7 +23,9 @@ output byte-identical:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -27,7 +33,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from click.testing import CliRunner
 
 from spinaf import catalog as cat
+from spinaf import linalg
 from spinaf.cli import main as cli_main
+
+
+def _literal(rows) -> str:
+    return "mat:" + ",".join(str(Fraction(x)) for row in rows for x in row)
+
+
+def preimage_literals():
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            rows = [[signs[j] if perm[j] == i else 0 for j in range(4)] for i in range(4)]
+            if linalg.int_det(rows) == 1:
+                yield _literal(rows)
+    h = Fraction(1, 2)
+    for b, c, d in itertools.product((h, -h), repeat=3):
+        # left and right multiplication by the unit quaternion h + bi + cj + dk
+        yield _literal([[h, -b, -c, -d], [b, h, -d, c], [c, d, h, -b], [d, -c, b, h]])
+        yield _literal([[h, -b, -c, -d], [b, h, d, -c], [c, -d, h, b], [d, c, -b, h]])
+    yield _literal([[Fraction(3, 5), Fraction(-4, 5), 0, 0], [Fraction(4, 5), Fraction(3, 5), 0, 0],
+                    [0, 0, 1, 0], [0, 0, 0, 1]])
+    yield "diag:1,1,1,-1"
+    yield _literal([[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
 
 
 def commands(catalog, expectations):
@@ -42,6 +70,9 @@ def commands(catalog, expectations):
         yield ["lift-group", "--format", "json", "--family", family]
         yield ["char", "--format", "json", "--family", family]
     yield ["classify"]
+    for literal in preimage_literals():
+        yield ["preimage", literal]
+        yield ["preimage", "--format", "json", literal]
 
 
 def main() -> int:
