@@ -206,11 +206,12 @@ def word_matrix(
     matrices: Mapping[str, Tuple[Tuple[int, ...], ...]], w: Sequence[Tuple[str, int]]
 ) -> Tuple[Tuple[int, ...], ...]:
     """The integer matrix of a word; generators without a matrix act trivially."""
-    M = linalg.int_identity(DIM)
+    M = None
     for gen, exp in w:
         if gen in matrices:
-            M = linalg.int_mat_mul(M, linalg.int_mat_pow(matrices[gen], exp))
-    return M
+            P = linalg.int_mat_pow(matrices[gen], exp)
+            M = P if M is None else linalg.int_mat_mul(M, P)
+    return linalg.int_identity(DIM) if M is None else M
 
 
 def holonomy_closure(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
@@ -511,9 +512,11 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     in the group generated by the Sylow generators' signed permutations, and
     the count is 2^(mod-2 abelianization rank) of the full record when a
     lift exists.  Restriction to a subgroup of odd index loses no
-    obstruction, which is why any such subgroup serves.
+    obstruction, which is why any such subgroup serves.  Parameters are
+    reduced mod 2 first: they enter the pullback's relators as exponents.
     """
     _check_params(record, params)
+    params = reduce_params_mod2(params)
     pullback = sylow_pullback_record(record, params)
     _, rows, rhs = _relator_system(pullback, {})
     _, consistent = _f2_rank_and_consistency(rows, rhs)

@@ -18,14 +18,18 @@ def test_character_tables_doc_is_current():
 
 
 def test_bundled_data_matches_builder_table():
-    # the builder refuses to write unless every expectation is recomputed;
-    # here we only check the bundled files are in sync with the build script
+    # the builder refuses to render unless every record passes check_record
+    # and every expectation is recomputed; the bundled files are its output
     import json
+    import runpy
 
     from spinaf import catalog as cat
 
-    with open(cat.bundled_path("expectations.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    assert data["format_version"] == 1
+    builder = runpy.run_path(str(ROOT / "tools" / "build_catalog.py"), run_name="build_catalog")
+    catalog_text, expectations_text = builder["render"]()
+    for name, text in [("catalog.json", catalog_text), ("expectations.json", expectations_text)]:
+        with open(cat.bundled_path(name), encoding="utf-8", newline="") as fh:
+            assert fh.read() == text, name
+    data = json.loads(expectations_text)
     assert len(data["rows"]) == 127
     assert sum(1 for r in data["rows"] if r["count"] == 0) == 15

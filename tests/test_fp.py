@@ -72,6 +72,30 @@ def test_direct_strategy_rejects_irrational_holonomy(catalog):
     assert (result.strategy, result.count) == ("sylow", 4)
 
 
+def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
+    # parameters enter the pullback's relators as exponents, so an unreduced
+    # k = 20001 would build words 10^4 times longer than k = 1
+    r = catalog.find("143")
+    built = []
+    pullback = fp.sylow_pullback_record
+
+    def keep_pullback(record, params):
+        built.append(pullback(record, params))
+        return built[-1]
+
+    monkeypatch.setattr(fp, "sylow_pullback_record", keep_pullback)
+
+    def relator_length(record):
+        return sum(len(rel) for rel in record.presentation.relators)
+
+    small = fp.count_lifts(r, params_of(r, (1, 0, 0, 0)))
+    large = fp.count_lifts(r, params_of(r, (20001, 0, 0, 0)))
+    assert large == small
+    assert small.strategy == "sylow"
+    assert len(built) == 2
+    assert relator_length(built[1]) == relator_length(built[0])
+
+
 def test_strategies_agree_on_s3_records(catalog):
     # the S3 records have signed-permutation matrices and a holonomy
     # presentation, so both strategies apply to them

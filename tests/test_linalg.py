@@ -1,6 +1,10 @@
 from fractions import Fraction
 
-from spinaf import linalg
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinaf import catalog as cat
+from spinaf import fp, linalg
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -15,6 +19,83 @@ def test_int_helpers():
     assert linalg.int_mat_pow(R, 4) == linalg.int_identity(4)
     flip = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert linalg.int_det(flip) == -1
+
+
+def naive_mul(A, B):
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+    )
+
+
+int_matrices = st.lists(
+    st.lists(st.integers(-50, 50), min_size=4, max_size=4), min_size=4, max_size=4
+)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices (I + c * E_ij, i != j) and of the
+    diagonal matrices with entries +-1: integer matrices of determinant +-1."""
+    A = linalg.int_identity(4)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(4)))[:2]
+            E = [[int(r == c) for c in range(4)] for r in range(4)]
+            E[i][j] = draw(st.integers(-3, 3))
+        else:
+            E = [[(draw(st.sampled_from((1, -1))) if r == c else 0) for c in range(4)]
+                 for r in range(4)]
+        A = naive_mul(A, E)
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=int_matrices, B=int_matrices)
+def test_int_mat_mul_is_the_triple_loop(A, B):
+    assert linalg.int_mat_mul(A, B) == naive_mul(A, B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=unimodular_matrices(), k=st.integers(-3, 5))
+def test_int_mat_pow_is_repeated_products(A, k):
+    factor = A if k >= 0 else linalg.int_mat_inverse(A)
+    expected = linalg.int_identity(4)
+    for _ in range(abs(k)):
+        expected = naive_mul(expected, factor)
+    assert linalg.int_mat_pow(A, k) == expected
+
+
+def test_int_mat_inverse_of_a_dense_matrix():
+    # every entry and every 2 x 2 minor of rows (0, 1) and (2, 3) is
+    # nonzero, so every term of the closed-form adjugate contributes
+    D = ((2, 1, -1, -1), (1, -3, -1, -2), (3, 2, -3, -3), (1, -3, -2, -3))
+    D_inv = ((2, -1, -1, 1), (-3, 3, 2, -3), (-11, 13, 7, -12), (11, -12, -7, 11))
+    assert naive_mul(D, D_inv) == linalg.int_identity(4)
+    assert linalg.int_mat_inverse(D) == D_inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=unimodular_matrices())
+def test_int_mat_inverse_accepts_lists_and_tuples(A):
+    as_lists = [list(row) for row in A]
+    inverse = linalg.int_mat_inverse(A)
+    assert linalg.int_mat_inverse(as_lists) == inverse
+    assert isinstance(inverse, tuple) and all(isinstance(row, tuple) for row in inverse)
+    assert naive_mul(as_lists, inverse) == linalg.int_identity(4)
+
+
+def test_int_mat_inverse_rejects_non_unimodular():
+    with pytest.raises(ValueError):
+        linalg.int_mat_inverse([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_every_bundled_relator_is_the_identity_matrix():
+    identity = linalg.int_identity(4)
+    catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
+    for record in catalog.records:
+        for rel in record.presentation.relators:
+            letters = [(g, e.const) for g, e in rel]
+            assert fp.word_matrix(record.matrices, letters) == identity, record.family
 
 
 def test_det_and_orthogonality():

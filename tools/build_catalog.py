@@ -5,6 +5,8 @@ Constructs every family record programmatically, checks each expected
 (family, parameters) -> count row against the library's own computation,
 checks the preimage-group and character statements, and only then writes
 src/spinaf/data/catalog.json and src/spinaf/data/expectations.json.
+``render()`` returns the two texts without writing them; the test suite
+checks that the bundled files equal them byte for byte.
 """
 
 from __future__ import annotations
@@ -816,7 +818,18 @@ CHARACTERS = {
 }
 
 
-def main() -> int:
+class BuildFailed(Exception):
+    """Some recomputed count, preimage group or character does not match."""
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, indent=1, ensure_ascii=False) + "\n"
+
+
+def render() -> tuple:
+    """The texts of catalog.json and expectations.json, once every record
+    passes ``check_record`` and every expectation row, preimage group and
+    character is recomputed; raises BuildFailed otherwise."""
     by_family = {r.family: r for r in RECORDS}
     assert len(by_family) == len(RECORDS), "duplicate family ids"
     failures = []
@@ -851,10 +864,8 @@ def main() -> int:
         print(f"char {family}: {rendered} [{note}]")
 
     if failures:
-        print(f"\n{len(failures)} failures; not writing output")
-        return 1
+        raise BuildFailed(f"{len(failures)} failures")
 
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
     catalog_json = {
         "format_version": cat.FORMAT_VERSION,
         "records": [cat.record_to_json(r) for r in RECORDS],
@@ -866,10 +877,18 @@ def main() -> int:
             for f, h, p, c in TABLE
         ],
     }
-    (DATA_DIR / "catalog.json").write_text(
-        json.dumps(catalog_json, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    (DATA_DIR / "expectations.json").write_text(
-        json.dumps(expectations_json, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    return _dumps(catalog_json), _dumps(expectations_json)
+
+
+def main() -> int:
+    try:
+        catalog_text, expectations_text = render()
+    except BuildFailed as exc:
+        print(f"\n{exc}; not writing output")
+        return 1
+    DATA_DIR.mkdir(parents=True, exist_ok=True)
+    (DATA_DIR / "catalog.json").write_text(catalog_text, encoding="utf-8")
+    (DATA_DIR / "expectations.json").write_text(expectations_text, encoding="utf-8")
     print(f"wrote {DATA_DIR / 'catalog.json'} and expectations.json")
     return 0
 
