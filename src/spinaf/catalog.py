@@ -152,7 +152,16 @@ def _field(d: dict, at: JsonPath, key: str, read, *args):
     return read(d[key], at + (key,), *args)
 
 
+# Most exponents in a catalog are a bare {"const": c} with a small c (2200 of
+# the bundled 2382, all in -2..6); such a c reads as one shared, frozen
+# ExponentExpr.  Every other shape takes the checked path below.
+_CONST_EXPRS = {c: ExponentExpr.make(c) for c in range(-16, 17)}
+
+
 def _expr_from_json(v, at: JsonPath) -> ExponentExpr:
+    if type(v) is dict and len(v) == 1 and type(v.get("const")) is int:
+        c = v["const"]
+        return _CONST_EXPRS[c] if c in _CONST_EXPRS else ExponentExpr.make(c)
     d = _object(v, at, ("const",), ("coeffs",))
     coeffs = _object(d.get("coeffs", {}), at + ("coeffs",))
     return ExponentExpr.make(
@@ -162,6 +171,8 @@ def _expr_from_json(v, at: JsonPath) -> ExponentExpr:
 
 
 def _letter(v, at: JsonPath, read_exponent) -> tuple:
+    if type(v) is list and len(v) == 2 and type(v[0]) is str:
+        return v[0], read_exponent(v[1], at + (1,))
     gen, exp = _array(v, at, 2)
     return _str(gen, at + (0,)), read_exponent(exp, at + (1,))
 
@@ -244,6 +255,9 @@ class Catalog:
         return [r.family for r in self.records]
 
 
+_IDENTITY = linalg.int_identity(DIM)
+
+
 def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
     parameter-free holonomy exponents, relator consistency at the matrix
@@ -265,10 +279,9 @@ def check_record(record: AlmostBieberbachRecord) -> None:
                 f"family {record.family}: holonomy generator {g!r} has no matrix"
             )
     fp.check_holonomy_exponents(record)
-    identity = linalg.int_identity(DIM)
     for rel in record.presentation.relators:
         # lattice generators act trivially and holonomy exponents are constants
-        if fp.word_matrix(record.matrices, [(g, e.const) for g, e in rel]) != identity:
+        if fp.word_matrix(record.matrices, [(g, e.const) for g, e in rel]) != _IDENTITY:
             raise InconsistentRecord(
                 f"family {record.family}: relator {fp._render_word(rel)} does not "
                 "hold for the holonomy matrices"
@@ -306,9 +319,8 @@ def _check_counting_route(record: AlmostBieberbachRecord, order: int) -> None:
     words = [pr.base for pr in hol.power_relators] + list(hol.sylow_generators)
     if any(g not in hol.generators for w in words for g, _ in w):
         fail("a word mentions a generator it does not declare")
-    identity = linalg.int_identity(DIM)
     for pr in hol.power_relators:
-        if linalg.int_mat_pow(fp.word_matrix(record.matrices, pr.base), pr.power) != identity:
+        if linalg.int_mat_pow(fp.word_matrix(record.matrices, pr.base), pr.power) != _IDENTITY:
             fail(f"power relator ({fp._render_word(pr.base)})^{pr.power} does not hold for the matrices")
     try:
         presented = fp.coset_enumerate(hol, ()).index

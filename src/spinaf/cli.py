@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's argparse.
 
 Subcommands: classify, verify, preimage, lift-group, char, export.
 
@@ -13,6 +13,7 @@ Exit codes:
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -20,8 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import click
-
+from . import __version__
 from . import catalog as cat
 from . import fp, holonomy, linalg, spin
 from .clifford import CliffordElement, blade_str
@@ -40,11 +40,11 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-FORMATS = click.Choice(["text", "json", "csv", "markdown"])
+FORMATS = ("text", "json", "csv", "markdown")
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -210,29 +210,6 @@ def _parse_matrix(literal: str):
 # ---------------------------------------------------------------------------
 
 
-@click.group()
-@click.version_option(package_name="spinaf")
-def main() -> None:
-    """Spin structures on 4-dimensional almost-flat manifolds, exactly."""
-
-
-_catalog_option = click.option(
-    "--catalog", "catalog_path", type=click.Path(), default=None,
-    help="Catalog JSON file (defaults to the bundled catalog).")
-_family_option = click.option("--family", required=True, help="Family id, e.g. 27 or B5b.")
-_format_option = click.option(
-    "--format", "fmt", type=FORMATS, default="text", show_default=True,
-    help="Output format.")
-
-
-@main.command()
-@_catalog_option
-@click.option("--family", default=None, help="Restrict to one family id.")
-@click.option(
-    "--params", default=None,
-    help="Comma-separated assignments like k1=1,k2=0; unset parameters are 0. "
-    "Values are reduced mod 2 and the reduction is echoed.")
-@_format_option
 def classify(catalog_path, family, params, fmt) -> None:
     """Count spin structures for catalog records (at one parameter vector)."""
     catalog = _load_catalog(catalog_path)
@@ -249,7 +226,7 @@ def classify(catalog_path, family, params, fmt) -> None:
         except SpinafError as exc:
             _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
-        click.echo(_dump_json([
+        print(_dump_json([
             {
                 "family": r.family,
                 "holonomy": r.holonomy,
@@ -265,22 +242,16 @@ def classify(catalog_path, family, params, fmt) -> None:
          "yes" if r.parallelizable else "no")
         for r in rows
     ]
-    click.echo(_render_table(
+    print(_render_table(
         ["family", "holonomy", "params", "count", "parallelizable"], table, fmt))
 
 
-@main.command()
-@_catalog_option
-@click.option(
-    "--expected", "expected_path", type=click.Path(), default=None,
-    help="Expectations JSON file (defaults to the bundled expectations).")
-@_format_option
 def verify(catalog_path, expected_path, fmt) -> None:
     """Recompute every expected (family, params) -> count row."""
     catalog = _load_catalog(catalog_path)
     expectations = _load_expectations(expected_path)
     if not expectations:
-        click.echo("warning: expectations file has no rows", err=True)
+        print("warning: expectations file has no rows", file=sys.stderr)
     try:
         report = cat.verify(catalog, expectations)
     except CatalogFormatError as exc:  # a row's parameters do not fit its family
@@ -288,7 +259,7 @@ def verify(catalog_path, expected_path, fmt) -> None:
     except SpinafError as exc:
         _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
-        click.echo(_dump_json(report.to_json()))
+        print(_dump_json(report.to_json()))
     else:
         table = [
             (r.family, r.holonomy, _params_str(r.params), str(r.expected),
@@ -296,25 +267,18 @@ def verify(catalog_path, expected_path, fmt) -> None:
              "pass" if r.passed else "FAIL")
             for r in report.rows
         ]
-        click.echo(_render_table(
+        print(_render_table(
             ["family", "holonomy", "params", "expected", "computed", "status"],
             table, fmt))
-        click.echo(
+        print(
             f"{report.total} rows, {report.failures} failures, "
             f"{report.zero_rows} rows with zero spin structures")
     if report.failures:
         sys.exit(EXIT_FAILURES)
 
 
-@main.command()
-@click.argument("matrix")
-@_format_option
 def preimage(matrix, fmt) -> None:
-    """Both spin preimages of a matrix in SO(4).
-
-    MATRIX is 'identity', 'diag:1,1,-1,-1', or 'mat:' with 16 row-major
-    comma-separated entries.
-    """
+    """Both spin preimages of a matrix in SO(4)."""
     M = _parse_matrix(matrix)
     try:
         x, neg = spin.preimage(M)
@@ -323,18 +287,14 @@ def preimage(matrix, fmt) -> None:
     except (NotInImage, UnsupportedScalar) as exc:
         _fail(EXIT_INVALID, str(exc))
     if fmt == "json":
-        click.echo(_dump_json({
+        print(_dump_json({
             "preimages": [_spin_element_json(x), _spin_element_json(neg)],
         }))
         return
     table = [("+", str(x)), ("-", str(neg))]
-    click.echo(_render_table(["sign", "element"], table, fmt))
+    print(_render_table(["sign", "element"], table, fmt))
 
 
-@main.command("lift-group")
-@_catalog_option
-@_family_option
-@_format_option
 def lift_group(catalog_path, family, fmt) -> None:
     """Identify the preimage of the holonomy group in Spin(4)."""
     catalog = _load_catalog(catalog_path)
@@ -344,7 +304,7 @@ def lift_group(catalog_path, family, fmt) -> None:
     except SpinafError as exc:
         _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
-        click.echo(_dump_json({
+        print(_dump_json({
             "family": record.family,
             "holonomy": record.holonomy_name,
             "name": result.name,
@@ -353,18 +313,14 @@ def lift_group(catalog_path, family, fmt) -> None:
             "elements": [_spin_element_json(x) for x in result.elements],
         }))
         return
-    click.echo(f"family {record.family}: holonomy {record.holonomy_name}, "
-               f"preimage {result.name} of order {result.order} "
-               f"({result.realization} realization)")
+    print(f"family {record.family}: holonomy {record.holonomy_name}, "
+          f"preimage {result.name} of order {result.order} "
+          f"({result.realization} realization)")
     if result.elements:
         table = [(str(i), str(x)) for i, x in enumerate(result.elements)]
-        click.echo(_render_table(["#", "element"], table, fmt))
+        print(_render_table(["#", "element"], table, fmt))
 
 
-@main.command()
-@_catalog_option
-@_family_option
-@_format_option
 def char(catalog_path, family, fmt) -> None:
     """Decompose the holonomy representation into irreducible characters."""
     catalog = _load_catalog(catalog_path)
@@ -374,25 +330,16 @@ def char(catalog_path, family, fmt) -> None:
     except SpinafError as exc:
         _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
-        click.echo(_dump_json({
+        print(_dump_json({
             "family": record.family,
             "holonomy": record.holonomy_name,
             "decomposition": rendered,
             "multiplicities": list(mults),
         }))
         return
-    click.echo(f"{record.family}: {rendered}")
+    print(f"{record.family}: {rendered}")
 
 
-@main.command()
-@_catalog_option
-@_family_option
-@click.option(
-    "--params", default=None,
-    help="Comma-separated assignments like k1=1,k2=0; unset parameters are 0.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["json"]), default="json",
-    show_default=True, help="Output format (export is JSON only).")
 def export(catalog_path, family, params, fmt) -> None:
     """Export the full lift data for one family as exact JSON."""
     del fmt
@@ -420,8 +367,91 @@ def export(catalog_path, family, params, fmt) -> None:
         payload["base_preimages"] = {
             name: _spin_element_json(x) for name, x in sorted(record.spin_base.items())
         }
-    click.echo(_dump_json(payload))
+    print(_dump_json(payload))
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: an abbreviated option such as --fam is a
+    # usage error, not a silent alias of --family
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Spin structures on 4-dimensional almost-flat manifolds, exactly.")
+    parser.add_argument("--version", action="version", version=f"spinaf {__version__}")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, name: Optional[str] = None) -> argparse.ArgumentParser:
+        doc = run.__doc__
+        sub = commands.add_parser(name or run.__name__, allow_abbrev=False, help=doc, description=doc)
+        sub.set_defaults(run=run)
+        return sub
+
+    def catalog_option(sub) -> None:
+        sub.add_argument("--catalog", dest="catalog_path", metavar="PATH",
+                         help="Catalog JSON file (defaults to the bundled catalog).")
+
+    def family_option(sub, required: bool = True, text: str = "Family id, e.g. 27 or B5b.") -> None:
+        sub.add_argument("--family", required=required, help=text)
+
+    def format_option(sub, choices: Sequence[str] = FORMATS, text: str = "Output format") -> None:
+        sub.add_argument("--format", dest="fmt", choices=choices, default=choices[0],
+                         help=text + " (default: %(default)s).")
+
+    sub = command(classify)
+    catalog_option(sub)
+    family_option(sub, required=False, text="Restrict to one family id.")
+    sub.add_argument(
+        "--params",
+        help="Comma-separated assignments like k1=1,k2=0; unset parameters are 0. "
+        "Values are reduced mod 2 and the reduction is echoed.")
+    format_option(sub)
+
+    sub = command(verify)
+    catalog_option(sub)
+    sub.add_argument("--expected", dest="expected_path", metavar="PATH",
+                     help="Expectations JSON file (defaults to the bundled expectations).")
+    format_option(sub)
+
+    sub = command(preimage)
+    sub.add_argument(
+        "matrix", metavar="MATRIX",
+        help="'identity', 'diag:1,1,-1,-1', or 'mat:' with 16 row-major comma-separated entries.")
+    format_option(sub)
+
+    sub = command(lift_group, "lift-group")
+    catalog_option(sub)
+    family_option(sub)
+    format_option(sub)
+
+    sub = command(char)
+    catalog_option(sub)
+    family_option(sub)
+    format_option(sub)
+
+    sub = command(export)
+    catalog_option(sub)
+    family_option(sub)
+    sub.add_argument(
+        "--params", help="Comma-separated assignments like k1=1,k2=0; unset parameters are 0.")
+    format_option(sub, ("json",), "Output format; export is JSON only")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None, prog_name: str = "spinaf") -> int:
+    """Run one ``spinaf`` command with ``argv`` (default: ``sys.argv[1:]``).
+
+    Returns EXIT_OK; every other exit status is raised as SystemExit, usage
+    errors (argparse's) included.
+    """
+    args = vars(_parser(prog_name).parse_args(argv))
+    run = args.pop("run")
+    run(**args)
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(main())

@@ -7,12 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
 from spinaf import fp, holonomy
-from spinaf.cli import main
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
 
@@ -56,7 +54,7 @@ def test_corrupted_relator_rejected(tmp_path):
         cat.load_catalog(p)
 
 
-def test_parameter_in_holonomy_exponent_rejected_at_load(tmp_path):
+def test_parameter_in_holonomy_exponent_rejected_at_load(tmp_path, cli):
     # family 4 with its relator al^2 a^-1 turned into al^(2+k1) a^-1: a
     # relator's spin sign would then depend on k1, not only on k1 mod 2
     data = _bundled_json()
@@ -67,11 +65,8 @@ def test_parameter_in_holonomy_exponent_rejected_at_load(tmp_path):
     p.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(InconsistentRecord, match="holonomy generator 'al'"):
         cat.load_catalog(p)
-    runner = CliRunner()
     for k1 in (0, 1, 2):
-        result = runner.invoke(
-            main, ["classify", "--catalog", str(p), "--family", "4", "--params", f"k1={k1}"]
-        )
+        result = cli("classify", "--catalog", str(p), "--family", "4", "--params", f"k1={k1}")
         assert result.exit_code == 2
         assert "al^(2 +1*k1)*a^(-1)" in result.output
 
@@ -105,14 +100,14 @@ def _hol(data, family):
         relators=[], matrices={"al": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
         id="4-infinite-holonomy"),
 ])
-def test_mutant_rejected_at_load_with_exit_2(tmp_path, family, mutate):
+def test_mutant_rejected_at_load_with_exit_2(tmp_path, cli, family, mutate):
     data = _bundled_json()
     mutate(data)
     p = tmp_path / "mutant.json"
     p.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(InconsistentRecord, match=f"family {family}:"):
         cat.load_catalog(p)
-    result = CliRunner().invoke(main, ["classify", "--catalog", str(p), "--family", family])
+    result = cli("classify", "--catalog", str(p), "--family", family)
     assert result.exit_code == 2
     assert f"error: family {family}:" in result.output
 
@@ -216,6 +211,7 @@ def _drop(path):
 _INDEX = {d["family"]: i for i, d in enumerate(_bundled_json()["records"])}
 _REC = ["records", _INDEX["3"]]  # family 3: one holonomy generator al, parameters k1..k4
 _EXP = _REC + ["relators", 1, 4, 1]  # the exponent {"const": 0, "coeffs": {"k1": -1}}
+_LET = _REC + ["relators", 0, 0]  # the letter ["b", {"const": 1}]
 _MAT = _REC + ["matrices", "al"]
 _HOL = ["records", _INDEX["143"], "holonomy_presentation"]
 _ROW = ["rows", 0]  # family 1, params [0, 0, 0]
@@ -244,8 +240,13 @@ _7B = ["records", _INDEX["7b"]]
     pytest.param("catalog", _MAT + [3], _put(_MAT + [3], [0, 0, 0, 1, 0]), id="matrix-row-5-entries"),
     pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], "1"), id="matrix-entry-string"),
     pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], True), id="matrix-entry-boolean"),
-    pytest.param("catalog", _REC + ["relators", 0, 0],
-                 _put(_REC + ["relators", 0, 0], ["b", {"const": 1}, 0]), id="letter-3-elements"),
+    pytest.param("catalog", _LET, _put(_LET, ["b", {"const": 1}, 0]), id="letter-3-elements"),
+    # shapes next to the reader's shortcut for ["b", {"const": 1}]
+    pytest.param("catalog", _LET, _put(_LET, ["b"]), id="letter-1-element"),
+    pytest.param("catalog", _LET + [0], _put(_LET, [3, {"const": 1}]), id="letter-generator-3"),
+    pytest.param("catalog", _LET + [1], _put(_LET + [1], 2), id="exponent-bare-integer"),
+    pytest.param("catalog", _LET + [1, "const"], _put(_LET + [1, "const"], True), id="const-true"),
+    pytest.param("catalog", _LET + [1, "const"], _put(_LET + [1, "const"], "1"), id="const-string"),
     pytest.param("catalog", _EXP + ["coeffs", "k1"], _put(_EXP + ["coeffs", "k1"], "-1"),
                  id="coeff-string"),
     pytest.param("catalog", _7B, _put(_7B + ["relators", 0, 0, 0], "zz"),
@@ -268,7 +269,7 @@ _7B = ["records", _INDEX["7b"]]
     pytest.param("expectations", _ROW + ["params", 0], _put(_ROW + ["params"], [0.0, 0.0, 0.0]),
                  id="float-params"),
 ])
-def test_format_rule_rejected_with_path_and_exit_2(tmp_path, kind, path, mutate):
+def test_format_rule_rejected_with_path_and_exit_2(tmp_path, cli, kind, path, mutate):
     data = _bundled_json() if kind == "catalog" else _bundled_expectations_json()
     mutate(data)
     p = tmp_path / f"{kind}.json"
@@ -281,12 +282,41 @@ def test_format_rule_rejected_with_path_and_exit_2(tmp_path, kind, path, mutate)
         args = ["classify", "--catalog", str(p), "--family", "143"]
     else:
         args = ["verify", "--expected", str(p)]
-    result = CliRunner().invoke(main, args)
+    result = cli(*args)
     assert result.exit_code == 2, result.output
     assert str(path) in result.output
 
 
-def test_expectations_row_of_wrong_length_is_an_error_not_missing_data(tmp_path):
+@pytest.mark.parametrize("letter, message", [
+    (["b", {"const": True}], "expected an integer, got true at ['r', 1, 'const']"),
+    (["b", {"const": "1"}], 'expected an integer, got "1" at [\'r\', 1, \'const\']'),
+    (["b", {"const": 2.0}], "expected an integer, got 2.0 at ['r', 1, 'const']"),
+    (["b", {"const": [1]}], "expected an integer, got an array at ['r', 1, 'const']"),
+    (["b", {"coeffs": {}}], "missing key 'const' at ['r', 1]"),
+    (["b", {"cnst": 1}], "missing key 'const' at ['r', 1]"),
+    (["b", 2], "expected an object, got 2 at ['r', 1]"),
+    ([3, {"const": 1}], "expected a string, got 3 at ['r', 0]"),
+    (["b"], "expected 2 items, got 1 at ['r']"),
+    (["b", {"const": 1}, 0], "expected 2 items, got 3 at ['r']"),
+    ({"b": 1}, "expected an array, got an object at ['r']"),
+])
+def test_reader_shortcut_leaves_error_messages_unchanged(letter, message):
+    with pytest.raises(CatalogFormatError) as info:
+        cat._letter(letter, ("r",), cat._expr_from_json)
+    assert str(info.value) == message
+
+
+def test_bundled_constant_exponents_read_as_make():
+    consts = [e for d in _bundled_json()["records"] for rel in d["relators"] for _, e in rel
+              if list(e) == ["const"]]
+    assert len(consts) > 2000
+    for e in consts:
+        assert cat._expr_from_json(e, ()) == fp.ExponentExpr.make(e["const"])
+    for c in (-100, 0, 100):
+        assert cat._expr_from_json({"const": c}, ()) == fp.ExponentExpr.make(c)
+
+
+def test_expectations_row_of_wrong_length_is_an_error_not_missing_data(tmp_path, cli):
     data = _bundled_expectations_json()
     del data["rows"][0]["params"][-1]  # family 1 takes three parameters
     p = tmp_path / "short_row.json"
@@ -295,7 +325,7 @@ def test_expectations_row_of_wrong_length_is_an_error_not_missing_data(tmp_path)
     message = "expectations row for family 1 has 2 parameters, but the family takes 3"
     with pytest.raises(CatalogFormatError, match=message):
         cat.verify(catalog, cat.load_expectations(p))
-    result = CliRunner().invoke(main, ["verify", "--expected", str(p)])
+    result = cli("verify", "--expected", str(p))
     assert result.exit_code == 2
     assert message in result.output
 

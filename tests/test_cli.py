@@ -1,52 +1,48 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+import spinaf
 from spinaf import catalog as cat
-from spinaf.cli import main
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args):
-    return runner.invoke(main, args, catch_exceptions=False)
-
-
-def test_preimage_diag(runner):
-    result = run(runner, "preimage", "diag:1,1,-1,-1")
+def test_preimage_diag(cli):
+    result = cli("preimage", "diag:1,1,-1,-1")
     assert result.exit_code == 0
     assert "e3e4" in result.output
     assert "-e3e4" in result.output
 
 
-def test_preimage_identity(runner):
-    result = run(runner, "preimage", "identity")
+def test_preimage_identity(cli):
+    result = cli("preimage", "identity")
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert any(line.startswith("+") and line.split()[-1] == "1" for line in lines)
     assert any(line.startswith("-") and line.split()[-1] == "-1" for line in lines)
 
 
-def test_preimage_det_minus_one_exit_2(runner):
-    result = run(runner, "preimage", "diag:1,1,1,-1")
+def test_preimage_det_minus_one_exit_2(cli):
+    result = cli("preimage", "diag:1,1,1,-1")
     assert result.exit_code == 2
     assert "SO(4)" in result.output
 
 
-def test_preimage_malformed_literal(runner):
-    result = run(runner, "preimage", "nonsense")
+def test_preimage_malformed_literal(cli):
+    result = cli("preimage", "nonsense")
     assert result.exit_code == 2
 
 
-def test_preimage_json_exact_coefficients(runner):
-    result = run(runner, "preimage", "mat:1,-1,0,0,1,1,0,0,0,0,2,0,0,0,0,2", "--format", "json")
+def test_preimage_json_exact_coefficients(cli):
+    result = cli("preimage", "mat:1,-1,0,0,1,1,0,0,0,0,2,0,0,0,0,2", "--format", "json")
     # that matrix is not orthogonal -> invalid input
     assert result.exit_code == 2
-    result = run(runner, "preimage", "diag:-1,-1,1,1", "--format", "json")
+    result = cli("preimage", "diag:-1,-1,1,1", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     terms = payload["preimages"][0]["terms"]
@@ -55,14 +51,14 @@ def test_preimage_json_exact_coefficients(runner):
     ]
 
 
-def test_classify_family_27(runner):
-    result = run(runner, "classify", "--family", "27", "--params", "k4=1")
+def test_classify_family_27(cli):
+    result = cli("classify", "--family", "27", "--params", "k4=1")
     assert result.exit_code == 0
     assert "16" in result.output
 
 
-def test_classify_bold_row_B5b(runner):
-    result = run(runner, "classify", "--family", "B5b",
+def test_classify_bold_row_B5b(cli):
+    result = cli("classify", "--family", "B5b",
                  "--params", "k1=1,k2=1,k5=1", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -72,8 +68,8 @@ def test_classify_bold_row_B5b(runner):
     }]
 
 
-def test_classify_reduces_mod2(runner):
-    result = run(runner, "classify", "--family", "1", "--params", "k1=2",
+def test_classify_reduces_mod2(cli):
+    result = cli("classify", "--family", "1", "--params", "k1=2",
                  "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -81,86 +77,86 @@ def test_classify_reduces_mod2(runner):
     assert payload[0]["count"] == 16
 
 
-def test_classify_unknown_family(runner):
-    result = run(runner, "classify", "--family", "zz")
+def test_classify_unknown_family(cli):
+    result = cli("classify", "--family", "zz")
     assert result.exit_code == 2
 
 
-def test_classify_unknown_parameter(runner):
-    result = run(runner, "classify", "--family", "1", "--params", "k9=1")
+def test_classify_unknown_parameter(cli):
+    result = cli("classify", "--family", "1", "--params", "k9=1")
     assert result.exit_code == 2
 
 
-def test_classify_params_without_family(runner):
-    result = run(runner, "classify", "--params", "k1=1")
+def test_classify_params_without_family(cli):
+    result = cli("classify", "--params", "k1=1")
     assert result.exit_code == 2
 
 
-def test_verify_bundled_passes(runner):
-    result = run(runner, "verify")
+def test_verify_bundled_passes(cli):
+    result = cli("verify")
     assert result.exit_code == 0
     assert "0 failures" in result.output
     assert "15 rows with zero spin structures" in result.output
 
 
-def test_verify_json_deterministic(runner):
-    a = run(runner, "verify", "--format", "json")
-    b = run(runner, "verify", "--format", "json")
+def test_verify_json_deterministic(cli):
+    a = cli("verify", "--format", "json")
+    b = cli("verify", "--format", "json")
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
     payload = json.loads(a.output)
     assert payload["summary"] == {"total": 127, "failures": 0, "zero_rows": 15}
 
 
-def test_verify_altered_expectation_exit_1(runner, tmp_path):
+def test_verify_altered_expectation_exit_1(cli, tmp_path):
     with open(cat.bundled_path("expectations.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     data["rows"][0]["count"] += 1
     p = tmp_path / "alt.json"
     p.write_text(json.dumps(data), encoding="utf-8")
-    result = run(runner, "verify", "--expected", str(p))
+    result = cli("verify", "--expected", str(p))
     assert result.exit_code == 1
     assert "1 failures" in result.output
 
 
-def test_verify_empty_expectations_warns(runner, tmp_path):
+def test_verify_empty_expectations_warns(cli, tmp_path):
     p = tmp_path / "empty.json"
     p.write_text(json.dumps({"format_version": 1, "rows": []}), encoding="utf-8")
-    result = runner.invoke(main, ["verify", "--expected", str(p)])
+    result = cli("verify", "--expected", str(p))
     assert result.exit_code == 0
     assert "warning" in result.output
 
 
-def test_verify_missing_catalog_exit_3(runner, tmp_path):
-    result = run(runner, "verify", "--catalog", str(tmp_path / "none.json"))
+def test_verify_missing_catalog_exit_3(cli, tmp_path):
+    result = cli("verify", "--catalog", str(tmp_path / "none.json"))
     assert result.exit_code == 3
 
 
-def test_verify_malformed_catalog_exit_2(runner, tmp_path):
+def test_verify_malformed_catalog_exit_2(cli, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"format_version\": 1, \"records\": [{}]}", encoding="utf-8")
-    result = run(runner, "verify", "--catalog", str(p))
+    result = cli("verify", "--catalog", str(p))
     assert result.exit_code == 2
 
 
-def test_lift_group_examples(runner):
+def test_lift_group_examples(cli):
     for family, name in [("103", "Q16"), ("1", "C2"), ("184", "C3:Q8")]:
-        result = run(runner, "lift-group", "--family", family, "--format", "json")
+        result = cli("lift-group", "--family", family, "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["name"] == name
 
 
-def test_char_examples(runner):
+def test_char_examples(cli):
     for family, decomposition in [("75", "2χ1+χ3+χ4"), ("1", "4χ1"),
                                   ("158", "χ1+χ2+χ3")]:
-        result = run(runner, "char", "--family", family)
+        result = cli("char", "--family", family)
         assert result.exit_code == 0
         assert decomposition in result.output
 
 
-def test_export(runner):
-    result = run(runner, "export", "--family", "4", "--params", "k1=1")
+def test_export(cli):
+    result = cli("export", "--family", "4", "--params", "k1=1")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["count"] == 8
@@ -171,8 +167,8 @@ def test_export(runner):
         assert set(term["coeff"]) == {"a_num", "a_den", "b_num", "b_den"}
 
 
-def test_export_sylow_family(runner):
-    result = run(runner, "export", "--family", "143", "--params", "k1=1")
+def test_export_sylow_family(cli):
+    result = cli("export", "--family", "143", "--params", "k1=1")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["count"] == 2
@@ -180,8 +176,34 @@ def test_export_sylow_family(runner):
     assert "base_preimages" not in payload
 
 
-def test_formats_render(runner):
+def test_formats_render(cli):
     for fmt in ["text", "csv", "markdown"]:
-        result = run(runner, "classify", "--family", "27", "--format", fmt)
+        result = cli("classify", "--family", "27", "--format", fmt)
         assert result.exit_code == 0
         assert "27" in result.output
+
+
+def test_version(cli):
+    result = cli("--version")
+    assert result.exit_code == 0
+    assert result.output == f"spinaf {spinaf.__version__}\n"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["classify", "--format", "bogus"], id="format-bogus"),
+    pytest.param(["lift-group"], id="lift-group-without-family"),
+    pytest.param(["char"], id="char-without-family"),
+    pytest.param(["export"], id="export-without-family"),
+    pytest.param(["classify", "--fam", "27"], id="abbreviated-option"),
+])
+def test_usage_error_exits_2_with_nothing_on_stdout(args):
+    done = subprocess.run([sys.executable, "-m", "spinaf.cli", *args], capture_output=True, env=ENV)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == b""
+    assert done.stderr
+
+
+def test_cli_import_leaves_click_out():
+    code = "import sys, spinaf.cli; assert 'click' not in sys.modules, 'click was imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)

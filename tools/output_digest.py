@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 per CLI command over the bundled catalog.
 
-Runs, in this interpreter and through click's test runner, with the bundled
-catalog parsed and checked once:
+Calls ``spinaf.cli.main(argv)`` in this interpreter, with standard output
+and standard error written to one buffer and the bundled catalog parsed and
+checked once, for 765 commands:
 
 - ``verify`` in text and ``--format json``;
 - ``classify --format json`` and ``export`` for every expectation row;
@@ -22,15 +23,15 @@ output byte-identical:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from click.testing import CliRunner
 
 from spinaf import catalog as cat
 from spinaf import linalg
@@ -75,14 +76,24 @@ def commands(catalog, expectations):
         yield ["preimage", "--format", "json", literal]
 
 
+def run(args):
+    """Exit code and output (stdout and stderr interleaved) of ``spinaf <args>``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = cli_main(args)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    return code, out.getvalue()
+
+
 def main() -> int:
     catalog, expectations = cat.load_bundled()
     loaded = cat.load_catalog
     cat.load_catalog = lambda path: catalog if Path(path) == cat.bundled_path("catalog.json") else loaded(path)
-    runner = CliRunner()
     for args in commands(catalog, expectations):
-        result = runner.invoke(cli_main, args)
-        digest = hashlib.sha256(f"{result.exit_code}\n".encode() + result.output.encode()).hexdigest()
+        code, output = run(args)
+        digest = hashlib.sha256(f"{code}\n".encode() + output.encode()).hexdigest()
         print(f"{digest}  {' '.join(args)}")
     return 0
 
