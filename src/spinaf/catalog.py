@@ -19,7 +19,6 @@ from .chartables import TABLES
 from .errors import (
     CatalogFormatError,
     ClosureBoundExceeded,
-    EnumerationBoundExceeded,
     InconsistentRecord,
 )
 from .fp import (
@@ -29,9 +28,7 @@ from .fp import (
     AlmostBieberbachRecord,
     ExponentExpr,
     GeneratorDecl,
-    HolonomyPresentation,
     Presentation,
-    PowerRelator,
 )
 
 FORMAT_VERSION = 1
@@ -49,7 +46,7 @@ def _expr_to_json(e: ExponentExpr) -> dict:
 
 
 def record_to_json(record: AlmostBieberbachRecord) -> dict:
-    out: dict = {
+    return {
         "family": record.family,
         "holonomy": record.holonomy_name,
         "nilpotency_class": record.nilpotency_class,
@@ -66,17 +63,6 @@ def record_to_json(record: AlmostBieberbachRecord) -> dict:
         },
         "source": record.source,
     }
-    hol = record.holonomy_presentation
-    if hol is not None:
-        out["holonomy_presentation"] = {
-            "generators": list(hol.generators),
-            "power_relators": [
-                {"word": [list(t) for t in pr.base], "power": pr.power}
-                for pr in hol.power_relators
-            ],
-            "sylow_generators": [[list(t) for t in w] for w in hol.sylow_generators],
-        }
-    return out
 
 
 # Reading checks every value as it goes; the first bad one raises
@@ -194,20 +180,6 @@ def _generator(v, at: JsonPath) -> GeneratorDecl:
     return GeneratorDecl(_field(v, at, "name", _str), _field(v, at, "role", _enum, (LATTICE, HOLONOMY)))
 
 
-def _power_relator(v, at: JsonPath) -> PowerRelator:
-    _object(v, at, ("word", "power"))
-    return PowerRelator(_field(v, at, "word", _word, _int), _field(v, at, "power", _int, 1))
-
-
-def _holonomy_presentation(v, at: JsonPath) -> HolonomyPresentation:
-    _object(v, at, ("generators", "power_relators", "sylow_generators"))
-    return HolonomyPresentation(
-        generators=_field(v, at, "generators", _items, _str),
-        power_relators=_field(v, at, "power_relators", _items, _power_relator),
-        sylow_generators=_field(v, at, "sylow_generators", _items, _word, _int),
-    )
-
-
 def _presentation(d: dict, at: JsonPath) -> Presentation:
     generators = _field(d, at, "generators", _items, _generator)
     relators = _field(d, at, "relators", _items, _word, _expr_from_json)
@@ -224,17 +196,13 @@ _RECORD_KEYS = ("family", "holonomy", "nilpotency_class", "generators",
 
 def record_from_json(d, at: JsonPath = ()) -> AlmostBieberbachRecord:
     """The record read from its JSON object ``d``, found at ``at`` in its file."""
-    _object(d, at, _RECORD_KEYS, ("holonomy_presentation",))
+    _object(d, at, _RECORD_KEYS)
     matrices = _field(d, at, "matrices", _object)
     return AlmostBieberbachRecord(
         family=_field(d, at, "family", _str),
         holonomy_name=_field(d, at, "holonomy", _enum, tuple(TABLES)),
         presentation=_presentation(d, at),
         matrices={name: _matrix(m, at + ("matrices", name)) for name, m in matrices.items()},
-        holonomy_presentation=(
-            _field(d, at, "holonomy_presentation", _holonomy_presentation)
-            if "holonomy_presentation" in d else None
-        ),
         nilpotency_class=_field(d, at, "nilpotency_class", _int, 1),
         source=_field(d, at, "source", _str),
     )
@@ -261,8 +229,9 @@ _IDENTITY = linalg.int_identity(DIM)
 def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
     parameter-free holonomy exponents, relator consistency at the matrix
-    level, faithfulness, orientability, and that the record's counting
-    route can run."""
+    level, faithfulness, orientability, and, on a record with a holonomy
+    matrix that is not a signed permutation, that ``fp.sylow_subgroup`` has
+    odd index."""
     holonomy_gens = record.presentation.holonomy_generators()
     for name, mat in record.matrices.items():
         if name not in holonomy_gens:
@@ -288,52 +257,22 @@ def check_record(record: AlmostBieberbachRecord) -> None:
             )
     # faithfulness (also validates the holonomy name against the closure)
     try:
-        order = holonomy.matrix_group_closure(record).order
+        F = holonomy.matrix_group_closure(record).group
     except ClosureBoundExceeded as exc:
         raise InconsistentRecord(
             f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
         ) from exc
     if not holonomy.orientability(record):
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
-    _check_counting_route(record, order)
-
-
-def _check_counting_route(record: AlmostBieberbachRecord, order: int) -> None:
-    """The direct route needs signed-permutation holonomy matrices; the Sylow
-    route needs a presentation of F, checked against the matrices, and
-    Sylow generators of odd index whose matrices are signed permutations."""
-    hol = record.holonomy_presentation
-    if hol is None:
-        if not record.signed_perm_holonomy:
+    if not record.signed_perm_holonomy:
+        # the Sylow strategy restricts to fp.sylow_subgroup, sound only at odd index
+        index = len(F) // len(fp.sylow_subgroup(F))
+        if index % 2 == 0:
             raise InconsistentRecord(
-                f"family {record.family}: some holonomy matrix is not a signed "
-                "permutation, so the record needs a holonomy_presentation"
+                f"family {record.family}: some holonomy matrix is not a signed permutation, "
+                f"and the signed permutations in the holonomy group give a 2-subgroup of "
+                f"even index {index}, so the Sylow strategy cannot count the record"
             )
-        return
-
-    def fail(message: str) -> NoReturn:
-        raise InconsistentRecord(f"family {record.family}: holonomy presentation: {message}")
-
-    if sorted(hol.generators) != sorted(record.presentation.holonomy_generators()):
-        fail(f"generators {list(hol.generators)} are not the holonomy generators")
-    words = [pr.base for pr in hol.power_relators] + list(hol.sylow_generators)
-    if any(g not in hol.generators for w in words for g, _ in w):
-        fail("a word mentions a generator it does not declare")
-    for pr in hol.power_relators:
-        if linalg.int_mat_pow(fp.word_matrix(record.matrices, pr.base), pr.power) != _IDENTITY:
-            fail(f"power relator ({fp._render_word(pr.base)})^{pr.power} does not hold for the matrices")
-    try:
-        presented = fp.coset_enumerate(hol, ()).index
-        index = fp.coset_enumerate(hol, hol.sylow_generators).index
-    except EnumerationBoundExceeded as exc:
-        fail(f"it does not present a finite group of order {order} ({exc})")
-    if presented != order:
-        fail(f"it presents a group of order {presented}, but the matrices generate one of order {order}")
-    if index % 2 == 0:
-        fail(f"sylow_generators generate a subgroup of even index {index}")
-    for w in hol.sylow_generators:
-        if not linalg.is_signed_perm(fp.word_matrix(record.matrices, w)):
-            fail(f"the matrix of Sylow generator {fp._render_word(w)} is not a signed permutation")
 
 
 def _read_file(path, kind: str, key: str, read_item, identity) -> tuple:

@@ -25,10 +25,11 @@ The counting route is a property of the record's integer matrices
 (``AlmostBieberbachRecord.signed_perm_holonomy``).  When every holonomy
 matrix is a signed permutation its spin preimages have coordinates in
 Q(sqrt 2) and the assignments are enumerated directly.  Otherwise existence
-is decided on the pullback of a subgroup of F of odd index whose matrices
-are signed permutations (the record's ``sylow_generators``), and the count
-follows from the torsor structure: 2^(mod-2 abelianization rank).  Loading
-a catalog checks that the chosen route can run.
+is decided on the pullback of a subgroup S of F of odd index whose matrices
+are signed permutations (``sylow_subgroup``, found in the closure of the
+matrices), and the count follows from the torsor structure:
+2^(mod-2 abelianization rank).  Loading a catalog checks that S has odd
+index on every record counted this way.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import groups, linalg, spin
 from .clifford import CliffordElement
-from .errors import EnumerationBoundExceeded, InconsistentRecord, UnsupportedScalar
+from .errors import InconsistentRecord, UnsupportedScalar
 from .groups import CosetTable
 
 DIM = 4
-MAX_DIRECT_GENERATORS = 20
 
 LATTICE = "lattice"
 HOLONOMY = "holonomy"
@@ -125,27 +125,11 @@ class Presentation:
 
 
 @dataclass(frozen=True)
-class PowerRelator:
-    """A holonomy-group relator of the shape word^power = 1."""
-
-    base: Tuple[Tuple[str, int], ...]
-    power: int
-
-
-@dataclass(frozen=True)
-class HolonomyPresentation:
-    generators: Tuple[str, ...]
-    power_relators: Tuple[PowerRelator, ...]
-    sylow_generators: Tuple[Tuple[Tuple[str, int], ...], ...]
-
-
-@dataclass(frozen=True)
 class AlmostBieberbachRecord:
     family: str
     holonomy_name: str
     presentation: Presentation
     matrices: Mapping[str, Tuple[Tuple[int, ...], ...]]
-    holonomy_presentation: Optional[HolonomyPresentation] = None
     nilpotency_class: int = 2
     source: str = "reconstruction"
 
@@ -366,48 +350,62 @@ def _render_word(w: Word) -> str:
     return "*".join(f"{g}^({e})" for g, e in w)
 
 
-def _f2_rank_and_consistency(rows: Sequence[int], rhs: Sequence[int]) -> Tuple[int, bool]:
-    """Gaussian elimination over F_2 on an augmented system."""
-    aug = [(row << 1) | b for row, b in zip(rows, rhs)]
-    basis: List[int] = []
-    consistent = True
-    for v in aug:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v == 1:
-            consistent = False
-        elif v:
-            basis.append(v)
-    rank = sum(1 for b in basis if b > 1)
-    return rank, consistent
+def _f2_solve(rows: Sequence[int], rhs: Sequence[int], nvars: int) -> Optional[Tuple[int, List[int]]]:
+    """Solve parity(rows[r] & s) == rhs[r] for a bit vector s of ``nvars`` bits.
+
+    Gauss-Jordan elimination over F_2 with each row's lowest bit as its
+    pivot.  Returns None when the system is inconsistent, and otherwise
+    ``(p, kernel)``: the solutions are exactly p XOR a subset of ``kernel``.
+    Each kernel vector has one free bit, its highest, and ``kernel`` is
+    sorted by it; p has no free bit.  So the subset with bit mask i gives
+    the i-th smallest solution.
+    """
+    pivots: Dict[int, Tuple[int, int]] = {}  # pivot bit mask -> (row, rhs)
+    for row, b in zip(rows, rhs):
+        for bit, (prow, pb) in pivots.items():
+            if row & bit:
+                row, b = row ^ prow, b ^ pb
+        if not row:
+            if b:
+                return None
+            continue
+        bit = row & -row
+        for q, (prow, pb) in pivots.items():
+            if prow & bit:
+                pivots[q] = (prow ^ row, pb ^ b)
+        pivots[bit] = (row, b)
+    p = sum(bit for bit, (_, b) in pivots.items() if b)
+    kernel = []
+    for i in range(nvars):
+        free = 1 << i
+        if free not in pivots:
+            kernel.append(free | sum(bit for bit, (prow, _) in pivots.items() if prow & free))
+    return p, kernel
 
 
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
     """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
     rows = _parity_rows(presentation, params)
-    rank, _ = _f2_rank_and_consistency(rows, [0] * len(rows))
-    return len(presentation.generator_names) - rank
+    return len(_f2_solve(rows, [0] * len(rows), len(presentation.generator_names))[1])
 
 
 def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
     """Count the lifts of the classifying representation to Spin(4).
 
-    Iterates all sign assignments in declaration (lexicographic) order; an
-    assignment is valid iff every relator evaluates to +1, which reduces to
-    the parity condition computed by ``_relator_system`` because -1 is
-    central and base relator values are +-1.
+    An assignment is valid iff every relator evaluates to +1, which reduces
+    to the parity condition computed by ``_relator_system`` because -1 is
+    central and base relator values are +-1.  The valid assignments are
+    listed in increasing order of their bit vectors (generator i on bit i).
     """
     _check_params(record, params)
     names, rows, rhs = _relator_system(record, params)
-    k = len(names)
-    if k > MAX_DIRECT_GENERATORS:
-        raise EnumerationBoundExceeded(
-            f"{k} generators exceeds the direct enumeration bound {MAX_DIRECT_GENERATORS}"
-        )
-    valid = []
-    for bits in range(1 << k):
-        if all((bin(row & bits).count("1") & 1) == b for row, b in zip(rows, rhs)):
-            valid.append(bits)
+    solved = _f2_solve(rows, rhs, len(names))
+    valid: List[int] = []
+    if solved is not None:
+        p, kernel = solved
+        valid = [p]
+        for v in kernel:
+            valid += [bits ^ v for bits in valid]
     assignments = tuple(
         SignAssignment(tuple((n, -1 if bits >> i & 1 else 1) for i, n in enumerate(names)))
         for bits in valid
@@ -427,46 +425,62 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 # ---------------------------------------------------------------------------
 
 
-def coset_enumerate(
-    hol: HolonomyPresentation, subgroup_words: Sequence[Tuple[Tuple[str, int], ...]]
-) -> CosetTable:
-    """Todd-Coxeter on the holonomy presentation, named-generator flavour."""
-    pos = {g: i for i, g in enumerate(hol.generators)}
-    relators = [groups.word_to_letters(pr.base, pos) * pr.power for pr in hol.power_relators]
-    subgroup = [groups.word_to_letters(w, pos) for w in subgroup_words]
-    return groups.todd_coxeter(len(hol.generators), relators, subgroup)
+def sylow_subgroup(F: groups.FiniteGroup) -> List:
+    """A 2-subgroup S of the matrix group F whose elements are signed
+    permutations.
+
+    F's elements are taken in closure order, and each signed permutation
+    joins S when it and S generate a group of 2-power order.  S need not
+    be a Sylow subgroup of F; loading a catalog checks that its index is
+    odd on every record the Sylow strategy counts.
+    """
+    gens: List = []
+    S = [F.identity]
+    for x in F.elements:
+        if linalg.is_signed_perm(x) and x not in S:
+            T = groups.closure(gens + [x], F.mul, F.identity)
+            if len(T) & (len(T) - 1) == 0:
+                gens.append(x)
+                S = T
+    return S
 
 
 def sylow_pullback_record(
     record: AlmostBieberbachRecord, params: Mapping[str, int]
 ) -> AlmostBieberbachRecord:
-    """The record for the preimage of Syl_2(F), via Reidemeister-Schreier.
+    """The record for the preimage of ``sylow_subgroup`` in Gamma, via
+    Reidemeister-Schreier.
 
-    The Schreier generators' holonomy matrices are the theta-images of the
-    corresponding words; generators whose matrix is the identity become
-    lattice generators of the pullback.
+    Gamma acts on the right cosets S x of S in F through its holonomy
+    matrices; lattice generators act trivially.  The Schreier generators'
+    holonomy matrices are the theta-images of the corresponding words;
+    generators whose matrix is the identity become lattice generators of
+    the pullback.
     """
-    hol = record.holonomy_presentation
-    if hol is None:
-        raise InconsistentRecord(
-            f"family {record.family}: no holonomy presentation for the Sylow strategy"
-        )
-    f_table = coset_enumerate(hol, hol.sylow_generators)
-    # Lift the coset action from F to Gamma: lattice generators act
-    # trivially, holonomy generators act as their F-images.
+    F = holonomy_closure(record)
+    S = sylow_subgroup(F)
     names = record.presentation.generator_names
+    actions = {}  # holonomy generator -> its matrix and the inverse
+    for n in record.presentation.holonomy_generators():
+        M = record.matrix_of(n)
+        actions[n] = (M, linalg.int_mat_inverse(M))
+    reps = [F.identity]  # one element x per coset S x, in order of discovery
+    coset_of = {s: 0 for s in S}
+    rows = []
+    c = 0
+    while c < len(reps):
+        row = [c] * (2 * len(names))
+        for i, n in enumerate(names):
+            for j, M in enumerate(actions.get(n, ())):
+                y = F.mul(reps[c], M)
+                if y not in coset_of:
+                    coset_of.update((F.mul(s, y), len(reps)) for s in S)
+                    reps.append(y)
+                row[2 * i + j] = coset_of[y]
+        rows.append(row)
+        c += 1
+    gamma_table = CosetTable(len(names), rows)
     pos = {n: i for i, n in enumerate(names)}
-    hol_letter = {g: i for i, g in enumerate(hol.generators)}
-    nletters = 2 * len(names)
-    lifted_rows = []
-    for c in range(f_table.index):
-        row = [c] * nletters
-        for g, fi in hol_letter.items():
-            gi = pos[g]
-            row[2 * gi] = f_table.table[c][2 * fi]
-            row[2 * gi + 1] = f_table.table[c][2 * fi + 1]
-        lifted_rows.append(row)
-    gamma_table = CosetTable(len(names), lifted_rows)
     gamma_relators = [
         groups.word_to_letters(w, pos) for w in instantiate_relators(record.presentation, params)
     ]
@@ -499,7 +513,6 @@ def sylow_pullback_record(
         holonomy_name="Syl2",
         presentation=Presentation(tuple(new_gens), new_relators, ()),
         matrices=new_mats,
-        holonomy_presentation=None,
         nilpotency_class=record.nilpotency_class,
         source=record.source,
     )
@@ -509,18 +522,17 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     """Lift count via restriction to the Sylow pullback.
 
     Existence is decided on the pullback record, whose holonomy matrices lie
-    in the group generated by the Sylow generators' signed permutations, and
-    the count is 2^(mod-2 abelianization rank) of the full record when a
-    lift exists.  Restriction to a subgroup of odd index loses no
-    obstruction, which is why any such subgroup serves.  Parameters are
-    reduced mod 2 first: they enter the pullback's relators as exponents.
+    in the signed-permutation group ``sylow_subgroup``, and the count is
+    2^(mod-2 abelianization rank) of the full record when a lift exists.
+    Restriction to a subgroup of odd index loses no obstruction, which is
+    why any such subgroup serves.  Parameters are reduced mod 2 first: they
+    enter the pullback's relators as exponents.
     """
     _check_params(record, params)
     params = reduce_params_mod2(params)
     pullback = sylow_pullback_record(record, params)
-    _, rows, rhs = _relator_system(pullback, {})
-    _, consistent = _f2_rank_and_consistency(rows, rhs)
-    if not consistent:
+    names, rows, rhs = _relator_system(pullback, {})
+    if _f2_solve(rows, rhs, len(names)) is None:
         return LiftResult(False, 0, (), "sylow", False)
     d = abelianization_mod2_rank(record.presentation, params)
     return LiftResult(True, 2 ** d, (), "sylow", True)
@@ -537,33 +549,39 @@ class LiftGroupResult:
 
 
 def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
-    """Identify the preimage group from the holonomy presentation alone.
+    """Identify the preimage group from the presentation of the named
+    holonomy group's character table.
 
-    The preimage is the central extension of F by the order-2 kernel; each
-    power relator w^m = 1 of F lifts to w^m = (sign) where the sign is read
-    off from the rotation angles of theta(w) (its cyclotomic factor
-    structure).  Coset enumeration of the extension presentation then
-    realizes the group by permutations.
+    ``holonomy.matrix_group_closure`` maps the table's generators onto
+    holonomy matrices.  The preimage is the central extension of F by the
+    order-2 kernel c; each power relator w^m = 1 of F lifts to w^m = (sign)
+    where the sign is read off from the rotation angles of theta(w) (its
+    cyclotomic factor structure).  Coset enumeration of the extension
+    presentation then realizes the group by permutations; it must have
+    order 2|F|.
     """
+    from . import holonomy
     from .cyclotomic import lift_power_sign
 
-    hol = record.holonomy_presentation
-    if hol is None:
-        raise InconsistentRecord(
-            f"family {record.family}: no holonomy presentation to lift"
-        )
-    pos = {g: i for i, g in enumerate(hol.generators)}
-    c = len(hol.generators) + 1  # the central kernel generator
+    fg = holonomy.matrix_group_closure(record)
+    table = fg.table
+    mats = dict(fg.generator_map)
+    pos = {g: i for i, g in enumerate(table.generators)}
+    c = len(table.generators) + 1  # the central kernel generator
     relators: List[Tuple[int, ...]] = [(c, c)]
     for g in range(1, c):
         relators.append((g, c, -g, -c))
-    for pr in hol.power_relators:
-        sign = lift_power_sign(word_matrix(record.matrices, pr.base), pr.power)
-        rel = groups.word_to_letters(pr.base, pos) * pr.power
-        if sign < 0:
+    for base, power in table.relators:
+        rel = groups.word_to_letters(base, pos) * power
+        if lift_power_sign(word_matrix(mats, base), power) < 0:
             rel = rel + (c,)
         relators.append(rel)
     G = groups.regular_representation(c, relators)
+    if len(G) != 2 * fg.order:
+        raise InconsistentRecord(
+            f"family {record.family}: the lift of the {table.name} presentation has "
+            f"order {len(G)}, not twice the holonomy order {fg.order}"
+        )
     name = groups.identify_group(G)
     return LiftGroupResult(name=name, order=len(G), realization="abstract")
 
@@ -573,7 +591,7 @@ def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
 
     When every holonomy matrix is a signed permutation the group is closed
     explicitly inside the Clifford algebra (together with -1); otherwise it
-    is identified abstractly from the holonomy presentation.
+    is identified abstractly from the named group's table presentation.
     """
     base = record.spin_base
     if base is None:

@@ -193,9 +193,6 @@ def test_criterion_6_counting(bundled):
             if record.signed_perm_holonomy:
                 # brute-force oracle over all sign assignments
                 assert result.count == _brute_force_count(record, params)
-                if record.holonomy_presentation is not None:
-                    # the S3 records can be counted both ways
-                    assert fp.sylow_strategy(record, params).count == result.count
             # mod-2 invariance: shifting any parameter by 2 changes nothing
             shifted = {n: v + 2 for n, v in params.items()}
             assert (

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
-from spinaf import fp, holonomy
+from spinaf import fp, holonomy, linalg
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
 
@@ -75,25 +75,24 @@ def _record(data, family):
     return next(d for d in data["records"] if d["family"] == family)
 
 
-def _hol(data, family):
-    return _record(data, family)["holonomy_presentation"]
+def _al_power(family, old, new):
+    """Turn the relator al^old * ... of ``family`` into al^new * ...."""
+    def mutate(data):
+        rel = next(r for r in _record(data, family)["relators"] if r[0] == ["al", {"const": old}])
+        rel[0][1]["const"] = new
+    return mutate
 
 
 @pytest.mark.parametrize("family, mutate", [
     pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
         al=[[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), id="4-al-not-signed-perm"),
-    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(power=6),
-                 id="143-al^6"),
-    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(
-        word=[["al", 1], ["al", -1]]), id="143-infinite-presentation"),
-    pytest.param("143", lambda d: _hol(d, "143")["power_relators"][0].update(word=[["zz", 1]]),
-                 id="143-undeclared-generator"),
-    pytest.param("168", lambda d: _hol(d, "168").update(sylow_generators=[[["al", 2]]]),
-                 id="168-sylow-al^2"),
-    pytest.param("168", lambda d: _hol(d, "168").update(sylow_generators=[]),
-                 id="168-sylow-empty"),
-    pytest.param("169", lambda d: _hol(d, "169")["power_relators"][0].update(power=2),
-                 id="169-power-2"),
+    pytest.param("143", lambda d: _record(d, "143")["matrices"].update(
+        zz=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), id="143-undeclared-generator"),
+    # al conjugated by the shear a -> a + c: the only signed permutation in
+    # the C6 it generates is the identity, so the Sylow subgroup is trivial
+    pytest.param("168", lambda d: _record(d, "168")["matrices"].update(
+        al=[[1, -1, 0, 0], [0, 0, 1, 0], [0, -1, 1, 0], [0, 0, 0, 1]]), id="168-sylow-empty"),
+    pytest.param("169", _al_power("169", 6, 2), id="169-power-2"),
     pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
         al=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), id="4-non-orientable"),
     pytest.param("4", lambda d: _record(d, "4").update(
@@ -112,19 +111,41 @@ def test_mutant_rejected_at_load_with_exit_2(tmp_path, cli, family, mutate):
     assert f"error: family {family}:" in result.output
 
 
-_MUTATIONS = ("coefficient", "matrix_entry", "role", "relator_exponent",
-              "holonomy_power", "holonomy_word", "sylow_generators")
+def test_record_without_an_odd_index_signed_perm_subgroup_rejected(tmp_path, cli):
+    # C4 generated by U R4 U^-1 for the shear U: a -> a + c.  No holonomy
+    # element but the identity is a signed permutation, so the 2-subgroup the
+    # Sylow strategy would restrict to has even index 4.
+    U = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    R4 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    al = linalg.int_mat_mul(linalg.int_mat_mul(U, R4), linalg.int_mat_inverse(U))
+    gens = tuple(fp.GeneratorDecl(n, fp.LATTICE) for n in "abcd")
+    record = fp.AlmostBieberbachRecord(
+        family="C4-shear", holonomy_name="C4",
+        presentation=fp.Presentation(gens + (fp.GeneratorDecl("al", fp.HOLONOMY),), ()),
+        matrices={"al": al}, nilpotency_class=1)
+    assert not record.signed_perm_holonomy
+    with pytest.raises(InconsistentRecord, match="family C4-shear: .* even index 4"):
+        cat.check_record(record)
+    p = tmp_path / "shear.json"
+    p.write_text(json.dumps({"format_version": cat.FORMAT_VERSION,
+                             "records": [cat.record_to_json(record)]}), encoding="utf-8")
+    with pytest.raises(InconsistentRecord, match="family C4-shear:"):
+        cat.load_catalog(p)
+    result = cli("classify", "--catalog", str(p), "--family", "C4-shear")
+    assert result.exit_code == 2
+    assert "error: family C4-shear:" in result.output
+
+
+_MUTATIONS = ("coefficient", "matrix_entry", "role", "relator_exponent")
 
 
 @st.composite
 def _mutated_record_json(draw):
     """One bundled record dict with one small random mutation."""
     d = copy.deepcopy(draw(st.sampled_from(_bundled_json()["records"])))
-    hol = d.get("holonomy_presentation")
     kinds = [k for k in _MUTATIONS
              if (k != "coefficient" or d["parameters"])
-             and (k != "matrix_entry" or d["matrices"])
-             and (not k.startswith(("holonomy_", "sylow_")) or hol)]
+             and (k != "matrix_entry" or d["matrices"])]
     kind = draw(st.sampled_from(kinds))
     small = st.integers(-2, 2).filter(bool)
     if kind in ("coefficient", "relator_exponent"):
@@ -137,19 +158,9 @@ def _mutated_record_json(draw):
     elif kind == "matrix_entry":
         row = d["matrices"][draw(st.sampled_from(sorted(d["matrices"])))][draw(st.integers(0, 3))]
         row[draw(st.integers(0, 3))] += draw(st.sampled_from([-1, 1]))
-    elif kind == "role":
+    else:
         gen = draw(st.sampled_from(d["generators"]))
         gen["role"] = "lattice" if gen["role"] == "holonomy" else "holonomy"
-    elif kind == "holonomy_power":
-        draw(st.sampled_from(hol["power_relators"]))["power"] = draw(st.integers(1, 12))
-    elif kind == "holonomy_word":
-        letter = draw(st.sampled_from([x for pr in hol["power_relators"] for x in pr["word"]]))
-        letter[0] = draw(st.sampled_from(hol["generators"]))
-        letter[1] += draw(small)
-    else:
-        word = st.lists(st.tuples(st.sampled_from(hol["generators"]), small).map(list),
-                        min_size=1, max_size=2)
-        hol["sylow_generators"] = draw(st.lists(word, max_size=2))
     return d
 
 
@@ -213,7 +224,7 @@ _REC = ["records", _INDEX["3"]]  # family 3: one holonomy generator al, paramete
 _EXP = _REC + ["relators", 1, 4, 1]  # the exponent {"const": 0, "coeffs": {"k1": -1}}
 _LET = _REC + ["relators", 0, 0]  # the letter ["b", {"const": 1}]
 _MAT = _REC + ["matrices", "al"]
-_HOL = ["records", _INDEX["143"], "holonomy_presentation"]
+_R143 = ["records", _INDEX["143"]]
 _ROW = ["rows", 0]  # family 1, params [0, 0, 0]
 _7B = ["records", _INDEX["7b"]]
 
@@ -224,18 +235,18 @@ _7B = ["records", _INDEX["7b"]]
     pytest.param("catalog", ["format_version"], _put(["format_version"], 2), id="format-version-2"),
     pytest.param("catalog", _REC, _drop(_REC + ["source"]), id="record-missing-key"),
     pytest.param("catalog", _REC, _put(_REC + ["extra"], 1), id="record-extra-key"),
+    # F's presentation comes from its character table and the Sylow subgroup
+    # from the matrices; a record that still carries them is malformed
+    pytest.param("catalog", _R143, _put(_R143 + ["holonomy_presentation"], {
+        "generators": ["al"], "power_relators": [{"word": [["al", 1]], "power": 3}],
+        "sylow_generators": []}), id="holonomy-presentation-extra-key"),
     pytest.param("catalog", _EXP, _drop(_EXP + ["const"]), id="exponent-missing-key"),
     pytest.param("catalog", _EXP, _put(_EXP + ["extra"], 1), id="exponent-extra-key"),
-    pytest.param("catalog", _HOL, _drop(_HOL + ["sylow_generators"]),
-                 id="holonomy-presentation-missing-key"),
-    pytest.param("catalog", _HOL, _put(_HOL + ["extra"], 1), id="holonomy-presentation-extra-key"),
     pytest.param("catalog", _REC + ["holonomy"], _put(_REC + ["holonomy"], "Q8"), id="holonomy-Q8"),
     pytest.param("catalog", _REC + ["generators", 0, "role"],
                  _put(_REC + ["generators", 0, "role"], "fibre"), id="role-fibre"),
     pytest.param("catalog", _REC + ["nilpotency_class"], _put(_REC + ["nilpotency_class"], 0),
                  id="nilpotency-class-0"),
-    pytest.param("catalog", _HOL + ["power_relators", 0, "power"],
-                 _put(_HOL + ["power_relators", 0, "power"], 0), id="power-0"),
     pytest.param("catalog", _MAT, _drop(_MAT + [3]), id="matrix-3-rows"),
     pytest.param("catalog", _MAT + [3], _put(_MAT + [3], [0, 0, 0, 1, 0]), id="matrix-row-5-entries"),
     pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], "1"), id="matrix-entry-string"),
@@ -261,8 +272,7 @@ _7B = ["records", _INDEX["7b"]]
     # JSON numbers with a fraction part, even when it is zero, are not integers
     pytest.param("catalog", ["format_version"], _put(["format_version"], 1.0),
                  id="float-format-version"),
-    pytest.param("catalog", _HOL + ["power_relators", 0, "power"],
-                 _put(_HOL + ["power_relators", 0, "power"], 3.0), id="float-power"),
+    pytest.param("catalog", _MAT + [0, 0], _put(_MAT + [0, 0], 1.0), id="float-matrix-entry"),
     pytest.param("catalog", _EXP + ["const"], _put(_EXP + ["const"], 2.0), id="float-const"),
     pytest.param("catalog", _REC + ["nilpotency_class"], _put(_REC + ["nilpotency_class"], 2.0),
                  id="float-nilpotency-class"),

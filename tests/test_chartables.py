@@ -1,6 +1,6 @@
 import pytest
 
-from spinaf import chartables
+from spinaf import chartables, groups
 from spinaf.chartables import TABLES, decompose, get_table, render_decomposition
 from spinaf.cyclotomic import Cyc12
 from spinaf.errors import InconsistentRecord, UnknownGroup
@@ -10,6 +10,14 @@ def test_all_tables_pass_exact_orthogonality():
     assert set(TABLES) == {"C1", "C2", "C2xC2", "C3", "C4", "C6", "S3", "D8", "D12"}
     for table in TABLES.values():
         table.verify()
+
+
+def test_table_presentations_present_groups_of_the_table_order():
+    # fp._lift_group_abstract builds the preimage group from these relators
+    for name, table in TABLES.items():
+        pos = {g: i for i, g in enumerate(table.generators)}
+        relators = [groups.word_to_letters(base, pos) * power for base, power in table.relators]
+        assert groups.todd_coxeter(len(table.generators), relators).index == table.order, name
 
 
 def test_degree_sums():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from spinaf import catalog as cat
-from spinaf import fp
+from spinaf import chartables, fp, linalg
 from spinaf.clifford import CliffordElement
 from spinaf.errors import InconsistentRecord, UnsupportedScalar
 
@@ -96,18 +96,69 @@ def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
     assert relator_length(built[1]) == relator_length(built[0])
 
 
-def test_strategies_agree_on_s3_records(catalog):
-    # the S3 records have signed-permutation matrices and a holonomy
-    # presentation, so both strategies apply to them
-    for family in ["158", "159", "161"]:
-        r = catalog.find(family)
-        assert r.signed_perm_holonomy and r.holonomy_presentation is not None
-        names = r.presentation.parameters
-        for bits in itertools.product((0, 1), repeat=len(names)):
-            p = dict(zip(names, bits))
-            direct, sylow = fp.enumerate_lifts(r, p), fp.sylow_strategy(r, p)
-            assert (direct.strategy, sylow.strategy) == ("direct", "sylow")
-            assert direct.count == sylow.count
+def test_sylow_strategy_agrees_with_direct_on_every_signed_perm_row(catalog):
+    # on a signed-permutation record both strategies apply: the Sylow one
+    # restricts to the 2-subgroup that fp.sylow_subgroup finds in the matrices
+    rows = [e for e in cat.load_expectations(cat.bundled_path("expectations.json"))
+            if catalog.find(e.family).signed_perm_holonomy]
+    assert len(rows) == 106
+    assert len({e.family for e in rows}) == 35
+    for e in rows:
+        r = catalog.find(e.family)
+        p = params_of(r, e.params)
+        direct, sylow = fp.enumerate_lifts(r, p), fp.sylow_strategy(r, p)
+        assert (direct.strategy, sylow.strategy) == ("direct", "sylow")
+        assert sylow.count == direct.count == e.count, (e.family, e.params)
+
+
+def test_sylow_subgroup_has_odd_index_on_every_record(catalog):
+    for r in catalog.records:
+        F = fp.holonomy_closure(r)
+        S = fp.sylow_subgroup(F)
+        assert all(linalg.is_signed_perm(x) for x in S)
+        assert len(S) & (len(S) - 1) == 0 and len(F) // len(S) % 2 == 1, r.family
+
+
+def test_f2_solve_against_brute_force():
+    rng = random.Random(23)
+    for _ in range(300):
+        k = rng.randint(0, 7)
+        rows = [rng.randrange(1 << k) for _ in range(rng.randint(0, 6))]
+        rhs = [rng.randint(0, 1) for _ in rows]
+        brute = [s for s in range(1 << k)
+                 if all(bin(row & s).count("1") % 2 == b for row, b in zip(rows, rhs))]
+        solved = fp._f2_solve(rows, rhs, k)
+        if not brute:
+            assert solved is None
+            continue
+        p, kernel = solved
+        listed = []
+        for i in range(1 << len(kernel)):
+            s = p
+            for j, v in enumerate(kernel):
+                if i >> j & 1:
+                    s ^= v
+            listed.append(s)
+        assert listed == brute
+
+
+def test_abstract_lift_agrees_with_spin_closure(catalog):
+    # Ĝ from the table presentation and the generator map, against the lift
+    # group closed in the Clifford algebra, on every signed-permutation record
+    for r in catalog.records:
+        if r.signed_perm_holonomy:
+            spin_lift, abstract = fp.lift_group(r), fp._lift_group_abstract(r)
+            assert (abstract.name, abstract.order) == (spin_lift.name, spin_lift.order), r.family
+
+
+def test_abstract_lift_rejects_a_presentation_of_a_larger_group(catalog, monkeypatch):
+    # <a, b | a^2, b^2, (ab)^4> holds for the C2xC2 matrices of family 27 but
+    # presents D8, so its lift has order 16, not 2|F| = 8
+    table = chartables.TABLES["C2xC2"]
+    d8 = table.relators[:2] + (((("a", 1), ("b", 1)), 4),)
+    monkeypatch.setitem(chartables.TABLES, "C2xC2", dataclasses.replace(table, relators=d8))
+    with pytest.raises(InconsistentRecord, match="family 27: .* has order 16, not twice"):
+        fp._lift_group_abstract(catalog.find("27"))
 
 
 def sign_bits(signs):

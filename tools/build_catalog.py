@@ -25,9 +25,7 @@ from spinaf.fp import (
     AlmostBieberbachRecord,
     ExponentExpr,
     GeneratorDecl,
-    HolonomyPresentation,
     Presentation,
-    PowerRelator,
 )
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "spinaf" / "data"
@@ -90,24 +88,15 @@ def gens(*names_roles):
 LAT4 = gens(("a", LATTICE), ("b", LATTICE), ("c", LATTICE), ("d", LATTICE))
 
 
-def record(family, hol_name, relators, matrices, params, source, nclass=2, hol_pres=None):
+def record(family, hol_name, relators, matrices, params, source, nclass=2):
     all_gens = LAT4 + tuple(GeneratorDecl(n, HOLONOMY) for n in sorted(matrices))
     return AlmostBieberbachRecord(
         family=family,
         holonomy_name=hol_name,
         presentation=Presentation(all_gens, tuple(relators), tuple(params)),
         matrices=matrices,
-        holonomy_presentation=hol_pres,
         nilpotency_class=nclass,
         source=source,
-    )
-
-
-def hp(generators, power_relators, sylow):
-    return HolonomyPresentation(
-        tuple(generators),
-        tuple(PowerRelator(tuple(base), n) for base, n in power_relators),
-        tuple(tuple(w) for w in sylow),
     )
 
 
@@ -137,14 +126,6 @@ S3_A = ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))     # order 3: b
 S3_B = ((-1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))    # order 2: b<->c, a->a^-1
 M6 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1))      # order 6: b->c^-1, c->bc
 D12_B = ((-1, 0, 0, 0), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 0, 1)) # b->c^-1, c->b^-1, a->a^-1
-
-HP_C3 = hp(["al"], [([("al", 1)], 3)], [])
-HP_C6 = hp(["al"], [([("al", 1)], 6)], [[("al", 3)]])
-HP_S3 = hp(["al", "be"], [([("al", 1)], 3), ([("be", 1)], 2), ([("be", 1), ("al", 1)], 2)],
-           [[("be", 1)]])
-HP_D12 = hp(["al", "be"], [([("al", 1)], 6), ([("be", 1)], 2), ([("be", 1), ("al", 1)], 2)],
-            [[("al", 3)], [("be", 1)]])
-
 
 def src(part, family):
     return f"dimension-4 almost-Bieberbach classification, part {part}, family {family}"
@@ -591,8 +572,7 @@ RECORDS.append(d8_record(
 
 
 def c3_record(family, relators, params):
-    return record(family, "C3", relators, {"al": M3}, params, src("7.2", family),
-                  hol_pres=HP_C3)
+    return record(family, "C3", relators, {"al": M3}, params, src("7.2", family))
 
 
 def c3_actions(b_extra=(), c_extra=()):
@@ -633,7 +613,7 @@ RECORDS.append(c3_record(
 
 def s3_record(family, relators, params):
     return record(family, "S3", relators, {"al": S3_A, "be": S3_B}, params,
-                  src("7.2", family), hol_pres=HP_S3)
+                  src("7.2", family))
 
 
 S3_LATTICE = [
@@ -680,8 +660,7 @@ RECORDS.append(s3_record(
 
 
 def c6_record(family, relators, params):
-    return record(family, "C6", relators, {"al": M6}, params, src("7.2", family),
-                  hol_pres=HP_C6)
+    return record(family, "C6", relators, {"al": M6}, params, src("7.2", family))
 
 
 def c6_relators(k_cb, k_al6, b_extra=()):
@@ -724,7 +703,7 @@ RECORDS.append(record(
        act("be", "d", ("d", 1), ("d", E(k5=2)))],
     {"al": M6, "be": D12_B},
     ["k1", "k2", "k3", "k4", "k5"],
-    src("7.2", "184"), hol_pres=HP_D12))
+    src("7.2", "184")))
 
 
 # ---------------------------------------------------------------------------
