@@ -10,9 +10,8 @@ structure counts per (family, parameters) row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from . import fp, holonomy, linalg
 from .chartables import TABLES
@@ -208,8 +207,7 @@ def record_from_json(d, at: JsonPath = ()) -> AlmostBieberbachRecord:
     )
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     records: Tuple[AlmostBieberbachRecord, ...]
 
     def find(self, family: str) -> AlmostBieberbachRecord:
@@ -309,8 +307,7 @@ def load_catalog(path) -> Catalog:
     return Catalog(records)
 
 
-@dataclass(frozen=True)
-class ExpectationRow:
+class ExpectationRow(NamedTuple):
     family: str
     holonomy: str
     params: Tuple[int, ...]
@@ -337,8 +334,7 @@ def load_expectations(path) -> Tuple[ExpectationRow, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifyRow:
+class ClassifyRow(NamedTuple):
     family: str
     holonomy: str
     params: Tuple[int, ...]
@@ -367,8 +363,7 @@ def classify_record(record: AlmostBieberbachRecord, params: Sequence[int]) -> Cl
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     family: str
     holonomy: str
     params: Tuple[int, ...]
@@ -377,8 +372,7 @@ class ReportRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     rows: Tuple[ReportRow, ...]
 
     @property

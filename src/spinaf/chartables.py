@@ -13,9 +13,8 @@ match a concrete matrix group against the abstract one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .cyclotomic import Cyc12, I, ZETA3, ZETA6
 from .errors import InconsistentRecord, UnknownGroup
@@ -27,8 +26,7 @@ def _c(x) -> Cyc12:
     return x if isinstance(x, Cyc12) else Cyc12(Fraction(x))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     name: str
     generators: Tuple[str, ...]
     # power relators (word, exponent) presenting the group

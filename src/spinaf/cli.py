@@ -83,13 +83,14 @@ def _find_record(catalog: cat.Catalog, family: str) -> fp.AlmostBieberbachRecord
 def _param_vector(
     record: fp.AlmostBieberbachRecord, params: Optional[str]
 ) -> Tuple[int, ...]:
-    """Parse 'k1=..,k2=..'; unspecified parameters default to 0.
+    """Parse 'k1=..,k2=..'; unspecified parameters default to 0, and a
+    parameter given twice is invalid input.
 
     Values may be any integers; they are reduced mod 2 downstream and the
     reduction is echoed in the output.
     """
     names = record.presentation.parameters
-    values = {n: 0 for n in names}
+    values: Dict[str, int] = {}
     if params:
         for item in params.split(","):
             item = item.strip()
@@ -99,17 +100,19 @@ def _param_vector(
                 _fail(EXIT_INVALID, f"malformed parameter assignment {item!r}")
             key, _, raw = item.partition("=")
             key = key.strip()
-            if key not in values:
+            if key not in names:
                 _fail(
                     EXIT_INVALID,
                     f"family {record.family} has parameters "
                     f"{', '.join(names) or '(none)'}; got {key!r}",
                 )
+            if key in values:
+                _fail(EXIT_INVALID, f"parameter {key} is given more than once")
             try:
                 values[key] = int(raw)
             except ValueError:
                 _fail(EXIT_INVALID, f"parameter {key} needs an integer, got {raw!r}")
-    return tuple(values[n] for n in names)
+    return tuple(values.get(n, 0) for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +273,11 @@ def verify(catalog_path, expected_path, fmt) -> None:
         print(_render_table(
             ["family", "holonomy", "params", "expected", "computed", "status"],
             table, fmt))
+        # on stderr for csv, so that stdout stays a CSV table
         print(
             f"{report.total} rows, {report.failures} failures, "
-            f"{report.zero_rows} rows with zero spin structures")
+            f"{report.zero_rows} rows with zero spin structures",
+            file=sys.stderr if fmt == "csv" else sys.stdout)
     if report.failures:
         sys.exit(EXIT_FAILURES)
 

@@ -34,9 +34,8 @@ index on every record counted this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import groups, linalg, spin
 from .clifford import CliffordElement
@@ -49,8 +48,7 @@ LATTICE = "lattice"
 HOLONOMY = "holonomy"
 
 
-@dataclass(frozen=True)
-class ExponentExpr:
+class ExponentExpr(NamedTuple):
     """Affine integer expression const + sum(coeff_i * param_i)."""
 
     const: int = 0
@@ -90,31 +88,33 @@ def word(*letters) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
+class GeneratorDecl(NamedTuple):
     name: str
-    role: str  # LATTICE or HOLONOMY
-
-    def __post_init__(self):
-        if self.role not in (LATTICE, HOLONOMY):
-            raise InconsistentRecord(f"unknown generator role {self.role!r}")
+    role: str  # LATTICE or HOLONOMY; checked by Presentation
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     generators: Tuple[GeneratorDecl, ...]
     relators: Tuple[Word, ...]
     parameters: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        names = [g.name for g in self.generators]
+
+class Presentation(_PresentationFields):
+    __slots__ = ()
+
+    def __new__(cls, generators, relators, parameters=()):
+        for g in generators:
+            if g.role not in (LATTICE, HOLONOMY):
+                raise InconsistentRecord(f"unknown generator role {g.role!r}")
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise InconsistentRecord("duplicate generator names")
         declared = set(names)
-        for rel in self.relators:
+        for rel in relators:
             for gen, _exp in rel:
                 if gen not in declared:
                     raise InconsistentRecord(f"relator mentions undeclared generator {gen!r}")
+        return super().__new__(cls, generators, relators, parameters)
 
     @property
     def generator_names(self) -> List[str]:
@@ -124,14 +124,19 @@ class Presentation:
         return [g.name for g in self.generators if g.role == HOLONOMY]
 
 
-@dataclass(frozen=True)
-class AlmostBieberbachRecord:
+class _RecordFields(NamedTuple):
     family: str
     holonomy_name: str
     presentation: Presentation
     matrices: Mapping[str, Tuple[Tuple[int, ...], ...]]
     nilpotency_class: int = 2
     source: str = "reconstruction"
+
+
+class AlmostBieberbachRecord(_RecordFields):
+    """A catalog record.  Its fields are read-only and ``==`` compares them
+    only; without ``__slots__`` the subclass has an instance ``__dict__``,
+    where the cached properties below keep their values."""
 
     def matrix_of(self, gen: str) -> Tuple[Tuple[int, ...], ...]:
         if gen in self.matrices:
@@ -205,16 +210,14 @@ def holonomy_closure(record: AlmostBieberbachRecord) -> groups.FiniteGroup:
     return groups.FiniteGroup.generated(mats or [identity], linalg.int_mat_mul, identity)
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(NamedTuple):
     signs: Tuple[Tuple[str, int], ...]
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.signs)
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     exists: bool
     count: int
     valid_assignments: Tuple[SignAssignment, ...]
@@ -538,8 +541,7 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     return LiftResult(True, 2 ** d, (), "sylow", True)
 
 
-@dataclass(frozen=True)
-class LiftGroupResult:
+class LiftGroupResult(NamedTuple):
     """The preimage of the holonomy group under the double cover."""
 
     name: str

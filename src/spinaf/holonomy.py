@@ -9,8 +9,7 @@ character table of the named group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import chartables, groups, linalg
 from .chartables import CharacterTable, render_decomposition
@@ -21,8 +20,7 @@ from .fp import DIM, AlmostBieberbachRecord, holonomy_closure, word_matrix
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(NamedTuple):
     group: groups.FiniteGroup
     # table generator name -> matrix realizing it (satisfies the table's
     # presentation and generates the group)

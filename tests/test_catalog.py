@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
-from spinaf import fp, holonomy, linalg
+from spinaf import chartables, fp, holonomy, linalg
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
 
@@ -29,6 +29,44 @@ def test_record_json_roundtrip(bundled):
     catalog, _ = bundled
     for r in catalog.records:
         assert cat.record_from_json(cat.record_to_json(r)) == r
+
+
+def test_records_and_results_are_read_only(bundled):
+    catalog, expectations = bundled
+    record = catalog.find("4")
+    targets = [
+        (record, "family"),
+        (fp.count_lifts(record, dict.fromkeys(record.presentation.parameters, 0)), "count"),
+        (expectations[0], "count"),
+        (chartables.TABLES["C2"], "name"),
+    ]
+    for obj, name in targets:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+
+
+def _cached(record):
+    return {"signed_perm_holonomy", "spin_base", "relator_signs"} & set(vars(record))
+
+
+def test_record_equality_ignores_cached_values(bundled):
+    catalog, _ = bundled
+    r = catalog.find("4")
+    assert r.spin_base is not None and r.relator_signs is not None
+    assert _cached(r) >= {"spin_base", "relator_signs"}
+    copy_ = cat.record_from_json(cat.record_to_json(r))
+    assert _cached(copy_) == set()
+    assert copy_ == r and r == copy_
+
+
+def test_replace_gives_a_record_with_no_cached_values(bundled):
+    catalog, _ = bundled
+    r = catalog.find("4")
+    assert r.spin_base is not None
+    renamed = r._replace(holonomy_name="C6")
+    assert type(renamed) is fp.AlmostBieberbachRecord
+    assert renamed.holonomy_name == "C6" and renamed.family == "4"
+    assert _cached(renamed) == set()
 
 
 def test_find_missing_family(bundled):

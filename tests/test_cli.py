@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ import pytest
 
 import spinaf
 from spinaf import catalog as cat
+from spinaf.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
@@ -87,6 +91,13 @@ def test_classify_unknown_parameter(cli):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "export"])
+def test_repeated_parameter_rejected(cli, command):
+    result = cli(command, "--family", "1", "--params", "k1=1, k1 =0")
+    assert result.exit_code == 2
+    assert result.output == "error: parameter k1 is given more than once\n"
+
+
 def test_classify_params_without_family(cli):
     result = cli("classify", "--params", "k1=1")
     assert result.exit_code == 2
@@ -106,6 +117,16 @@ def test_verify_json_deterministic(cli):
     assert a.output == b.output
     payload = json.loads(a.output)
     assert payload["summary"] == {"total": 127, "failures": 0, "zero_rows": 15}
+
+
+def test_verify_csv_stdout_is_only_csv():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["verify", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert len(rows) == 128 and all(len(row) == 6 for row in rows)
+    assert rows[0] == ["family", "holonomy", "params", "expected", "computed", "status"]
+    assert err.getvalue() == "127 rows, 0 failures, 15 rows with zero spin structures\n"
 
 
 def test_verify_altered_expectation_exit_1(cli, tmp_path):
@@ -206,4 +227,12 @@ def test_usage_error_exits_2_with_nothing_on_stdout(args):
 
 def test_cli_import_leaves_click_out():
     code = "import sys, spinaf.cli; assert 'click' not in sys.modules, 'click was imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses imports inspect, ast, dis and tokenize, which cost every query start-up
+    code = ("import sys; import spinaf.cli; from spinaf import catalog; "
+            "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+            "assert not loaded, f'{sorted(loaded)} imported'")
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)

@@ -1,6 +1,6 @@
-import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -56,7 +56,7 @@ def test_route_follows_the_matrices_not_the_name(catalog):
         r = catalog.find(family)
         zeros = {n: 0 for n in r.presentation.parameters}
         for name in ["C6", "C2", "no-such-group"]:
-            renamed = dataclasses.replace(r, holonomy_name=name)
+            renamed = r._replace(holonomy_name=name)
             assert renamed.signed_perm_holonomy is (strategy == "direct")
             assert fp.count_lifts(renamed, zeros).strategy == strategy
 
@@ -156,7 +156,7 @@ def test_abstract_lift_rejects_a_presentation_of_a_larger_group(catalog, monkeyp
     # presents D8, so its lift has order 16, not 2|F| = 8
     table = chartables.TABLES["C2xC2"]
     d8 = table.relators[:2] + (((("a", 1), ("b", 1)), 4),)
-    monkeypatch.setitem(chartables.TABLES, "C2xC2", dataclasses.replace(table, relators=d8))
+    monkeypatch.setitem(chartables.TABLES, "C2xC2", table._replace(relators=d8))
     with pytest.raises(InconsistentRecord, match="family 27: .* has order 16, not twice"):
         fp._lift_group_abstract(catalog.find("27"))
 
@@ -256,3 +256,17 @@ def test_exponent_expr():
     e = fp.ExponentExpr.make(1, {"k1": 2})
     assert e.evaluate({"k1": 3}) == 7
     assert fp.ExponentExpr.make(0).evaluate({}) == 0
+
+
+@pytest.mark.parametrize("generators, relators, message", [
+    pytest.param([("a", "lattice"), ("al", "fibre")], (), "unknown generator role 'fibre'",
+                 id="unknown-role"),
+    pytest.param([("a", "lattice"), ("a", "holonomy")], (), "duplicate generator names",
+                 id="duplicate-name"),
+    pytest.param([("a", "lattice")], ((("b", 1),),), "relator mentions undeclared generator 'b'",
+                 id="undeclared-generator"),
+])
+def test_presentation_built_in_code_is_checked(generators, relators, message):
+    with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
+        gens = tuple(fp.GeneratorDecl(name, role) for name, role in generators)
+        fp.Presentation(gens, tuple(fp.word(*r) for r in relators))
