@@ -422,6 +422,11 @@ def verify(catalog: Catalog, expectations: Sequence[ExpectationRow]) -> Report:
                     f"expectations row for family {exp.family} has {len(exp.params)} "
                     f"parameters, but the family takes {takes}"
                 )
+            if exp.holonomy != record.holonomy_name:
+                raise CatalogFormatError(
+                    f"expectations row for family {exp.family} has holonomy "
+                    f"{exp.holonomy}, but the family's holonomy is {record.holonomy_name}"
+                )
             computed = classify_record(record, exp.params).count
         rows.append(
             ReportRow(

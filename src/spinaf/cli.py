@@ -318,9 +318,11 @@ def lift_group(catalog_path, family, fmt) -> None:
             "elements": [_spin_element_json(x) for x in result.elements],
         }))
         return
+    # on stderr for csv, so that stdout stays a CSV table
     print(f"family {record.family}: holonomy {record.holonomy_name}, "
           f"preimage {result.name} of order {result.order} "
-          f"({result.realization} realization)")
+          f"({result.realization} realization)",
+          file=sys.stderr if fmt == "csv" else sys.stdout)
     if result.elements:
         table = [(str(i), str(x)) for i, x in enumerate(result.elements)]
         print(_render_table(["#", "element"], table, fmt))
@@ -342,7 +344,12 @@ def char(catalog_path, family, fmt) -> None:
             "multiplicities": list(mults),
         }))
         return
-    print(f"{record.family}: {rendered}")
+    if fmt == "text":
+        print(f"{record.family}: {rendered}")
+        return
+    print(_render_table(
+        ["family", "holonomy", "decomposition"],
+        [(record.family, record.holonomy_name, rendered)], fmt))
 
 
 def export(catalog_path, family, params, fmt) -> None:

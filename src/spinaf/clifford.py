@@ -133,12 +133,6 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_scalar(self) -> bool:
-        return all(m == 0 for m in self._terms)
-
-    def scalar_part(self) -> QSqrt2:
-        return self._terms.get(0, QSqrt2(0))
-
     def grades(self) -> set:
         return {m.bit_count() for m in self._terms}
 

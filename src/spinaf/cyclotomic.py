@@ -1,5 +1,5 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_12) and characteristic
-polynomial helpers for integer holonomy matrices.
+"""Exact arithmetic in the cyclotomic field Q(zeta_12), and the lift sign of
+a power relator of an integer holonomy matrix, read off one trace.
 
 Every character value of the holonomy groups in dimension four lies in
 Q(zeta_12): the eigenvalues of a finite-order element of GL(4, Z) are roots
@@ -10,11 +10,10 @@ basis 1, z, z^2, z^3 modulo the minimal polynomial z^4 - z^2 + 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import InconsistentRecord
-
-Coeffs = Tuple[Fraction, Fraction, Fraction, Fraction]
+from .linalg import int_det, int_identity, int_mat_mul
 
 
 class Cyc12:
@@ -90,11 +89,6 @@ class Cyc12:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc12._raw([a / other for a in self.c])
-        return NotImplemented
-
     def conjugate(self) -> "Cyc12":
         """Complex conjugation: zeta -> zeta^-1."""
         out = Cyc12(self.c[0])
@@ -164,118 +158,36 @@ ZETA6 = Cyc12.zeta_pow(2)
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomials of integer matrices and cyclotomic factors
+# Lift signs of power relators
 # ---------------------------------------------------------------------------
-
-# Phi_d as coefficient lists, low degree first, for the d whose primitive
-# roots of unity live in Q(zeta_12).
-CYCLOTOMIC_POLYS = {
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    6: (1, -1, 1),
-    12: (1, 0, -1, 0, 1),
-}
-
-
-def char_poly(M: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
-    """Coefficients (low first) of det(tI - M), via Faddeev-LeVerrier."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        # Mk := A @ Mk ;  c_{n-k} = -tr(Mk)/k ;  Mk += c_{n-k} I
-        Mk = [
-            [sum(A[i][t] * Mk[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(Mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            Mk[i][i] += c
-    return tuple(coeffs)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = [Fraction(x) for x in num]
-    for i in range(len(q) - 1, -1, -1):
-        if len(r) < len(den) + i:
-            continue
-        f = r[len(den) + i - 1] / den[-1]
-        q[i] = f
-        if f:
-            for j, d in enumerate(den):
-                r[i + j] -= f * d
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def cyclotomic_factors(poly: Sequence[Fraction]) -> dict:
-    """Factor a monic polynomial into cyclotomic polynomials Phi_d with
-    d in {1, 2, 3, 4, 6, 12}; raises InconsistentRecord if it does not
-    split that way (i.e. the matrix was not finite order in GL_4(Z))."""
-    rem = [Fraction(x) for x in poly]
-    mult = {}
-    for d, phi in CYCLOTOMIC_POLYS.items():
-        phi_f = [Fraction(x) for x in phi]
-        while len(rem) > 1:
-            q, r = _poly_divmod(rem, phi_f)
-            if r:
-                break
-            mult[d] = mult.get(d, 0) + 1
-            rem = q
-    if len(rem) != 1 or rem[0] != 1:
-        raise InconsistentRecord(
-            "characteristic polynomial is not a product of the supported cyclotomics"
-        )
-    return mult
 
 
 def lift_power_sign(M: Sequence[Sequence[int]], m: int) -> int:
     """Sign s with x^m = s for either preimage x of M under the double cover.
 
-    Requires M in SO(4) with M^m = 1.  For even m the answer is read off
-    from the rotation angles: an eigenvalue pair e^(+-2 pi i j/d) (of
-    multiplicative order d) contributes (-1)^(j m / d).  For odd m the
-    preimage pair {x, -x} contains exactly one element with x^m = 1, so
-    the question has no invariant answer and we return +1 by convention
-    for the element of odd order.
+    Requires an integer matrix M of determinant 1 with M^m = 1; M has some
+    finite order o and is conjugate into SO(4).  For even m: if M's rotation
+    angles are 2 pi j_1/o and 2 pi j_2/o, then x^o = (-1)^(j_1 + j_2).  The
+    involution M^(o/2) is -1 on exactly the rotation planes with odd j_k, so
+    its trace t is 0 or -4, (4 - t)/4 counts those planes, and
+    s = (-1)^(((4 - t)/4) (m/o)); for odd o, s = +1.  For odd m the preimage
+    pair {x, -x} contains exactly one element with x^m = 1, so the question
+    has no invariant answer and we return +1 by convention for the element
+    of odd order.
     """
     if m % 2:
         return 1
-    factors = cyclotomic_factors(char_poly(M))
-    parity = 0
-    for d, mu in factors.items():
-        if d == 1:
-            continue
-        if m % d:
-            raise InconsistentRecord(f"matrix has an eigenvalue of order {d}, but {d} does not divide {m}")
-        if d == 2:
-            # -1 eigenvalues come in pairs in SO(4); each pair is a half
-            # turn and contributes m/2.
-            if mu % 2:
-                raise InconsistentRecord("odd number of -1 eigenvalues in SO(4)")
-            parity += (mu // 2) * (m // 2)
-        else:
-            # each copy of Phi_d contributes the angles j/d for the j in
-            # (Z/d)* with 0 < j < d/2
-            js = [j for j in range(1, (d + 1) // 2) if _gcd(j, d) == 1]
-            for j in js:
-                parity += mu * j * (m // d)
-    return -1 if parity % 2 else 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    d = int_det(M)
+    if d != 1:
+        raise InconsistentRecord(f"matrix has determinant {d}, so it is not in SO(4)")
+    one = int_identity(4)
+    powers = [one, tuple(map(tuple, M))]
+    while powers[-1] != one and len(powers) <= m:
+        powers.append(int_mat_mul(powers[-1], M))
+    o = len(powers) - 1
+    if powers[-1] != one or m % o:
+        raise InconsistentRecord(f"matrix does not satisfy M^{m} = 1")
+    if o % 2:
+        return 1
+    t = sum(powers[o // 2][i][i] for i in range(4))
+    return -1 if (4 - t) // 4 * (m // o) % 2 else 1

@@ -557,10 +557,10 @@ def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
     ``holonomy.matrix_group_closure`` maps the table's generators onto
     holonomy matrices.  The preimage is the central extension of F by the
     order-2 kernel c; each power relator w^m = 1 of F lifts to w^m = (sign)
-    where the sign is read off from the rotation angles of theta(w) (its
-    cyclotomic factor structure).  Coset enumeration of the extension
-    presentation then realizes the group by permutations; it must have
-    order 2|F|.
+    where the sign is read off from one integer trace, that of the involution
+    among the powers of theta(w) (``cyclotomic.lift_power_sign``).  Coset
+    enumeration of the extension presentation then realizes the group by
+    permutations; it must have order 2|F|.
     """
     from . import holonomy
     from .cyclotomic import lift_power_sign

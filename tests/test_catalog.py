@@ -378,6 +378,22 @@ def test_expectations_row_of_wrong_length_is_an_error_not_missing_data(tmp_path,
     assert message in result.output
 
 
+def test_expectations_row_with_the_wrong_holonomy_is_an_error(tmp_path, cli):
+    data = _bundled_expectations_json()
+    rows = [row for row in data["rows"] if row["family"] == "27"]
+    assert rows and all(row["holonomy"] == "C2xC2" for row in rows)
+    rows[0]["holonomy"] = "C4"
+    p = tmp_path / "wrong_holonomy.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
+    message = "expectations row for family 27 has holonomy C4, but the family's holonomy is C2xC2"
+    with pytest.raises(CatalogFormatError, match=message):
+        cat.verify(catalog, cat.load_expectations(p))
+    result = cli("verify", "--expected", str(p))
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_loading_needs_no_jsonschema():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, spinaf.cli, spinaf.catalog; spinaf.catalog.load_bundled(); "

@@ -119,14 +119,19 @@ def test_verify_json_deterministic(cli):
     assert payload["summary"] == {"total": 127, "failures": 0, "zero_rows": 15}
 
 
-def test_verify_csv_stdout_is_only_csv():
+def _stdout_and_stderr(*args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["verify", "--format", "csv"]) == 0
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert main(list(args)) == 0
+    return out.getvalue(), err.getvalue()
+
+
+def test_verify_csv_stdout_is_only_csv():
+    out, err = _stdout_and_stderr("verify", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 128 and all(len(row) == 6 for row in rows)
     assert rows[0] == ["family", "holonomy", "params", "expected", "computed", "status"]
-    assert err.getvalue() == "127 rows, 0 failures, 15 rows with zero spin structures\n"
+    assert err == "127 rows, 0 failures, 15 rows with zero spin structures\n"
 
 
 def test_verify_altered_expectation_exit_1(cli, tmp_path):
@@ -174,6 +179,35 @@ def test_char_examples(cli):
         result = cli("char", "--family", family)
         assert result.exit_code == 0
         assert decomposition in result.output
+
+
+@pytest.mark.parametrize("family, holonomy, decomposition", [
+    ("1", "C1", "4χ1"), ("27", "C2xC2", "χ1+χ2+χ3+χ4"), ("143", "C3", "2χ1+χ2+χ3"),
+])
+def test_char_csv_and_markdown_are_tables(family, holonomy, decomposition):
+    out, _ = _stdout_and_stderr("char", "--family", family)
+    assert out == f"{family}: {decomposition}\n"
+    out, err = _stdout_and_stderr("char", "--family", family, "--format", "csv")
+    assert err == ""
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["family", "holonomy", "decomposition"], [family, holonomy, decomposition]]
+    out, _ = _stdout_and_stderr("char", "--family", family, "--format", "markdown")
+    assert out == (f"| family | holonomy | decomposition |\n| --- | --- | --- |\n"
+                   f"| {family} | {holonomy} | {decomposition} |\n")
+
+
+@pytest.mark.parametrize("family, elements", [("1", 2), ("27", 8), ("143", 0)])
+def test_lift_group_csv_stdout_is_only_csv(family, elements):
+    text, _ = _stdout_and_stderr("lift-group", "--family", family)
+    summary = text.splitlines()[0]
+    out, err = _stdout_and_stderr("lift-group", "--family", family, "--format", "csv")
+    assert err == summary + "\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    if elements:
+        assert rows[0] == ["#", "element"]
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(elements)]
+    else:
+        assert rows == []
 
 
 def test_export(cli):

@@ -1,14 +1,11 @@
+import itertools
 from fractions import Fraction
 
-from spinaf.cyclotomic import (
-    Cyc12,
-    I,
-    ZETA3,
-    ZETA6,
-    char_poly,
-    cyclotomic_factors,
-    lift_power_sign,
-)
+import pytest
+
+from spinaf import linalg, spin
+from spinaf.cyclotomic import Cyc12, I, ZETA3, ZETA6, lift_power_sign
+from spinaf.errors import InconsistentRecord
 
 
 def test_zeta_orders():
@@ -51,20 +48,6 @@ ROT6 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1))
 IDENT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def test_char_poly():
-    # identity: (x - 1)^4 = x^4 - 4x^3 + 6x^2 - 4x + 1
-    assert char_poly(IDENT) == tuple(Fraction(c) for c in (1, -4, 6, -4, 1))
-
-
-def test_cyclotomic_factors():
-    f = cyclotomic_factors(char_poly(ROT3))
-    assert f[3] == 1 and f[1] == 2
-    f = cyclotomic_factors(char_poly(ROT4))
-    assert f[4] == 1 and f[1] == 2
-    f = cyclotomic_factors(char_poly(ROT6))
-    assert f[6] == 1 and f[1] == 2
-
-
 def test_lift_power_sign():
     # a rotation through 2 pi / m acting in one plane lifts to an element of
     # order 2m in Spin(4): its m-th power is -1
@@ -73,3 +56,49 @@ def test_lift_power_sign():
     # order-3 rotation lifts to order 3: cube is +1
     assert lift_power_sign(ROT3, 3) == 1
     assert lift_power_sign(IDENT, 1) == 1
+
+
+def _order(M):
+    P, o = M, 1
+    while P != IDENT:
+        P, o = linalg.int_mat_mul(P, M), o + 1
+    return o
+
+
+def test_lift_power_sign_matches_clifford_powers():
+    # an independent computation: the m-th power of an honest spin preimage
+    # in the Clifford algebra, for every signed permutation in SO(4)
+    matrices = cases = 0
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            M = tuple(
+                tuple(signs[j] if perm[j] == i else 0 for j in range(4)) for i in range(4)
+            )
+            if linalg.int_det(M) != 1:
+                continue
+            matrices += 1
+            x = spin.preimage(linalg.as_matrix(M))[0]
+            o = _order(M)
+            for m in sorted({o, 2 * o}):
+                if m % 2:
+                    continue
+                assert x ** m == lift_power_sign(M, m) * x ** 0, (M, m)
+                cases += 1
+    assert (matrices, cases) == (192, 351)
+
+
+SHEAR = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+REFLECTION = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "M, m",
+    [
+        (ROT4, 6),  # order 4 does not divide 6
+        (SHEAR, 2),  # infinite order
+        (REFLECTION, 2),  # determinant -1
+    ],
+)
+def test_lift_power_sign_rejects(M, m):
+    with pytest.raises(InconsistentRecord):
+        lift_power_sign(M, m)

@@ -3,7 +3,7 @@
 
 Calls ``spinaf.cli.main(argv)`` in this interpreter, with standard output
 and standard error written to one buffer and the bundled catalog parsed and
-checked once, for 765 commands:
+checked once, for 1023 commands:
 
 - ``verify`` in text and ``--format json``;
 - ``classify --format json`` and ``export`` for every expectation row;
@@ -12,7 +12,12 @@ checked once, for 765 commands:
 - ``preimage`` in text and ``--format json`` for the 192 signed permutation
   matrices in SO(4), the 16 rotations L_q and R_q for q = (1 +- i +- j +- k)/2,
   the rotation by the angle with cosine 3/5 (its preimage leaves Q(sqrt 2)),
-  ``diag:1,1,1,-1`` and a matrix that is not orthogonal.
+  ``diag:1,1,1,-1`` and a matrix that is not orthogonal;
+- ``lift-group`` and ``char`` in text, ``--format csv`` and ``--format
+  markdown`` for every family.
+
+The first 765 lines are the commands of the tool's earlier versions, in the
+same order, so that ``head -n 765`` compares with their output.
 
 Each line is ``<sha256 of exit code and output>  <command>``.  Run it in two
 checkouts and diff the outputs to show that a change leaves every command's
@@ -74,6 +79,11 @@ def commands(catalog, expectations):
     for literal in preimage_literals():
         yield ["preimage", literal]
         yield ["preimage", "--format", "json", literal]
+    for family in sorted(catalog.families):
+        for command in ("lift-group", "char"):
+            yield [command, "--family", family]
+            for fmt in ("csv", "markdown"):
+                yield [command, "--format", fmt, "--family", family]
 
 
 def run(args):
