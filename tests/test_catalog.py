@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
-from spinaf import chartables, fp, holonomy, linalg
+from spinaf import chartables, fp, holonomy, linalg, spin
+from spinaf.clifford import CliffordElement
 from spinaf.errors import CatalogFormatError, InconsistentRecord
 
 
@@ -46,14 +47,14 @@ def test_records_and_results_are_read_only(bundled):
 
 
 def _cached(record):
-    return {"signed_perm_holonomy", "spin_base", "relator_signs"} & set(vars(record))
+    return {"relator_signs"} & set(vars(record))
 
 
 def test_record_equality_ignores_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.spin_base is not None and r.relator_signs is not None
-    assert _cached(r) >= {"spin_base", "relator_signs"}
+    assert r.relator_signs is not None
+    assert _cached(r) == {"relator_signs"}
     copy_ = cat.record_from_json(cat.record_to_json(r))
     assert _cached(copy_) == set()
     assert copy_ == r and r == copy_
@@ -62,7 +63,7 @@ def test_record_equality_ignores_cached_values(bundled):
 def test_replace_gives_a_record_with_no_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.spin_base is not None
+    assert r.relator_signs is not None
     renamed = r._replace(holonomy_name="C6")
     assert type(renamed) is fp.AlmostBieberbachRecord
     assert renamed.holonomy_name == "C6" and renamed.family == "4"
@@ -220,13 +221,13 @@ def test_mutated_record_is_rejected_or_fully_usable(d, data):
 
 def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):
     calls = []
-    original = fp.base_preimages
+    original = fp.lifted_holonomy
 
     def counting(record):
         calls.append(record.family)
         return original(record)
 
-    monkeypatch.setattr(fp, "base_preimages", counting)
+    monkeypatch.setattr(fp, "lifted_holonomy", counting)
     catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
     assert calls == []
     rows = [r for r in cat.load_expectations(cat.bundled_path("expectations.json"))
@@ -234,6 +235,19 @@ def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):
     assert len(rows) == 3
     assert cat.verify(catalog, rows).failures == 0
     assert calls == ["4"]
+
+
+def test_verify_makes_no_clifford_product_and_no_sylow_pullback(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while counting")
+
+    monkeypatch.setattr(spin, "preimage", refuse)
+    monkeypatch.setattr(CliffordElement, "__mul__", refuse)
+    monkeypatch.setattr(fp, "sylow_strategy", refuse)
+    monkeypatch.setattr(fp, "sylow_pullback_record", refuse)
+    catalog, expectations = cat.load_bundled()  # fresh records: no sign computed yet
+    report = cat.verify(catalog, expectations)
+    assert (report.total, report.failures) == (127, 0)
 
 
 def _bundled_expectations_json():
@@ -392,6 +406,14 @@ def test_expectations_row_with_the_wrong_holonomy_is_an_error(tmp_path, cli):
     result = cli("verify", "--expected", str(p))
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_verify_loads_no_clifford_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, spinaf.catalog as c; assert c.verify(*c.load_bundled()).failures == 0; "
+            "loaded = {'spinaf.clifford', 'spinaf.spin'} & set(sys.modules); "
+            "assert not loaded, f'{sorted(loaded)} imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_loading_needs_no_jsonschema():

@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import spinaf
 from spinaf import catalog as cat
+from spinaf import fp
 from spinaf.cli import main
+from spinaf.clifford import CliffordElement
+from spinaf.qsqrt2 import QSqrt2
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
@@ -207,7 +211,32 @@ def test_lift_group_csv_stdout_is_only_csv(family, elements):
         assert rows[0] == ["#", "element"]
         assert [row[0] for row in rows[1:]] == [str(i) for i in range(elements)]
     else:
-        assert rows == []
+        assert rows == [["family", "holonomy", "preimage", "order", "realization"],
+                        [family, "C3", "C6", "6", "abstract"]]
+
+
+def test_lift_group_csv_and_markdown_print_a_table_for_every_family():
+    for record in cat.load_catalog(cat.bundled_path("catalog.json")).records:
+        out, err = _stdout_and_stderr("lift-group", "--family", record.family, "--format", "csv")
+        assert len(list(csv.reader(io.StringIO(out)))) >= 2, record.family
+        markdown, markdown_err = _stdout_and_stderr(
+            "lift-group", "--family", record.family, "--format", "markdown")
+        assert markdown.startswith("| ") and markdown_err == err, record.family
+
+
+@pytest.mark.parametrize("args", [["lift-group", "--family", "27"], ["verify"]])
+def test_closed_stdout_exits_3_without_a_traceback(args):
+    # the read end is closed before the command starts, as ``| head -c 10``
+    # closes it after ten bytes: every write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "spinaf.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=ENV)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr == b""
 
 
 def test_export(cli):
@@ -223,12 +252,49 @@ def test_export(cli):
 
 
 def test_export_sylow_family(cli):
+    # the signs are relative to the lifts in Ĝ; there are no spin preimages
+    # over Q(sqrt 2) to print
     result = cli("export", "--family", "143", "--params", "k1=1")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["count"] == 2
-    assert payload["strategy"] == "sylow"
+    assert payload["strategy"] == "direct"
+    assert payload["assignments"] == [
+        {"a": -1, "al": 1, "b": 1, "c": 1, "d": 1},
+        {"a": 1, "al": -1, "b": 1, "c": 1, "d": 1},
+    ]
     assert "base_preimages" not in payload
+
+
+def _spin_element(payload):
+    """The CliffordElement written by ``export``'s ``base_preimages``."""
+    terms = {}
+    for term in payload["terms"]:
+        blade = term["blade"]
+        mask = sum(1 << int(i) - 1 for i in blade.split("e")[1:]) if blade != "1" else 0
+        c = term["coeff"]
+        terms[mask] = QSqrt2(Fraction(c["a_num"], c["a_den"]), Fraction(c["b_num"], c["b_den"]))
+    return CliffordElement(fp.DIM, terms)
+
+
+def test_export_assignments_make_every_relator_one():
+    # each listed assignment, applied to the payload's own spin preimages,
+    # is checked with the honest Clifford product on every signed-permutation row
+    catalog, expectations = cat.load_bundled()
+    one = CliffordElement.scalar(fp.DIM, 1)
+    rows = [e for e in expectations if catalog.find(e.family).signed_perm_holonomy]
+    assert len(rows) == 106
+    for e in rows:
+        record = catalog.find(e.family)
+        params = ",".join(f"{n}={v}" for n, v in zip(record.presentation.parameters, e.params))
+        out, _ = _stdout_and_stderr("export", "--family", e.family, "--params", params)
+        payload = json.loads(out)
+        base = {name: _spin_element(x) for name, x in payload["base_preimages"].items()}
+        relators = fp.instantiate_relators(record.presentation, payload["params"])
+        assert len(payload["assignments"]) == e.count
+        for assignment in payload["assignments"]:
+            for rel in relators:
+                assert fp.evaluate_word(rel, assignment, base) == one, (e.family, e.params)
 
 
 def test_formats_render(cli):

@@ -7,7 +7,7 @@ import pytest
 from spinaf import catalog as cat
 from spinaf import chartables, fp, linalg
 from spinaf.clifford import CliffordElement
-from spinaf.errors import InconsistentRecord, UnsupportedScalar
+from spinaf.errors import InconsistentRecord, SpinafError, UnsupportedScalar
 
 
 @pytest.fixture(scope="module")
@@ -50,26 +50,28 @@ def test_c6_sylow_counts(catalog):
         assert res.strategy == "sylow"
 
 
-def test_route_follows_the_matrices_not_the_name(catalog):
-    # records built in code skip load's check of the name against the closure
-    for family, strategy in [("4", "direct"), ("158", "direct"), ("173", "sylow")]:
+def test_wrongly_named_record_is_refused_not_miscounted(catalog):
+    # records built in code skip load's check of the name against the closure;
+    # counting builds Ĝ from the named group's table, which must fit the matrices
+    for family in ["4", "158", "173"]:
         r = catalog.find(family)
         zeros = {n: 0 for n in r.presentation.parameters}
         for name in ["C6", "C2", "no-such-group"]:
-            renamed = r._replace(holonomy_name=name)
-            assert renamed.signed_perm_holonomy is (strategy == "direct")
-            assert fp.count_lifts(renamed, zeros).strategy == strategy
+            if name == r.holonomy_name:
+                continue
+            with pytest.raises(SpinafError):
+                fp.count_lifts(r._replace(holonomy_name=name), zeros)
 
 
-def test_direct_strategy_rejects_irrational_holonomy(catalog):
+def test_direct_count_needs_no_spin_preimages(catalog):
     r = catalog.find("143")
+    assert not r.signed_perm_holonomy
     with pytest.raises(UnsupportedScalar):
         fp.base_preimages(r)
-    with pytest.raises(UnsupportedScalar):
-        fp.enumerate_lifts(r, params_of(r, (0, 0, 0, 0)))
-    # count_lifts routes it to the sylow strategy
     result = fp.count_lifts(r, params_of(r, (0, 0, 0, 0)))
-    assert (result.strategy, result.count) == ("sylow", 4)
+    assert (result.strategy, result.count) == ("direct", 4)
+    assert result == fp.enumerate_lifts(r, params_of(r, (0, 0, 0, 0)))
+    assert fp.sylow_strategy(r, params_of(r, (0, 0, 0, 0))).count == 4
 
 
 def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
@@ -88,27 +90,62 @@ def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
     def relator_length(record):
         return sum(len(rel) for rel in record.presentation.relators)
 
-    small = fp.count_lifts(r, params_of(r, (1, 0, 0, 0)))
-    large = fp.count_lifts(r, params_of(r, (20001, 0, 0, 0)))
+    small = fp.sylow_strategy(r, params_of(r, (1, 0, 0, 0)))
+    large = fp.sylow_strategy(r, params_of(r, (20001, 0, 0, 0)))
     assert large == small
     assert small.strategy == "sylow"
     assert len(built) == 2
     assert relator_length(built[1]) == relator_length(built[0])
 
 
-def test_sylow_strategy_agrees_with_direct_on_every_signed_perm_row(catalog):
-    # on a signed-permutation record both strategies apply: the Sylow one
-    # restricts to the 2-subgroup that fp.sylow_subgroup finds in the matrices
-    rows = [e for e in cat.load_expectations(cat.bundled_path("expectations.json"))
-            if catalog.find(e.family).signed_perm_holonomy]
-    assert len(rows) == 106
-    assert len({e.family for e in rows}) == 35
+def test_count_lifts_agrees_with_sylow_strategy_on_every_row(catalog):
+    # the Sylow oracle restricts to the 2-subgroup that fp.sylow_subgroup
+    # finds in the matrices and evaluates Clifford products there
+    rows = cat.load_expectations(cat.bundled_path("expectations.json"))
+    assert len(rows) == 127
+    assert len({e.family for e in rows}) == 43
     for e in rows:
         r = catalog.find(e.family)
         p = params_of(r, e.params)
-        direct, sylow = fp.enumerate_lifts(r, p), fp.sylow_strategy(r, p)
+        direct, sylow = fp.count_lifts(r, p), fp.sylow_strategy(r, p)
         assert (direct.strategy, sylow.strategy) == ("direct", "sylow")
         assert sylow.count == direct.count == e.count, (e.family, e.params)
+
+
+def clifford_relator_signs(record):
+    """Per relator, 1 iff its holonomy letters multiply to -1 over the
+    spin preimages of ``base_preimages``."""
+    base = fp.base_preimages(record)
+    holonomy = set(record.presentation.holonomy_generators())
+    one = CliffordElement.scalar(fp.DIM, 1)
+    signs = []
+    for rel in record.presentation.relators:
+        value = fp.evaluate_word([(g, e.const) for g, e in rel if g in holonomy], {}, base)
+        assert value in (one, -one), (record.family, rel)
+        signs.append(int(value == -one))
+    return tuple(signs)
+
+
+def test_relator_signs_in_the_lifted_group_equal_the_clifford_signs(catalog):
+    records = [r for r in catalog.records if r.signed_perm_holonomy]
+    assert len(records) == 35
+    for r in records:
+        assert r.relator_signs == clifford_relator_signs(r), r.family
+
+
+def test_holonomy_lift_is_the_even_order_element_over_its_matrix(catalog):
+    for r in catalog.records:
+        lifted = fp.lifted_holonomy(r)
+        G = lifted.group
+        assert len(G) == 2 * len(fp.holonomy_closure(r))
+        assert lifted.matrices[lifted.central] == linalg.int_identity(fp.DIM)
+        assert G.element_order(lifted.central) == 2
+        for g in r.presentation.holonomy_generators():
+            M = r.matrix_of(g)
+            x = fp.holonomy_lift(lifted, M)
+            assert lifted.matrices[x] == M
+            if M != linalg.int_identity(fp.DIM):
+                assert G.element_order(x) % 2 == 0, (r.family, g)
 
 
 def test_sylow_subgroup_has_odd_index_on_every_record(catalog):
@@ -269,4 +306,5 @@ def test_exponent_expr():
 def test_presentation_built_in_code_is_checked(generators, relators, message):
     with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
         gens = tuple(fp.GeneratorDecl(name, role) for name, role in generators)
-        fp.Presentation(gens, tuple(fp.word(*r) for r in relators))
+        fp.Presentation(gens, tuple(tuple((g, fp.ExponentExpr.make(e)) for g, e in r)
+                                    for r in relators))

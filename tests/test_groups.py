@@ -78,9 +78,12 @@ def test_todd_coxeter_with_subgroup():
 def test_regular_representation_q8():
     # <a, b | a^4, a^2 b^-2, b^-1 a b a>
     relators = [(1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)]
-    G = groups.regular_representation(2, relators)
+    G, words = groups.regular_representation(2, relators)
     assert len(G) == 8
     assert groups.identify_group(G) == "Q8"
+    # breadth-first words in the generators: distinct, prefix-closed, no inverses
+    assert words[0] == () and len(set(words)) == 8
+    assert all(w[:-1] in words and min(w) > 0 for w in words[1:])
 
 
 def test_reidemeister_schreier_index_two():
@@ -91,7 +94,7 @@ def test_reidemeister_schreier_index_two():
     assert ct.index == 2
     subgens, subrels, transversal = groups.reidemeister_schreier(1, relators, ct)
     # the subgroup C2 needs one generator
-    G = groups.regular_representation(
+    G, _ = groups.regular_representation(
         len(subgens), [r for r in subrels if r]
     )
     assert len(G) == 2
@@ -106,6 +109,6 @@ def test_element_order_and_profile():
 
 def test_conjugacy_classes_s3():
     relators = [(1, 1, 1), (2, 2), (1, 2, 1, 2)]
-    G = groups.regular_representation(2, relators)
+    G, _ = groups.regular_representation(2, relators)
     sizes = sorted(len(c) for c in G.conjugacy_classes())
     assert sizes == [1, 2, 3]
