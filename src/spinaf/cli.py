@@ -22,12 +22,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from . import catalog as cat
-from . import fp, holonomy, linalg, spin
-from .clifford import CliffordElement, blade_str
+from . import fp, holonomy, linalg
 from .errors import (
     CatalogFormatError,
     InconsistentRecord,
@@ -36,6 +35,9 @@ from .errors import (
     SpinafError,
     UnsupportedScalar,
 )
+
+if TYPE_CHECKING:  # imported by the commands that make spin elements
+    from .clifford import CliffordElement
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -157,6 +159,8 @@ def _qsqrt2_json(c) -> Dict[str, int]:
 
 
 def _spin_element_json(x: CliffordElement) -> dict:
+    from .clifford import blade_str
+
     return {
         "terms": [
             {"blade": blade_str(mask) if mask else "1", "coeff": _qsqrt2_json(coeff)}
@@ -272,6 +276,8 @@ def verify(catalog_path, expected_path, fmt) -> None:
 
 def preimage(matrix, fmt) -> None:
     """Both spin preimages of a matrix in SO(4)."""
+    from . import spin
+
     M = _parse_matrix(matrix)
     try:
         x, neg = spin.preimage(M)

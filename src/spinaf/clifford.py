@@ -5,20 +5,21 @@ mask means the generator ``e_{i+1}`` occurs in the blade.  A general element
 is a finite sum of blades with coefficients in Q(sqrt 2), stored sparsely
 with exact zero pruning.  Dimensions 1 through 8 are supported; everything
 this package needs lives in C_4.
+
+Products look blade signs up in :func:`sign_table`, a 2^n x 2^n table that
+:func:`blade_product` fills once per dimension, on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionError, NonVectorError
-from .qsqrt2 import QSqrt2
+from .qsqrt2 import ZERO, QSqrt2
 
 MAX_DIM = 8
-
-CoeffLike = "QSqrt2 | Fraction | int"
-
 
 def _coerce_coeff(c) -> QSqrt2:
     if isinstance(c, QSqrt2):
@@ -52,6 +53,14 @@ def blade_product(x: int, y: int) -> Tuple[int, int]:
     repeats = (x & y).bit_count()
     sign = -1 if (swaps + repeats) % 2 else 1
     return sign, x ^ y
+
+
+@cache
+def sign_table(n: int) -> Tuple[Tuple[bool, ...], ...]:
+    """Rows of the blade signs of C_n: entry [x][y] is true when the product
+    of blades x and y is -e_(x^y)."""
+    size = 1 << n
+    return tuple(tuple(blade_product(x, y)[0] < 0 for y in range(size)) for x in range(size))
 
 
 def blade_str(mask: int) -> str:
@@ -128,7 +137,7 @@ class CliffordElement:
         return dict(self._terms)
 
     def coeff(self, mask: int) -> QSqrt2:
-        return self._terms.get(mask, QSqrt2(0))
+        return self._terms.get(mask, ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -153,7 +162,7 @@ class CliffordElement:
         self._check_same(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, QSqrt2(0)) + c
+            s = terms.get(m, ZERO) + c
             if s.is_zero():
                 terms.pop(m, None)
             else:
@@ -187,18 +196,14 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._check_same(other)
+        negative = sign_table(self.n)
         acc: Dict[int, QSqrt2] = {}
         for mx, cx in self._terms.items():
+            row = negative[mx]
             for my, cy in other._terms.items():
-                sign, mask = blade_product(mx, my)
                 c = cx * cy
-                if sign < 0:
-                    c = -c
-                s = acc.get(mask, QSqrt2(0)) + c
-                if s.is_zero():
-                    acc.pop(mask, None)
-                else:
-                    acc[mask] = s
+                mask = mx ^ my
+                acc[mask] = acc.get(mask, ZERO) + (-c if row[my] else c)
         return CliffordElement(self.n, acc)
 
     def __rmul__(self, other):
@@ -209,14 +214,15 @@ class CliffordElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers are supported")
-        result = CliffordElement.scalar(self.n, 1)
+        result = None  # repeated squaring without a factor 1 or a last, unused square
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return CliffordElement.scalar(self.n, 1) if result is None else result
 
     # -- the three involutions -------------------------------------------
 
@@ -255,7 +261,7 @@ class CliffordElement:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, frozenset((m, c.a, c.b) for m, c in self._terms.items())))
+            h = hash((self.n, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .errors import DimensionError, NotInSO
-from .qsqrt2 import QSqrt2
+from .qsqrt2 import ZERO, QSqrt2
 
 Matrix = Tuple[Tuple[QSqrt2, ...], ...]
 
@@ -29,19 +29,25 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(QSqrt2(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    one = QSqrt2(1)
+    return tuple(tuple(one if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """The product AB; zero entries of A and B are skipped, not multiplied."""
     n = len(A)
     if len(B) != n:
         raise DimensionError("matrix size mismatch")
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(n)), QSqrt2(0)) for j in range(n))
-        for i in range(n)
-    )
+    out = []
+    for row in A:
+        acc = [ZERO] * n
+        for a, B_row in zip(row, B):
+            if a:
+                for j, b in enumerate(B_row):
+                    if b:
+                        acc[j] = acc[j] + a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -53,7 +59,7 @@ def det(A: Matrix) -> QSqrt2:
     n = len(A)
     if n == 1:
         return A[0][0]
-    total = QSqrt2(0)
+    total = ZERO
     for j in range(n):
         if A[0][j].is_zero():
             continue

@@ -19,10 +19,10 @@ import operator
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .clifford import CliffordElement, blade_product, vector_embed, vector_extract
+from .clifford import CliffordElement, sign_table, vector_embed, vector_extract
 from .errors import NotInImage, UnsupportedScalar
 from .linalg import Matrix
-from .qsqrt2 import QSqrt2
+from .qsqrt2 import ZERO, QSqrt2
 
 
 def is_spin(x: CliffordElement) -> bool:
@@ -86,9 +86,10 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     for A in range(1, 1 << n):
         top = A.bit_length() - 1
         images.append(images[A ^ (1 << top)] * vector_embed(n, [row[top] for row in M]))
+    negative = sign_table(n)
     # (A, m, c): the term c e_m of F_A, with the sign of e_A^-1 = +-e_A folded in
     terms = [
-        (A, m, c if blade_product(A, A)[0] > 0 else -c)
+        (A, m, -c if negative[A][A] else c)
         for A, F in enumerate(images)
         for m, c in F.terms.items()
     ]
@@ -97,16 +98,16 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
             continue
         acc: Dict[int, QSqrt2] = {}
         for A, m, c in terms:
-            s1, mb = blade_product(m, B)
-            s2, mask = blade_product(mb, A)
-            acc[mask] = acc.get(mask, QSqrt2(0)) + (c if s1 == s2 else -c)
+            mb = m ^ B
+            mask = mb ^ A
+            acc[mask] = acc.get(mask, ZERO) + (-c if negative[m][B] != negative[mb][A] else c)
         y = CliffordElement(n, acc)
         if not y.is_zero():
             break
     else:  # pragma: no cover - some <x^-1 e_B>_0 is nonzero for x != 0
         raise NotInImage("internal error: every frame sum vanished")
     # the scalar y * conj(y) is the sum of the squared coefficients of y
-    root = sum((c * c for c in y.terms.values()), QSqrt2(0)).sqrt()
+    root = sum((c * c for c in y.terms.values()), ZERO).sqrt()
     if root is None:
         raise UnsupportedScalar(
             "normalising the preimage requires a square root outside Q(sqrt 2)"

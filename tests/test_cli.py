@@ -330,6 +330,17 @@ def test_cli_import_leaves_click_out():
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
 
 
+def test_classify_char_and_verify_leave_the_spin_modules_out():
+    # only preimage, export and lift-group make spin elements
+    code = ("import contextlib, io, sys; from spinaf.cli import main\n"
+            "for args in (['classify', '--family', '1'], ['char', '--family', '1'], ['verify']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0, args\n"
+            "loaded = {'spinaf.spin', 'spinaf.clifford'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # dataclasses imports inspect, ast, dis and tokenize, which cost every query start-up
     code = ("import sys; import spinaf.cli; from spinaf import catalog; "

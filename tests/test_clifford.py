@@ -7,6 +7,7 @@ from spinaf.clifford import (
     CliffordElement,
     blade_product,
     blade_str,
+    sign_table,
     vector_embed,
     vector_extract,
 )
@@ -48,6 +49,15 @@ def test_blade_product_against_oracle():
     for x in range(16):
         for y in range(16):
             assert blade_product(x, y) == blade_product_oracle(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sign_table_is_blade_product(n):
+    table = sign_table(n)
+    assert len(table) == 1 << n
+    for x, row in enumerate(table):
+        assert row == tuple(blade_product(x, y)[0] < 0 for y in range(1 << n)), (n, x)
+    assert sign_table(n) is table
 
 
 def test_blade_product_examples():
@@ -128,5 +138,10 @@ def test_power():
     e12 = CliffordElement.blade(4, [1, 2])
     assert e12 ** 2 == CliffordElement.scalar(4, -1)
     assert e12 ** 0 == CliffordElement.scalar(4, 1)
+    x = CliffordElement(4, {0: 1, 0b0011: QSqrt2(0, 1), 0b1110: -2})
+    product = CliffordElement.scalar(4, 1)
+    for k in range(8):
+        assert x ** k == product, k
+        product = product * x
     with pytest.raises(ValueError):
         e12 ** -1

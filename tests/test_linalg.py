@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,27 @@ def test_every_bundled_relator_is_the_identity_matrix():
         for rel in record.presentation.relators:
             letters = [(g, e.const) for g, e in rel]
             assert fp.word_matrix(record.matrices, letters) == identity, record.family
+
+
+def random_qsqrt2_matrix(rng):
+    """A 4 x 4 matrix over Q(sqrt 2) in which about half the entries are 0."""
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        return QSqrt2(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                      Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+    return linalg.as_matrix([[entry() for _ in range(4)] for _ in range(4)])
+
+
+def test_mat_mul_is_the_dense_product():
+    rng = random.Random(12)
+    for _ in range(300):
+        A, B = random_qsqrt2_matrix(rng), random_qsqrt2_matrix(rng)
+        dense = tuple(
+            tuple(sum((A[i][k] * B[k][j] for k in range(4)), QSqrt2(0)) for j in range(4))
+            for i in range(4)
+        )
+        assert linalg.mat_mul(A, B) == dense
 
 
 def test_det_and_orthogonality():

@@ -2,7 +2,7 @@
 """Print one sha256 per CLI command over the bundled catalog.
 
 Calls ``spinaf.cli.main(argv)`` in this interpreter, with standard output
-and standard error written to one buffer and the bundled catalog parsed and
+and standard error captured apart and the bundled catalog parsed and
 checked once, for 1023 commands:
 
 - ``verify`` in text and ``--format json``;
@@ -19,9 +19,10 @@ checked once, for 1023 commands:
 The first 765 lines are the commands of the tool's earlier versions, in the
 same order, so that ``head -n 765`` compares with their output.
 
-Each line is ``<sha256 of exit code and output>  <command>``.  Run it in two
-checkouts and diff the outputs to show that a change leaves every command's
-output byte-identical:
+Each line is ``<sha256>  <command>``, the digest of the JSON list
+``[exit code, stdout, stderr]``, so output that moves from one stream to
+the other changes it.  Run it in two checkouts and diff the outputs to show
+that a change leaves every command's output byte-identical:
 
     python3 tools/output_digest.py > digests.txt
 """
@@ -32,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -87,14 +89,14 @@ def commands(catalog, expectations):
 
 
 def run(args):
-    """Exit code and output (stdout and stderr interleaved) of ``spinaf <args>``."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    """Exit code, standard output and standard error of ``spinaf <args>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(args)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main() -> int:
@@ -102,8 +104,7 @@ def main() -> int:
     loaded = cat.load_catalog
     cat.load_catalog = lambda path: catalog if Path(path) == cat.bundled_path("catalog.json") else loaded(path)
     for args in commands(catalog, expectations):
-        code, output = run(args)
-        digest = hashlib.sha256(f"{code}\n".encode() + output.encode()).hexdigest()
+        digest = hashlib.sha256(json.dumps(run(args)).encode()).hexdigest()
         print(f"{digest}  {' '.join(args)}")
     return 0
 
