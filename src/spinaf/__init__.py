@@ -12,7 +12,9 @@ __all__ = [
     "fp",
     "groups",
     "holonomy",
+    "intmat",
     "linalg",
+    "oracles",
     "qsqrt2",
     "spin",
 ]

@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
-from . import fp, holonomy, linalg
+from . import fp, holonomy, intmat
 from .chartables import TABLES
 from .errors import (
     CatalogFormatError,
@@ -229,22 +229,20 @@ class Catalog(NamedTuple):
         return [r.family for r in self.records]
 
 
-_IDENTITY = linalg.int_identity(DIM)
-
-
 def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
-    parameter-free holonomy exponents, relator consistency at the matrix
-    level, faithfulness, orientability, and, on a record with a holonomy
-    matrix that is not a signed permutation, that ``fp.sylow_subgroup`` has
-    odd index."""
+    parameter-free holonomy exponents, a finite holonomy group F on which
+    every relator holds and which is faithful to the named group (F is
+    built here, once, and kept on the record as ``holonomy_group``),
+    orientability, and, on a record with a holonomy matrix that is not a
+    signed permutation, that ``fp.sylow_subgroup`` has odd index."""
     holonomy_gens = record.presentation.holonomy_generators()
     for name, mat in record.matrices.items():
         if name not in holonomy_gens:
             raise InconsistentRecord(
                 f"family {record.family}: matrix for {name!r}, which is not a holonomy generator"
             )
-        if abs(linalg.int_det(mat)) != 1:
+        if abs(intmat.int_det(mat)) != 1:
             raise InconsistentRecord(
                 f"family {record.family}: matrix of {name!r} is not unimodular"
             )
@@ -254,16 +252,9 @@ def check_record(record: AlmostBieberbachRecord) -> None:
                 f"family {record.family}: holonomy generator {g!r} has no matrix"
             )
     fp.check_holonomy_exponents(record)
-    for rel in record.presentation.relators:
-        # lattice generators act trivially and holonomy exponents are constants
-        if fp.word_matrix(record.matrices, [(g, e.const) for g, e in rel]) != _IDENTITY:
-            raise InconsistentRecord(
-                f"family {record.family}: relator {fp._render_word(rel)} does not "
-                "hold for the holonomy matrices"
-            )
-    # faithfulness (also validates the holonomy name against the closure)
+    # the relators, then faithfulness (also validates the holonomy name)
     try:
-        F = holonomy.matrix_group_closure(record).group
+        F = record.holonomy_group
     except ClosureBoundExceeded as exc:
         raise InconsistentRecord(
             f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
@@ -272,7 +263,7 @@ def check_record(record: AlmostBieberbachRecord) -> None:
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
     if not record.signed_perm_holonomy:
         # the Sylow strategy restricts to fp.sylow_subgroup, sound only at odd index
-        index = len(F) // len(fp.sylow_subgroup(F))
+        index = F.order // len(fp.sylow_subgroup(F))
         if index % 2 == 0:
             raise InconsistentRecord(
                 f"family {record.family}: some holonomy matrix is not a signed permutation, "

@@ -8,22 +8,32 @@ literal non-negative integers or raises.
 
 Class representatives are stored as words in the table's abstract
 generators, alongside a defining presentation (power relators) used to
-match a concrete matrix group against the abstract one.
+match a concrete matrix group against the abstract one.  Character values
+are written as integers and powers of zeta_12 (:class:`Zeta`), and built in
+Q(zeta_12) when ``CharacterTable.characters`` is read, so that only the
+commands that decompose a character load :mod:`spinaf.cyclotomic`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple, Union
 
-from .cyclotomic import Cyc12, I, ZETA3, ZETA6
 from .errors import InconsistentRecord, UnknownGroup
+
+if TYPE_CHECKING:  # built by ``CharacterTable.characters``, which only ``char`` needs
+    from .cyclotomic import Cyc12
 
 ConcreteWord = Tuple[Tuple[str, int], ...]
 
 
-def _c(x) -> Cyc12:
-    return x if isinstance(x, Cyc12) else Cyc12(Fraction(x))
+class Zeta(NamedTuple):
+    """The character value zeta_12^k, written down without building it in
+    Q(zeta_12)."""
+
+    k: int
+
+
+Value = Union[int, Zeta]
 
 
 class CharacterTable(NamedTuple):
@@ -33,7 +43,8 @@ class CharacterTable(NamedTuple):
     relators: Tuple[Tuple[ConcreteWord, int], ...]
     class_reps: Tuple[ConcreteWord, ...]
     class_sizes: Tuple[int, ...]
-    characters: Tuple[Tuple[Cyc12, ...], ...]
+    # per character, its value on each class: an integer or a Zeta
+    character_values: Tuple[Tuple[Value, ...], ...]
 
     @property
     def order(self) -> int:
@@ -41,23 +52,36 @@ class CharacterTable(NamedTuple):
 
     @property
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(chi[0].rational_part().numerator for chi in self.characters)
+        return tuple(chi[0] for chi in self.character_values)
+
+    @property
+    def characters(self) -> Tuple[Tuple[Cyc12, ...], ...]:
+        """The character values as elements of Q(zeta_12)."""
+        from .cyclotomic import Cyc12
+
+        return tuple(
+            tuple(Cyc12.zeta_pow(v.k) if isinstance(v, Zeta) else Cyc12(v) for v in row)
+            for row in self.character_values
+        )
 
     def verify(self) -> None:
         """Exact first and second orthogonality, and sum of squared degrees."""
+        from .cyclotomic import Cyc12
+
+        characters = self.characters
         n = len(self.class_reps)
-        if any(len(chi) != n for chi in self.characters):
+        if any(len(chi) != n for chi in characters):
             raise InconsistentRecord(f"{self.name}: ragged character table")
         order = self.order
         if sum(d * d for d in self.degrees) != order:
             raise InconsistentRecord(f"{self.name}: degrees do not sum to the order")
-        zero = _c(0)
-        for i, chi in enumerate(self.characters):
-            for j, psi in enumerate(self.characters):
+        zero = Cyc12(0)
+        for i, chi in enumerate(characters):
+            for j, psi in enumerate(characters):
                 acc = zero
                 for size, a, b in zip(self.class_sizes, chi, psi):
-                    acc = acc + _c(size) * a * b.conjugate()
-                expected = _c(order if i == j else 0)
+                    acc = acc + Cyc12(size) * a * b.conjugate()
+                expected = Cyc12(order if i == j else 0)
                 if acc != expected:
                     raise InconsistentRecord(
                         f"{self.name}: row orthogonality fails for chi{i+1}, chi{j+1}"
@@ -65,9 +89,9 @@ class CharacterTable(NamedTuple):
         for j in range(n):
             for k in range(n):
                 acc = zero
-                for chi in self.characters:
+                for chi in characters:
                     acc = acc + chi[j] * chi[k].conjugate()
-                expected = _c(order // self.class_sizes[j] if j == k else 0)
+                expected = Cyc12(order // self.class_sizes[j] if j == k else 0)
                 if acc != expected:
                     raise InconsistentRecord(
                         f"{self.name}: column orthogonality fails at classes {j}, {k}"
@@ -80,6 +104,8 @@ def decompose(values: Sequence[Cyc12], table: CharacterTable) -> Tuple[int, ...]
     Computed exactly in Q(zeta_12); raises InconsistentRecord unless every
     multiplicity is a non-negative integer.
     """
+    from .cyclotomic import Cyc12
+
     if len(values) != len(table.class_reps):
         raise InconsistentRecord(
             f"{table.name}: class function has {len(values)} values, "
@@ -88,9 +114,9 @@ def decompose(values: Sequence[Cyc12], table: CharacterTable) -> Tuple[int, ...]
     order = table.order
     out: List[int] = []
     for i, chi in enumerate(table.characters):
-        acc = _c(0)
+        acc = Cyc12(0)
         for size, v, c in zip(table.class_sizes, values, chi):
-            acc = acc + _c(size) * v * c.conjugate()
+            acc = acc + Cyc12(size) * v * c.conjugate()
         if not acc.is_rational():
             raise InconsistentRecord(f"{table.name}: non-rational multiplicity of chi{i+1}")
         m = acc.rational_part() / order
@@ -116,18 +142,9 @@ def render_decomposition(mults: Sequence[int]) -> str:
 # the tables
 # ---------------------------------------------------------------------------
 
-_ONE = _c(1)
-_MONE = _c(-1)
-_Z3 = ZETA3
-_Z3SQ = ZETA3 * ZETA3
-_Z6 = ZETA6
-_Z6_POW = [_c(1)]
-for _ in range(5):
-    _Z6_POW.append(_Z6_POW[-1] * _Z6)
-
-
-def _row(*vals) -> Tuple[Cyc12, ...]:
-    return tuple(_c(v) for v in vals)
+# roots of unity: zeta_3 = zeta_12^4, i = zeta_12^3, zeta_6 = zeta_12^2
+_Z3, _Z3SQ = Zeta(4), Zeta(8)
+_I, _MI = Zeta(3), Zeta(9)
 
 
 def _w(*letters) -> ConcreteWord:
@@ -140,7 +157,7 @@ TABLE_C1 = CharacterTable(
     relators=(),
     class_reps=(_w(),),
     class_sizes=(1,),
-    characters=(_row(1),),
+    character_values=((1,),),
 )
 
 TABLE_C2 = CharacterTable(
@@ -149,7 +166,7 @@ TABLE_C2 = CharacterTable(
     relators=(((("a", 1),), 2),),
     class_reps=(_w(), _w(("a", 1))),
     class_sizes=(1, 1),
-    characters=(_row(1, 1), _row(1, -1)),
+    character_values=((1, 1), (1, -1)),
 )
 
 TABLE_C2xC2 = CharacterTable(
@@ -162,11 +179,11 @@ TABLE_C2xC2 = CharacterTable(
     ),
     class_reps=(_w(), _w(("a", 1)), _w(("b", 1)), _w(("a", 1), ("b", 1))),
     class_sizes=(1, 1, 1, 1),
-    characters=(
-        _row(1, 1, 1, 1),
-        _row(1, 1, -1, -1),
-        _row(1, -1, 1, -1),
-        _row(1, -1, -1, 1),
+    character_values=(
+        (1, 1, 1, 1),
+        (1, 1, -1, -1),
+        (1, -1, 1, -1),
+        (1, -1, -1, 1),
     ),
 )
 
@@ -176,10 +193,10 @@ TABLE_C3 = CharacterTable(
     relators=(((("a", 1),), 3),),
     class_reps=(_w(), _w(("a", 1)), _w(("a", 2))),
     class_sizes=(1, 1, 1),
-    characters=(
-        _row(1, 1, 1),
-        (_ONE, _Z3, _Z3SQ),
-        (_ONE, _Z3SQ, _Z3),
+    character_values=(
+        (1, 1, 1),
+        (1, _Z3, _Z3SQ),
+        (1, _Z3SQ, _Z3),
     ),
 )
 
@@ -189,11 +206,11 @@ TABLE_C4 = CharacterTable(
     relators=(((("a", 1),), 4),),
     class_reps=(_w(), _w(("a", 1)), _w(("a", 2)), _w(("a", 3))),
     class_sizes=(1, 1, 1, 1),
-    characters=(
-        _row(1, 1, 1, 1),
-        _row(1, -1, 1, -1),
-        (_ONE, I, _MONE, -I),
-        (_ONE, -I, _MONE, I),
+    character_values=(
+        (1, 1, 1, 1),
+        (1, -1, 1, -1),
+        (1, _I, -1, _MI),
+        (1, _MI, -1, _I),
     ),
 )
 
@@ -203,13 +220,13 @@ TABLE_C6 = CharacterTable(
     relators=(((("a", 1),), 6),),
     class_reps=tuple(_w(("a", k)) if k else _w() for k in range(6)),
     class_sizes=(1, 1, 1, 1, 1, 1),
-    characters=(
-        _row(1, 1, 1, 1, 1, 1),
-        _row(1, -1, 1, -1, 1, -1),
-        (_ONE, _Z3, _Z3SQ, _ONE, _Z3, _Z3SQ),
-        (_ONE, _Z3SQ, _Z3, _ONE, _Z3SQ, _Z3),
-        tuple(_Z6_POW[k % 6] for k in range(6)),
-        tuple(_Z6_POW[(5 * k) % 6] for k in range(6)),
+    character_values=(
+        (1, 1, 1, 1, 1, 1),
+        (1, -1, 1, -1, 1, -1),
+        (1, _Z3, _Z3SQ, 1, _Z3, _Z3SQ),
+        (1, _Z3SQ, _Z3, 1, _Z3SQ, _Z3),
+        (1, Zeta(2), Zeta(4), -1, Zeta(8), Zeta(10)),  # zeta_6^k
+        (1, Zeta(10), Zeta(8), -1, Zeta(4), Zeta(2)),  # zeta_6^(5k)
     ),
 )
 
@@ -223,10 +240,10 @@ TABLE_S3 = CharacterTable(
     ),
     class_reps=(_w(), _w(("a", 1)), _w(("b", 1))),
     class_sizes=(1, 2, 3),
-    characters=(
-        _row(1, 1, 1),
-        _row(1, 1, -1),
-        _row(2, -1, 0),
+    character_values=(
+        (1, 1, 1),
+        (1, 1, -1),
+        (2, -1, 0),
     ),
 )
 
@@ -241,12 +258,12 @@ TABLE_D8 = CharacterTable(
     # classes: 1, b, ab, a^2, a
     class_reps=(_w(), _w(("b", 1)), _w(("a", 1), ("b", 1)), _w(("a", 2)), _w(("a", 1))),
     class_sizes=(1, 2, 2, 1, 2),
-    characters=(
-        _row(1, 1, 1, 1, 1),
-        _row(1, -1, -1, 1, 1),
-        _row(1, 1, -1, 1, -1),
-        _row(1, -1, 1, 1, -1),
-        _row(2, 0, 0, -2, 0),
+    character_values=(
+        (1, 1, 1, 1, 1),
+        (1, -1, -1, 1, 1),
+        (1, 1, -1, 1, -1),
+        (1, -1, 1, 1, -1),
+        (2, 0, 0, -2, 0),
     ),
 )
 
@@ -268,13 +285,13 @@ TABLE_D12 = CharacterTable(
         _w(("b", 1)),
     ),
     class_sizes=(1, 3, 1, 2, 3, 2),
-    characters=(
-        _row(1, 1, 1, 1, 1, 1),
-        _row(1, -1, 1, 1, -1, 1),
-        _row(1, -1, -1, 1, 1, -1),
-        _row(1, 1, -1, 1, -1, -1),
-        _row(2, 0, 2, -1, 0, -1),
-        _row(2, 0, -2, -1, 0, 1),
+    character_values=(
+        (1, 1, 1, 1, 1, 1),
+        (1, -1, 1, 1, -1, 1),
+        (1, -1, -1, 1, 1, -1),
+        (1, 1, -1, 1, -1, -1),
+        (2, 0, 2, -1, 0, -1),
+        (2, 0, -2, -1, 0, 1),
     ),
 )
 

@@ -16,17 +16,15 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from . import catalog as cat
-from . import fp, holonomy, linalg
+from . import fp, holonomy
 from .errors import (
     CatalogFormatError,
     InconsistentRecord,
@@ -127,6 +125,8 @@ def _param_vector(
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
@@ -181,6 +181,10 @@ def _dump_json(payload) -> str:
 def _parse_matrix(literal: str):
     """Parse a matrix literal: 'identity', 'diag:1,1,-1,-1', or
     'mat:' followed by 16 row-major comma-separated rationals."""
+    from fractions import Fraction
+
+    from . import linalg
+
     literal = literal.strip()
     if literal == "identity":
         return linalg.as_matrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
@@ -376,7 +380,7 @@ def export(catalog_path, family, params, fmt) -> None:
     }
     if record.signed_perm_holonomy:
         payload["base_preimages"] = {
-            name: _spin_element_json(x) for name, x in sorted(fp.base_preimages(record).items())
+            name: _spin_element_json(x) for name, x in sorted(record.base_preimages.items())
         }
     print(_dump_json(payload))
 

@@ -1,5 +1,4 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_12), and the lift sign of
-a power relator of an integer holonomy matrix, read off one trace.
+"""Exact arithmetic in the cyclotomic field Q(zeta_12).
 
 Every character value of the holonomy groups in dimension four lies in
 Q(zeta_12): the eigenvalues of a finite-order element of GL(4, Z) are roots
@@ -13,7 +12,6 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import InconsistentRecord
-from .linalg import int_det, int_identity, int_mat_mul
 
 
 class Cyc12:
@@ -157,37 +155,11 @@ ZETA3 = Cyc12.zeta_pow(4)
 ZETA6 = Cyc12.zeta_pow(2)
 
 
-# ---------------------------------------------------------------------------
-# Lift signs of power relators
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # ``lift_power_sign`` lives in ``spinaf.fp``; spinbench's tracer still
+    # looks it up here
+    if name == "lift_power_sign":
+        from . import fp
 
-
-def lift_power_sign(M: Sequence[Sequence[int]], m: int) -> int:
-    """Sign s with x^m = s for either preimage x of M under the double cover.
-
-    Requires an integer matrix M of determinant 1 with M^m = 1; M has some
-    finite order o and is conjugate into SO(4).  For even m: if M's rotation
-    angles are 2 pi j_1/o and 2 pi j_2/o, then x^o = (-1)^(j_1 + j_2).  The
-    involution M^(o/2) is -1 on exactly the rotation planes with odd j_k, so
-    its trace t is 0 or -4, (4 - t)/4 counts those planes, and
-    s = (-1)^(((4 - t)/4) (m/o)); for odd o, s = +1.  For odd m the preimage
-    pair {x, -x} contains exactly one element with x^m = 1, so the question
-    has no invariant answer and we return +1 by convention for the element
-    of odd order.
-    """
-    if m % 2:
-        return 1
-    d = int_det(M)
-    if d != 1:
-        raise InconsistentRecord(f"matrix has determinant {d}, so it is not in SO(4)")
-    one = int_identity(4)
-    powers = [one, tuple(map(tuple, M))]
-    while powers[-1] != one and len(powers) <= m:
-        powers.append(int_mat_mul(powers[-1], M))
-    o = len(powers) - 1
-    if powers[-1] != one or m % o:
-        raise InconsistentRecord(f"matrix does not satisfy M^{m} = 1")
-    if o % 2:
-        return 1
-    t = sum(powers[o // 2][i][i] for i in range(4))
-    return -1 if (4 - t) // 4 * (m // o) % 2 else 1
+        return fp.lift_power_sign
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

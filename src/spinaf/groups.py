@@ -1,10 +1,11 @@
 """Finite group utilities: closures, isomorphism-type identification and
 coset enumeration.
 
-Groups are handled concretely as a list of hashable elements together with
-a multiplication callable.  Everything here is sized for groups of order
-at most a few dozen (the holonomy groups and their double covers), so the
-algorithms are straightforward brute force.
+Closures run on hashable elements with a multiplication callable; a
+:class:`FiniteGroup` numbers its elements 0 .. n-1 and multiplies them by
+looking up one integer table.  Everything here is sized for groups of
+order at most a few dozen (the holonomy groups and their double covers),
+so the algorithms are straightforward brute force.
 
 Words in abstract generators are tuples of nonzero integers: ``+k`` is the
 k-th generator (1-based) and ``-k`` its inverse.
@@ -32,6 +33,35 @@ def word_to_letters(word: Sequence[Tuple[str, int]], pos: Mapping[str, int]) -> 
     return tuple(out)
 
 
+def cayley_graph(
+    gens: Sequence[Hashable],
+    mul: Callable,
+    identity: Hashable,
+    bound: int = 4096,
+) -> Tuple[List[Hashable], List[List[int]]]:
+    """Breadth-first closure of a generating set under multiplication.
+
+    Returns the elements in the order reached, the identity first, and per
+    element x the indices of x * g for the generators g in order.
+    """
+    elements = [identity]
+    index = {identity: 0}
+    right: List[List[int]] = []
+    for x in elements:  # grows as new elements are reached
+        row = []
+        for g in gens:
+            y = mul(x, g)
+            i = index.get(y)
+            if i is None:
+                if len(elements) >= bound:
+                    raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
+                i = index[y] = len(elements)
+                elements.append(y)
+            row.append(i)
+        right.append(row)
+    return elements, right
+
+
 def closure(
     gens: Sequence[Hashable],
     mul: Callable,
@@ -39,102 +69,116 @@ def closure(
     bound: int = 4096,
 ) -> List[Hashable]:
     """BFS closure of a generating set under multiplication."""
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    if len(seen) >= bound:
-                        raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return order
+    return cayley_graph(gens, mul, identity, bound)[0]
+
+
+def spanning_tree(right: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
+    """Breadth-first from element 0 along ``right[x][k]`` = x g_k: per
+    element but 0, in the order reached, (element, x, k) for the edge x -> x g_k
+    that first reached it."""
+    reached = [True] + [False] * (len(right) - 1)
+    queue = [0]
+    tree = []
+    for x in queue:
+        for k, y in enumerate(right[x]):
+            if not reached[y]:
+                reached[y] = True
+                tree.append((y, x, k))
+                queue.append(y)
+    if len(queue) != len(right):
+        raise ValueError("the generators do not reach every element")
+    return tree
 
 
 class FiniteGroup:
-    """A finite group given by an explicit element list and multiplication."""
+    """A finite group on the elements 0 .. n-1, 0 the identity, given by its
+    multiplication table: ``table[a][b]`` is the product ab.  Inverses and
+    element orders are read off the table once."""
 
-    def __init__(self, elements: Sequence[Hashable], mul: Callable, identity: Hashable):
-        self.elements = list(elements)
-        self.mul = mul
-        self.identity = identity
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if identity not in self.index:
-            raise ValueError("identity not among the elements")
+    identity = 0
+
+    def __init__(self, table: Sequence[Sequence[int]]):
+        self.table = table
+        n = len(table)
+        inverses, orders = [], []
+        for a in range(n):
+            prev, x, k = 0, a, 1
+            while x:  # x = a^k; the power before the identity is the inverse
+                prev, x, k = x, table[x][a], k + 1
+                if k > n:
+                    raise ValueError("element order exceeds group order; not a group?")
+            inverses.append(prev)
+            orders.append(k)
+        self.inverses = tuple(inverses)
+        self.orders = tuple(orders)
 
     @classmethod
-    def generated(cls, gens, mul, identity, bound: int = 4096) -> "FiniteGroup":
-        return cls(closure(gens, mul, identity, bound), mul, identity)
+    def from_right_action(cls, right: Sequence[Sequence[int]]) -> "FiniteGroup":
+        """The group whose generators g_k act on the elements 0 .. n-1 by
+        ``right[x][k]`` = x g_k, 0 the identity (``cayley_graph``, or a
+        complete coset table of the trivial subgroup)."""
+        tree = spanning_tree(right)
+        rows = []
+        for a in range(len(right)):
+            row = [a] * len(right)
+            for y, x, k in tree:  # a y = (a x) g_k, and a x is already known
+                row[y] = right[row[x]][k]
+            rows.append(tuple(row))
+        return cls(tuple(rows))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
-    def inverse(self, g):
-        for h in self.elements:
-            if self.mul(g, h) == self.identity:
-                return h
-        raise ValueError("element has no inverse; not a group?")
+    @property
+    def elements(self) -> range:
+        return range(len(self.table))
 
-    def element_order(self, g) -> int:
-        k = 1
-        x = g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-            if k > len(self.elements):
-                raise ValueError("element order exceeds group order; not a group?")
-        return k
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def inverse(self, g: int) -> int:
+        return self.inverses[g]
+
+    def element_order(self, g: int) -> int:
+        return self.orders[g]
 
     def order_profile(self) -> Counter:
-        return Counter(self.element_order(g) for g in self.elements)
+        return Counter(self.orders)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for i, a in enumerate(self.elements)
-            for b in self.elements[i + 1:]
-        )
+        table = self.table
+        return all(table[a][b] == table[b][a] for a in self.elements for b in range(a))
 
-    def conjugacy_classes(self) -> List[List[Hashable]]:
+    def conjugacy_classes(self) -> List[List[int]]:
+        table, inverses = self.table, self.inverses
         seen = set()
         classes = []
         for g in self.elements:
             if g in seen:
                 continue
-            cls_ = set()
-            for h in self.elements:
-                k = self.mul(self.mul(h, g), self.inverse(h))
-                cls_.add(k)
+            cls_ = {table[table[h][g]][inverses[h]] for h in self.elements}
             seen |= cls_
-            classes.append(sorted(cls_, key=lambda x: self.index[x]))
+            classes.append(sorted(cls_))
         return classes
 
-    def power(self, g, k: int):
+    def power(self, g: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inverse(g), -k)
-        r = self.identity
+            g, k = self.inverses[g], -k
+        table = self.table
+        r = 0
         while k:
             if k & 1:
-                r = self.mul(r, g)
-            g = self.mul(g, g)
+                r = table[r][g]
+            g = table[g][g]
             k >>= 1
         return r
 
-    def evaluate_word(self, word: Word, gens: Sequence[Hashable]):
-        out = self.identity
+    def evaluate_word(self, word: Word, gens: Sequence[int]) -> int:
+        table, inverses = self.table, self.inverses
+        out = 0
         for letter in word:
             g = gens[abs(letter) - 1]
-            if letter < 0:
-                g = self.inverse(g)
-            out = self.mul(out, g)
+            out = table[out][g if letter > 0 else inverses[g]]
         return out
 
 
@@ -427,85 +471,26 @@ def regular_representation(
     ngens: int, relators: Sequence[Word], bound: int = 8192
 ) -> Tuple[FiniteGroup, List[Word]]:
     """The group <gens | relators> as a permutation group on itself, and
-    per element its word in ``schreier_transversal``.
+    per element its word in the generators.
 
-    Elements are cosets of the trivial subgroup, 0 the identity;
-    multiplication traces the transversal word of the right factor from
-    the left factor's coset.
+    Elements are cosets of the trivial subgroup, 0 the identity.  Each
+    word is the breadth-first path to its coset along the generators only:
+    each one permutes the finitely many cosets, so the cosets are all
+    reached without inverse letters.
     """
     ct = todd_coxeter(ngens, relators, subgroup=(), bound=bound)
-    words = [w for w, _edge in schreier_transversal(ct)]
-    return FiniteGroup(list(range(ct.index)), lambda a, b: ct.apply_word(a, words[b]), 0), words
+    right = [row[0::2] for row in ct.table]  # letter 2k is generator k + 1
+    words: List[Word] = [()] * ct.index
+    for y, x, k in spanning_tree(right):
+        words[y] = words[x] + (k + 1,)
+    return FiniteGroup.from_right_action(right), words
 
 
-# ---------------------------------------------------------------------------
-# Reidemeister-Schreier rewriting
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # the Reidemeister-Schreier oracle lives in ``spinaf.oracles``; spinbench's
+    # tracer still looks it up here
+    if name == "reidemeister_schreier":
+        from . import oracles
 
-
-def schreier_transversal(ct: CosetTable) -> List[Tuple[Word, Optional[Tuple[int, int]]]]:
-    """BFS transversal for a complete coset table, along the generators
-    only: each one permutes the finitely many cosets, so the cosets are all
-    reached without inverse letters.
-
-    Returns, per coset, a pair (word, tree_edge) where ``word`` reaches the
-    coset from coset 0 and ``tree_edge`` is the (source coset, generator)
-    pair that first reached it (None for coset 0).
-    """
-    out: List[Optional[Tuple[Word, Optional[Tuple[int, int]]]]] = [None] * ct.index
-    out[0] = ((), None)
-    queue = [0]
-    for c in queue:
-        for g in range(1, ct.ngens + 1):
-            d = ct.table[c][2 * (g - 1)]
-            if out[d] is None:
-                out[d] = (out[c][0] + (g,), (c, g))
-                queue.append(d)
-    return out  # type: ignore[return-value]
-
-
-def reidemeister_schreier(
-    ngens: int, relators: Sequence[Word], ct: CosetTable
-) -> Tuple[List[Tuple[int, int]], List[Word], List[Word]]:
-    """Presentation of the subgroup described by a complete coset table.
-
-    Returns ``(subgens, subrelators, transversal_words)`` where ``subgens``
-    lists the non-tree Schreier generators as (coset, generator) pairs,
-    ``subrelators`` are the rewritten relators (words over 1-based indices
-    into ``subgens``), and ``transversal_words`` gives a coset
-    representative word (over the original generators) per coset.
-    """
-    trans = schreier_transversal(ct)
-    tree_edges = {edge for _word, edge in trans if edge is not None}
-    subgens: List[Tuple[int, int]] = []
-    gen_index = {}
-    for c in range(ct.index):
-        for g in range(1, ngens + 1):
-            if (c, g) not in tree_edges:
-                gen_index[(c, g)] = len(subgens) + 1
-                subgens.append((c, g))
-
-    def rewrite(start: int, word: Word) -> Word:
-        out = []
-        c = start
-        for letter in word:
-            g = abs(letter)
-            if letter > 0:
-                key = (c, g)
-                c = ct.table[c][2 * (g - 1)]
-                if key in gen_index:
-                    out.append(gen_index[key])
-            else:
-                c = ct.table[c][2 * (g - 1) + 1]
-                key = (c, g)
-                if key in gen_index:
-                    out.append(-gen_index[key])
-        return tuple(out)
-
-    subrels = []
-    for c in range(ct.index):
-        for r in relators:
-            w = rewrite(c, r)
-            if w:
-                subrels.append(w)
-    return subgens, subrels, [trans[c][0] for c in range(ct.index)]
+        return oracles.reidemeister_schreier
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,59 +1,112 @@
 """Integral holonomy representations: closure, orientability, characters.
 
 The catalog stores one integer matrix per holonomy generator.  This module
-closes them into a finite matrix group, checks faithfulness against the
-named abstract holonomy group, computes the trace class function of the
-4-dimensional representation, and decomposes it against the built-in
-character table of the named group.
+closes them into a finite group F with one integer multiplication table,
+checks the record's relators and faithfulness against the named abstract
+holonomy group, computes the trace class function of the 4-dimensional
+representation, and decomposes it against the built-in character table of
+the named group.  Each record builds F once and keeps it
+(``AlmostBieberbachRecord.holonomy_group``).
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
-from . import chartables, groups, linalg
+from . import chartables, groups, intmat
 from .chartables import CharacterTable, render_decomposition
-from .cyclotomic import Cyc12
 from .errors import InconsistentRecord
-from .fp import DIM, AlmostBieberbachRecord, holonomy_closure, word_matrix
+from .fp import DIM, AlmostBieberbachRecord, _render_word
+
+if TYPE_CHECKING:  # built by ``trace_character``, which only ``char`` needs
+    from .cyclotomic import Cyc12
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 class FiniteMatrixGroup(NamedTuple):
+    """F: its elements 0 .. |F| - 1 in closure order, 0 the identity."""
+
     group: groups.FiniteGroup
-    # table generator name -> matrix realizing it (satisfies the table's
-    # presentation and generates the group)
-    generator_map: Tuple[Tuple[str, IntMatrix], ...]
+    matrices: Tuple[IntMatrix, ...]  # per element, its matrix
+    # per table generator, the element realizing it (the elements satisfy
+    # the table's presentation and generate the group)
+    generators: Tuple[int, ...]
     table: CharacterTable
 
     @property
     def order(self) -> int:
         return len(self.group)
 
+    @property
+    def generator_map(self) -> Tuple[Tuple[str, IntMatrix], ...]:
+        """Table generator name -> the matrix realizing it."""
+        return tuple(zip(self.table.generators, (self.matrices[x] for x in self.generators)))
+
+    def element_of_word(self, word: Sequence[Tuple[str, int]]) -> int:
+        """The element of a word in the table's generators."""
+        pos = {g: i for i, g in enumerate(self.table.generators)}
+        return self.group.evaluate_word(groups.word_to_letters(word, pos), self.generators)
+
 
 def orientability(record: AlmostBieberbachRecord) -> bool:
     """True iff every holonomy matrix has determinant +1."""
     return all(
-        linalg.int_det(record.matrix_of(g)) == 1
+        intmat.int_det(record.matrix_of(g)) == 1
         for g in record.presentation.holonomy_generators()
     )
 
 
-def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
-    """Close the holonomy matrices and match them to the named group.
+def _check_relators(
+    record: AlmostBieberbachRecord, names: Sequence[str], right: Sequence[Sequence[int]]
+) -> None:
+    """Every relator is the identity in F, walked through the right action
+    ``right[x][k]`` of the k-th holonomy generator (``names[k]``); lattice
+    generators act trivially and holonomy exponents are constants."""
+    column = {g: k for k, g in enumerate(names)}
+    orders = []
+    for k in range(len(names)):
+        x, o = right[0][k], 1
+        while x:
+            x, o = right[x][k], o + 1
+        orders.append(o)
+    for rel in record.presentation.relators:
+        x = 0
+        for g, e in rel:
+            k = column.get(g)
+            if k is not None:
+                for _ in range(e.const % orders[k]):
+                    x = right[x][k]
+        if x:
+            raise InconsistentRecord(
+                f"family {record.family}: relator {_render_word(rel)} does not "
+                "hold for the holonomy matrices"
+            )
 
-    Raises InconsistentRecord when the closure order differs from the order
-    of the named group (the representation would not be faithful), or when
-    no generating tuple satisfies the table's presentation.
+
+def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
+    """Close the holonomy matrices, check the record's relators on them and
+    match them to the named group.
+
+    Raises ClosureBoundExceeded when the matrices generate no small finite
+    group, and InconsistentRecord when a relator does not hold, when the
+    closure order differs from the order of the named group (the
+    representation would not be faithful), or when no generating tuple
+    satisfies the table's presentation.  The generating tuple is the first
+    one in closure order.
     """
     table = chartables.get_table(record.holonomy_name)
-    G = holonomy_closure(record)
-    if len(G) != table.order:
+    names = record.presentation.holonomy_generators()
+    identity = intmat.int_identity(DIM)
+    mats, right = groups.cayley_graph(
+        [record.matrix_of(g) for g in names] or [identity], intmat.int_mat_mul, identity)
+    _check_relators(record, names, right)
+    if len(mats) != table.order:
         raise InconsistentRecord(
-            f"family {record.family}: holonomy closure has order {len(G)}, "
+            f"family {record.family}: holonomy closure has order {len(mats)}, "
             f"but {record.holonomy_name} has order {table.order}"
         )
+    G = groups.FiniteGroup.from_right_action(right)
     pos = {g: i for i, g in enumerate(table.generators)}
     gen_orders = []
     power_of = {base[0][0]: power for base, power in table.relators if len(base) == 1}
@@ -68,8 +121,7 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
             f"family {record.family}: matrices do not realize the "
             f"{record.holonomy_name} presentation"
         )
-    gen_map = tuple(zip(table.generators, combo))
-    return FiniteMatrixGroup(G, gen_map, table)
+    return FiniteMatrixGroup(G, tuple(mats), tuple(combo), table)
 
 
 def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
@@ -80,25 +132,25 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
     representatives are checked to land in distinct classes of the sizes
     the table declares.
     """
-    fg = matrix_group_closure(record)
-    G, table = fg.group, fg.table
-    mats = dict(fg.generator_map)
-    classes = G.conjugacy_classes()
-    for cls_ in classes:
-        traces = {sum(m[i][i] for i in range(DIM)) for m in cls_}
-        if len(traces) != 1:
+    from .cyclotomic import Cyc12
+
+    F = record.holonomy_group
+    table = F.table
+    traces = [sum(M[i][i] for i in range(DIM)) for M in F.matrices]
+    classes = F.group.conjugacy_classes()
+    class_of = {}
+    for idx, cls_ in enumerate(classes):
+        if len({traces[x] for x in cls_}) != 1:
             raise InconsistentRecord(
                 f"family {record.family}: trace is not constant on a conjugacy class"
             )
-    class_of = {}
-    for idx, cls_ in enumerate(classes):
-        for m in cls_:
-            class_of[m] = idx
+        for x in cls_:
+            class_of[x] = idx
     values: List[Cyc12] = []
     seen = set()
     for rep_word, size in zip(table.class_reps, table.class_sizes):
-        m = word_matrix(mats, rep_word)
-        idx = class_of[m]
+        x = F.element_of_word(rep_word)
+        idx = class_of[x]
         if idx in seen:
             raise InconsistentRecord(
                 f"family {record.family}: two table class representatives are conjugate"
@@ -109,7 +161,7 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
                 f"family {record.family}: class size mismatch "
                 f"({len(classes[idx])} vs declared {size})"
             )
-        values.append(Cyc12(sum(m[i][i] for i in range(DIM))))
+        values.append(Cyc12(traces[x]))
     return tuple(values)
 
 
@@ -119,4 +171,3 @@ def character_of_record(record: AlmostBieberbachRecord) -> Tuple[Tuple[int, ...]
     table = chartables.get_table(record.holonomy_name)
     mults = chartables.decompose(trace_character(record), table)
     return mults, render_decomposition(mults)
-

@@ -1,0 +1,234 @@
+"""Independent oracles for the count path, which only the tests run.
+
+``fp.enumerate_lifts`` counts every row from relator signs traced in
+Ĝ = λ⁻¹(F).  The computations here share no sign computation with it:
+
+- ``evaluate_word``: the honest Clifford product of a word over the spin
+  preimages ``fp.base_preimages`` (over Q(sqrt 2), when every holonomy
+  matrix is a signed permutation);
+- ``sylow_strategy``: existence decided on the pullback of a 2-subgroup S
+  of F of odd index made of signed permutations (``fp.sylow_subgroup``),
+  rewritten by Reidemeister-Schreier (``sylow_pullback_record``), and the
+  count 2^(mod-2 abelianization rank);
+- ``word_matrix``: a word's integer matrix, by matrix arithmetic.
+
+No ``spinaf`` command imports this module.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from . import intmat
+from .clifford import CliffordElement
+from .fp import (
+    DIM,
+    HOLONOMY,
+    LATTICE,
+    AlmostBieberbachRecord,
+    ConcreteWord,
+    ExponentExpr,
+    GeneratorDecl,
+    IntMatrix,
+    LiftResult,
+    Presentation,
+    _check_params,
+    _f2_solve,
+    _parity_rows,
+    base_preimages,
+    instantiate_relators,
+    reduce_params_mod2,
+    sylow_subgroup,
+)
+from .groups import CosetTable, Word, spanning_tree, word_to_letters
+
+
+def word_matrix(matrices: Mapping[str, IntMatrix], w: Sequence[Tuple[str, int]]) -> IntMatrix:
+    """The integer matrix of a word; generators without a matrix act trivially."""
+    M = None
+    for gen, exp in w:
+        if gen in matrices:
+            P = intmat.int_mat_pow(matrices[gen], exp)
+            M = P if M is None else intmat.int_mat_mul(M, P)
+    return intmat.int_identity(DIM) if M is None else M
+
+
+def evaluate_word(
+    w: ConcreteWord, assignment: Mapping[str, int], base: Mapping[str, CliffordElement]
+) -> CliffordElement:
+    """Honest Clifford product of (sign * base)^exponent along a word."""
+    result = CliffordElement.scalar(DIM, 1)
+    for gen, exp in w:
+        x = base[gen]
+        if assignment.get(gen, 1) < 0:
+            x = -x
+        if exp < 0:
+            x = x.conjugate()  # inverse of a spin element
+            exp = -exp
+        result = result * x ** exp
+    return result
+
+
+def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
+    """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
+    rows = _parity_rows(presentation, params)
+    return len(_f2_solve(rows, [0] * len(rows), len(presentation.generator_names))[1])
+
+
+# ---------------------------------------------------------------------------
+# Reidemeister-Schreier rewriting
+# ---------------------------------------------------------------------------
+
+
+def reidemeister_schreier(
+    ngens: int, relators: Sequence[Word], ct: CosetTable
+) -> Tuple[List[Tuple[int, int]], List[Word], List[Word]]:
+    """Presentation of the subgroup described by a complete coset table.
+
+    Returns ``(subgens, subrelators, transversal_words)`` where ``subgens``
+    lists the non-tree Schreier generators as (coset, generator) pairs,
+    ``subrelators`` are the rewritten relators (words over 1-based indices
+    into ``subgens``), and ``transversal_words`` gives a coset
+    representative word (over the original generators) per coset.
+    """
+    # the coset representatives: breadth-first words along the generators
+    transversal: List[Word] = [()] * ct.index
+    tree_edges = set()
+    for d, c, k in spanning_tree([row[0::2] for row in ct.table]):
+        transversal[d] = transversal[c] + (k + 1,)
+        tree_edges.add((c, k + 1))
+    subgens: List[Tuple[int, int]] = []
+    gen_index = {}
+    for c in range(ct.index):
+        for g in range(1, ngens + 1):
+            if (c, g) not in tree_edges:
+                gen_index[(c, g)] = len(subgens) + 1
+                subgens.append((c, g))
+
+    def rewrite(start: int, word: Word) -> Word:
+        out = []
+        c = start
+        for letter in word:
+            g = abs(letter)
+            if letter > 0:
+                key = (c, g)
+                c = ct.table[c][2 * (g - 1)]
+                if key in gen_index:
+                    out.append(gen_index[key])
+            else:
+                c = ct.table[c][2 * (g - 1) + 1]
+                key = (c, g)
+                if key in gen_index:
+                    out.append(-gen_index[key])
+        return tuple(out)
+
+    subrels = []
+    for c in range(ct.index):
+        for r in relators:
+            w = rewrite(c, r)
+            if w:
+                subrels.append(w)
+    return subgens, subrels, transversal
+
+
+# ---------------------------------------------------------------------------
+# the Sylow strategy
+# ---------------------------------------------------------------------------
+
+
+def sylow_pullback_record(
+    record: AlmostBieberbachRecord, params: Mapping[str, int]
+) -> AlmostBieberbachRecord:
+    """The record for the preimage of ``fp.sylow_subgroup`` in Gamma, via
+    Reidemeister-Schreier.
+
+    Gamma acts on the right cosets S x of S in F through its holonomy
+    matrices; lattice generators act trivially.  The Schreier generators'
+    holonomy matrices are the theta-images of the corresponding words;
+    generators whose matrix is the identity become lattice generators of
+    the pullback.
+    """
+    F = record.holonomy_group
+    G = F.group
+    S = sylow_subgroup(F)
+    names = record.presentation.generator_names
+    actions = {}  # holonomy generator -> its element of F and the inverse
+    for n in record.presentation.holonomy_generators():
+        x = F.matrices.index(record.matrix_of(n))
+        actions[n] = (x, G.inverse(x))
+    reps = [G.identity]  # one element x per coset S x, in order of discovery
+    coset_of = {s: 0 for s in S}
+    rows = []
+    c = 0
+    while c < len(reps):
+        row = [c] * (2 * len(names))
+        for i, n in enumerate(names):
+            for j, x in enumerate(actions.get(n, ())):
+                y = G.mul(reps[c], x)
+                if y not in coset_of:
+                    coset_of.update((G.mul(s, y), len(reps)) for s in S)
+                    reps.append(y)
+                row[2 * i + j] = coset_of[y]
+        rows.append(row)
+        c += 1
+    gamma_table = CosetTable(len(names), rows)
+    pos = {n: i for i, n in enumerate(names)}
+    gamma_relators = [
+        word_to_letters(w, pos) for w in instantiate_relators(record.presentation, params)
+    ]
+    subgens, subrels, transversal = reidemeister_schreier(len(names), gamma_relators, gamma_table)
+
+    identity = intmat.int_identity(DIM)
+    new_gens: List[GeneratorDecl] = []
+    new_mats: Dict[str, IntMatrix] = {}
+    gen_names = []
+    for i, (coset, g) in enumerate(subgens):
+        w = transversal[coset] + (g,)
+        target = gamma_table.apply_word(0, w)
+        letters = w + tuple(-x for x in reversed(transversal[target]))
+        M = word_matrix(record.matrices, [(names[abs(x) - 1], 1 if x > 0 else -1) for x in letters])
+        name = f"s{i}"
+        gen_names.append(name)
+        if M == identity:
+            new_gens.append(GeneratorDecl(name, LATTICE))
+        else:
+            new_gens.append(GeneratorDecl(name, HOLONOMY))
+            new_mats[name] = M
+    new_relators = tuple(
+        tuple((gen_names[abs(letter) - 1], ExponentExpr.make(1 if letter > 0 else -1)) for letter in rel)
+        for rel in subrels
+    )
+    return AlmostBieberbachRecord(
+        family=f"{record.family}/Syl2",
+        holonomy_name="Syl2",
+        presentation=Presentation(tuple(new_gens), new_relators, ()),
+        matrices=new_mats,
+        nilpotency_class=record.nilpotency_class,
+        source=record.source,
+    )
+
+
+def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
+    """Lift count via restriction to the Sylow pullback: an oracle for
+    ``fp.enumerate_lifts`` that shares no sign computation with it.
+
+    Existence is decided on the pullback record, whose holonomy matrices lie
+    in the signed-permutation group ``fp.sylow_subgroup``, by evaluating its
+    relators as Clifford products (``evaluate_word``), and the count is
+    2^(mod-2 abelianization rank) of the full record when a lift exists.
+    Restriction to a subgroup of odd index loses no obstruction, which is
+    why any such subgroup serves.  Parameters are reduced mod 2 first: they
+    enter the pullback's relators as exponents.
+    """
+    _check_params(record, params)
+    params = reduce_params_mod2(params)
+    pullback = sylow_pullback_record(record, params)
+    base = base_preimages(pullback)
+    one = CliffordElement.scalar(DIM, 1)
+    rhs = [int(evaluate_word(rel, {}, base) != one)
+           for rel in instantiate_relators(pullback.presentation, {})]
+    rows = _parity_rows(pullback.presentation, {})
+    if _f2_solve(rows, rhs, len(pullback.presentation.generators)) is None:
+        return LiftResult(False, 0, (), "sylow", False)
+    d = abelianization_mod2_rank(record.presentation, params)
+    return LiftResult(True, 2 ** d, (), "sylow", True)

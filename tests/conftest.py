@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+from spinaf import catalog as cat
 from spinaf.cli import main
 
 
@@ -29,3 +31,25 @@ def invoke(*args: str) -> Result:
 def cli():
     """``invoke``: run one ``spinaf`` command and return (exit_code, output)."""
     return invoke
+
+
+@pytest.fixture(scope="session")
+def bundled():
+    """The bundled catalog and expectations, read and checked once per session.
+
+    Its records keep what they compute (F, the relator signs, the spin
+    preimages) from test to test; a test that needs records with nothing
+    computed yet loads its own.
+    """
+    return cat.load_bundled()
+
+
+@pytest.fixture()
+def reuse_bundled(bundled, monkeypatch):
+    """Commands run in this process get ``bundled``'s catalog instead of
+    re-reading the bundled file, as ``tools/output_digest.py`` does; any
+    other catalog path is read as usual."""
+    catalog, _ = bundled
+    load = cat.load_catalog
+    monkeypatch.setattr(cat, "load_catalog", lambda path: (
+        catalog if Path(path) == cat.bundled_path("catalog.json") else load(path)))

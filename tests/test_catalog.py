@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinaf import catalog as cat
-from spinaf import chartables, fp, holonomy, linalg, spin
+from spinaf import chartables, fp, holonomy, intmat, oracles, spin
 from spinaf.clifford import CliffordElement
 from spinaf.errors import CatalogFormatError, InconsistentRecord
-
-
-@pytest.fixture(scope="module")
-def bundled():
-    return cat.load_bundled()
 
 
 def test_bundled_catalog_loads(bundled):
@@ -156,7 +152,7 @@ def test_record_without_an_odd_index_signed_perm_subgroup_rejected(tmp_path, cli
     # Sylow strategy would restrict to has even index 4.
     U = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     R4 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    al = linalg.int_mat_mul(linalg.int_mat_mul(U, R4), linalg.int_mat_inverse(U))
+    al = intmat.int_mat_mul(intmat.int_mat_mul(U, R4), intmat.int_mat_inverse(U))
     gens = tuple(fp.GeneratorDecl(n, fp.LATTICE) for n in "abcd")
     record = fp.AlmostBieberbachRecord(
         family="C4-shear", holonomy_name="C4",
@@ -173,6 +169,23 @@ def test_record_without_an_odd_index_signed_perm_subgroup_rejected(tmp_path, cli
     result = cli("classify", "--catalog", str(p), "--family", "C4-shear")
     assert result.exit_code == 2
     assert "error: family C4-shear:" in result.output
+
+
+def test_relator_failing_only_through_a_negative_power_rejected(tmp_path, cli):
+    # al has order 4 on family 75: al^3 al^-1 = al^2 is not 1, though al^3 al is
+    data = _bundled_json()
+    record = data["records"][_INDEX["75"]]
+    al = tuple(map(tuple, record["matrices"]["al"]))
+    assert intmat.int_mat_pow(al, 2) != intmat.int_identity(4) == intmat.int_mat_pow(al, 4)
+    record["relators"].append([["al", {"const": 3}], ["al", {"const": -1}]])
+    p = tmp_path / "negative_power.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    message = "family 75: relator al^(3)*al^(-1) does not hold for the holonomy matrices"
+    with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
+        cat.load_catalog(p)
+    result = cli("classify", "--catalog", str(p), "--family", "75")
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
 
 
 _MUTATIONS = ("coefficient", "matrix_entry", "role", "relator_exponent")
@@ -243,8 +256,8 @@ def test_verify_makes_no_clifford_product_and_no_sylow_pullback(monkeypatch):
 
     monkeypatch.setattr(spin, "preimage", refuse)
     monkeypatch.setattr(CliffordElement, "__mul__", refuse)
-    monkeypatch.setattr(fp, "sylow_strategy", refuse)
-    monkeypatch.setattr(fp, "sylow_pullback_record", refuse)
+    monkeypatch.setattr(oracles, "sylow_strategy", refuse)
+    monkeypatch.setattr(oracles, "sylow_pullback_record", refuse)
     catalog, expectations = cat.load_bundled()  # fresh records: no sign computed yet
     report = cat.verify(catalog, expectations)
     assert (report.total, report.failures) == (127, 0)

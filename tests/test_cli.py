@@ -12,7 +12,7 @@ import pytest
 
 import spinaf
 from spinaf import catalog as cat
-from spinaf import fp
+from spinaf import fp, oracles
 from spinaf.cli import main
 from spinaf.clifford import CliffordElement
 from spinaf.qsqrt2 import QSqrt2
@@ -215,8 +215,8 @@ def test_lift_group_csv_stdout_is_only_csv(family, elements):
                         [family, "C3", "C6", "6", "abstract"]]
 
 
-def test_lift_group_csv_and_markdown_print_a_table_for_every_family():
-    for record in cat.load_catalog(cat.bundled_path("catalog.json")).records:
+def test_lift_group_csv_and_markdown_print_a_table_for_every_family(bundled, reuse_bundled):
+    for record in bundled[0].records:
         out, err = _stdout_and_stderr("lift-group", "--family", record.family, "--format", "csv")
         assert len(list(csv.reader(io.StringIO(out)))) >= 2, record.family
         markdown, markdown_err = _stdout_and_stderr(
@@ -277,10 +277,10 @@ def _spin_element(payload):
     return CliffordElement(fp.DIM, terms)
 
 
-def test_export_assignments_make_every_relator_one():
+def test_export_assignments_make_every_relator_one(bundled, reuse_bundled):
     # each listed assignment, applied to the payload's own spin preimages,
     # is checked with the honest Clifford product on every signed-permutation row
-    catalog, expectations = cat.load_bundled()
+    catalog, expectations = bundled
     one = CliffordElement.scalar(fp.DIM, 1)
     rows = [e for e in expectations if catalog.find(e.family).signed_perm_holonomy]
     assert len(rows) == 106
@@ -294,7 +294,7 @@ def test_export_assignments_make_every_relator_one():
         assert len(payload["assignments"]) == e.count
         for assignment in payload["assignments"]:
             for rel in relators:
-                assert fp.evaluate_word(rel, assignment, base) == one, (e.family, e.params)
+                assert oracles.evaluate_word(rel, assignment, base) == one, (e.family, e.params)
 
 
 def test_formats_render(cli):
@@ -338,6 +338,35 @@ def test_classify_char_and_verify_leave_the_spin_modules_out():
             "        assert main(args) == 0, args\n"
             "loaded = {'spinaf.spin', 'spinaf.clifford'} & set(sys.modules)\n"
             "assert not loaded, f'{sorted(loaded)} imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+    # classify needs neither Q(zeta_12) nor Q(sqrt 2), Fraction or csv, and
+    # builds each record's holonomy group F once, at load
+    code = ("import collections, contextlib, io, sys\n"
+            "from spinaf import holonomy\n"
+            "from spinaf.cli import main\n"
+            "built = collections.Counter()\n"
+            "close = holonomy.matrix_group_closure\n"
+            "def counting(record):\n"
+            "    built[record.family] += 1\n"
+            "    return close(record)\n"
+            "holonomy.matrix_group_closure = counting\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['classify']) == 0\n"
+            "assert len(built) == 43 and set(built.values()) == {1}, built\n"
+            "loaded = {'spinaf.cyclotomic', 'spinaf.qsqrt2', 'fractions', 'csv'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+
+
+def test_no_command_loads_the_oracles():
+    code = ("import contextlib, io, sys; from spinaf.cli import main\n"
+            "for args in (['classify'], ['verify'], ['char', '--family', '184'],\n"
+            "             ['lift-group', '--family', '103'], ['lift-group', '--family', '184'],\n"
+            "             ['export', '--family', '4'], ['export', '--family', '143'],\n"
+            "             ['preimage', 'diag:1,1,-1,-1'], ['classify', '--format', 'csv']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0, args\n"
+            "assert 'spinaf.oracles' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
 
 

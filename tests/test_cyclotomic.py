@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinaf import linalg, spin
-from spinaf.cyclotomic import Cyc12, I, ZETA3, ZETA6, lift_power_sign
+from spinaf import intmat, linalg, spin
+from spinaf.cyclotomic import Cyc12, I, ZETA3, ZETA6
+from spinaf.fp import lift_power_sign
 from spinaf.errors import InconsistentRecord
 
 
@@ -61,7 +62,7 @@ def test_lift_power_sign():
 def _order(M):
     P, o = M, 1
     while P != IDENT:
-        P, o = linalg.int_mat_mul(P, M), o + 1
+        P, o = intmat.int_mat_mul(P, M), o + 1
     return o
 
 
@@ -74,7 +75,7 @@ def test_lift_power_sign_matches_clifford_powers():
             M = tuple(
                 tuple(signs[j] if perm[j] == i else 0 for j in range(4)) for i in range(4)
             )
-            if linalg.int_det(M) != 1:
+            if intmat.int_det(M) != 1:
                 continue
             matrices += 1
             x = spin.preimage(linalg.as_matrix(M))[0]

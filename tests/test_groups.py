@@ -1,12 +1,14 @@
 import pytest
 
-from spinaf import groups
+from spinaf import groups, oracles
 from spinaf.clifford import CliffordElement
 from spinaf.spin import subgroup_closure
 
 
 def mk_group(elements, mul, identity):
-    return groups.FiniteGroup(elements, mul, identity)
+    # every element a generator: with the identity first, the table keeps their order
+    _, right = groups.cayley_graph(elements, mul, identity)
+    return groups.FiniteGroup.from_right_action(right)
 
 
 def cyclic(n):
@@ -92,7 +94,7 @@ def test_reidemeister_schreier_index_two():
     relators = [(1, 1, 1, 1)]
     ct = groups.todd_coxeter(1, relators, [(1, 1)])
     assert ct.index == 2
-    subgens, subrels, transversal = groups.reidemeister_schreier(1, relators, ct)
+    subgens, subrels, transversal = oracles.reidemeister_schreier(1, relators, ct)
     # the subgroup C2 needs one generator
     G, _ = groups.regular_representation(
         len(subgens), [r for r in subrels if r]

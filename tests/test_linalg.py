@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinaf import catalog as cat
-from spinaf import fp, linalg
+from spinaf import intmat, linalg, oracles
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -14,12 +13,12 @@ R = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_int_helpers():
-    assert linalg.int_det(I4) == 1
-    assert linalg.int_det(R) == 1
-    assert linalg.int_mat_mul(R, linalg.int_mat_inverse(R)) == linalg.int_identity(4)
-    assert linalg.int_mat_pow(R, 4) == linalg.int_identity(4)
+    assert intmat.int_det(I4) == 1
+    assert intmat.int_det(R) == 1
+    assert intmat.int_mat_mul(R, intmat.int_mat_inverse(R)) == intmat.int_identity(4)
+    assert intmat.int_mat_pow(R, 4) == intmat.int_identity(4)
     flip = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert linalg.int_det(flip) == -1
+    assert intmat.int_det(flip) == -1
 
 
 def naive_mul(A, B):
@@ -37,7 +36,7 @@ int_matrices = st.lists(
 def unimodular_matrices(draw):
     """Products of elementary matrices (I + c * E_ij, i != j) and of the
     diagonal matrices with entries +-1: integer matrices of determinant +-1."""
-    A = linalg.int_identity(4)
+    A = intmat.int_identity(4)
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.booleans()):
             i, j = draw(st.permutations(range(4)))[:2]
@@ -53,17 +52,17 @@ def unimodular_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(A=int_matrices, B=int_matrices)
 def test_int_mat_mul_is_the_triple_loop(A, B):
-    assert linalg.int_mat_mul(A, B) == naive_mul(A, B)
+    assert intmat.int_mat_mul(A, B) == naive_mul(A, B)
 
 
 @settings(max_examples=200, deadline=None)
 @given(A=unimodular_matrices(), k=st.integers(-3, 5))
 def test_int_mat_pow_is_repeated_products(A, k):
-    factor = A if k >= 0 else linalg.int_mat_inverse(A)
-    expected = linalg.int_identity(4)
+    factor = A if k >= 0 else intmat.int_mat_inverse(A)
+    expected = intmat.int_identity(4)
     for _ in range(abs(k)):
         expected = naive_mul(expected, factor)
-    assert linalg.int_mat_pow(A, k) == expected
+    assert intmat.int_mat_pow(A, k) == expected
 
 
 def test_int_mat_inverse_of_a_dense_matrix():
@@ -71,32 +70,32 @@ def test_int_mat_inverse_of_a_dense_matrix():
     # nonzero, so every term of the closed-form adjugate contributes
     D = ((2, 1, -1, -1), (1, -3, -1, -2), (3, 2, -3, -3), (1, -3, -2, -3))
     D_inv = ((2, -1, -1, 1), (-3, 3, 2, -3), (-11, 13, 7, -12), (11, -12, -7, 11))
-    assert naive_mul(D, D_inv) == linalg.int_identity(4)
-    assert linalg.int_mat_inverse(D) == D_inv
+    assert naive_mul(D, D_inv) == intmat.int_identity(4)
+    assert intmat.int_mat_inverse(D) == D_inv
 
 
 @settings(max_examples=100, deadline=None)
 @given(A=unimodular_matrices())
 def test_int_mat_inverse_accepts_lists_and_tuples(A):
     as_lists = [list(row) for row in A]
-    inverse = linalg.int_mat_inverse(A)
-    assert linalg.int_mat_inverse(as_lists) == inverse
+    inverse = intmat.int_mat_inverse(A)
+    assert intmat.int_mat_inverse(as_lists) == inverse
     assert isinstance(inverse, tuple) and all(isinstance(row, tuple) for row in inverse)
-    assert naive_mul(as_lists, inverse) == linalg.int_identity(4)
+    assert naive_mul(as_lists, inverse) == intmat.int_identity(4)
 
 
 def test_int_mat_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        linalg.int_mat_inverse([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        intmat.int_mat_inverse([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def test_every_bundled_relator_is_the_identity_matrix():
-    identity = linalg.int_identity(4)
-    catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
+def test_every_bundled_relator_is_the_identity_matrix(bundled):
+    identity = intmat.int_identity(4)
+    catalog, _ = bundled
     for record in catalog.records:
         for rel in record.presentation.relators:
             letters = [(g, e.const) for g, e in rel]
-            assert fp.word_matrix(record.matrices, letters) == identity, record.family
+            assert oracles.word_matrix(record.matrices, letters) == identity, record.family
 
 
 def random_qsqrt2_matrix(rng):
@@ -136,17 +135,17 @@ def test_det_and_orthogonality():
 def test_is_signed_perm():
     rows = [[0, 0, 1, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1]]
     # integer and Q(sqrt 2) entries alike
-    assert linalg.is_signed_perm(rows)
-    assert linalg.is_signed_perm(linalg.as_matrix(rows))
-    assert linalg.is_signed_perm(I4)
+    assert intmat.is_signed_perm(rows)
+    assert intmat.is_signed_perm(linalg.as_matrix(rows))
+    assert intmat.is_signed_perm(I4)
     # a row and a column with two nonzero entries
-    assert not linalg.is_signed_perm([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    assert not intmat.is_signed_perm([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     # an entry other than +-1
-    assert not linalg.is_signed_perm([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert not intmat.is_signed_perm([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # one nonzero entry per column, but two in a row and none in another
-    assert not linalg.is_signed_perm([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert not intmat.is_signed_perm([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # orthogonal over Q(sqrt 2), but not a signed permutation
     half = QSqrt2(0, Fraction(1, 2))
-    assert not linalg.is_signed_perm(linalg.as_matrix(
+    assert not intmat.is_signed_perm(linalg.as_matrix(
         [[half, -half, 0, 0], [half, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     ))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spinaf import linalg, spin
+from spinaf import intmat, linalg, spin
 from spinaf.clifford import CliffordElement
 from spinaf.errors import NotInSO, UnsupportedScalar
 from spinaf.qsqrt2 import QSqrt2
@@ -66,7 +66,7 @@ def mixed_plane_rotation():
 def test_preimage_mixed_plane_rotation():
     x0 = mixed_plane_rotation()
     M = spin.lam(x0)
-    assert not linalg.is_signed_perm(M)
+    assert not intmat.is_signed_perm(M)
     x, neg = spin.preimage(M)
     assert spin.is_spin(x)
     assert spin.lam(x) == M
@@ -92,7 +92,7 @@ def test_preimage_without_scalar_part():
     x0 = CliffordElement(4, {0b0011: one_half, 0b0101: one_half, 0b1001: half_sqrt2})
     assert spin.is_spin(x0)
     M = spin.lam(x0)
-    assert not linalg.is_signed_perm(M)
+    assert not intmat.is_signed_perm(M)
     x, neg = spin.preimage(M)
     assert x == spin.canonical_sign(x0)
     assert neg == -x

@@ -41,7 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from spinaf import catalog as cat
-from spinaf import linalg
+from spinaf import intmat
 from spinaf.cli import main as cli_main
 
 
@@ -53,7 +53,7 @@ def preimage_literals():
     for perm in itertools.permutations(range(4)):
         for signs in itertools.product((1, -1), repeat=4):
             rows = [[signs[j] if perm[j] == i else 0 for j in range(4)] for i in range(4)]
-            if linalg.int_det(rows) == 1:
+            if intmat.int_det(rows) == 1:
                 yield _literal(rows)
     h = Fraction(1, 2)
     for b, c, d in itertools.product((h, -h), repeat=3):
