@@ -193,7 +193,7 @@ def _presentation(d: dict, at: JsonPath) -> Presentation:
     parameters = _field(d, at, "parameters", _items, _str)
     try:
         return Presentation(generators, relators, parameters)
-    except InconsistentRecord as exc:  # a duplicate or undeclared generator name
+    except InconsistentRecord as exc:  # a duplicate or undeclared generator or parameter name
         _bad(at, str(exc))
 
 

@@ -11,19 +11,23 @@ central, flipping a generator's sign flips a relator's value exactly when
 the relator's exponent sum in that generator is odd, so the valid
 assignments solve an affine system over F_2 whose right-hand side is each
 relator's base sign.  Parameters appear only in lattice-generator exponents
-(checked at load time), so the base signs are constants of the record.
+(checked at load time), so the base signs are constants of the record, and
+the system's rows are affine in the parameters mod 2.
 
 One count path serves every record: the base signs are traced in
 Ĝ = λ⁻¹(F), built from the presentation of F's character table
 (``lifted_holonomy``; ``AlmostBieberbachRecord.relator_signs``, computed on
-first use), and each parameter row is one F_2 elimination
-(``enumerate_lifts``), with no Clifford product.  F itself, one integer
-multiplication table, is built once per record when the catalog is loaded
+first use), the rows come from one table per record
+(``AlmostBieberbachRecord.parity_table``, also computed on first use), and
+each parameter row is one F_2 elimination (``enumerate_lifts``), with no
+Clifford product.  F itself, one integer multiplication table, is built
+once per record when the catalog is loaded
 (``AlmostBieberbachRecord.holonomy_group``).  Loading a catalog checks that
 ``sylow_subgroup`` has odd index on every record whose matrices are not all
 signed permutations.  The independent oracles that back the count path in
-the tests (Clifford products over ``base_preimages``, and the Sylow
-pullback) live in :mod:`spinaf.oracles`, which no command imports.
+the tests (Clifford products over ``base_preimages``, the Sylow pullback,
+and the relators instantiated at a parameter row) live in
+:mod:`spinaf.oracles`, which no command imports.
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ class ExponentExpr(NamedTuple):
 
 
 Word = Tuple[Tuple[str, ExponentExpr], ...]
-ConcreteWord = Tuple[Tuple[str, int], ...]
 
 
 class GeneratorDecl(NamedTuple):
@@ -99,11 +102,19 @@ class Presentation(_PresentationFields):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise InconsistentRecord("duplicate generator names")
+        if len(set(parameters)) != len(parameters):
+            raise InconsistentRecord("duplicate parameter names")
         declared = set(names)
+        declared_params = set(parameters)
         for rel in relators:
-            for gen, _exp in rel:
+            for gen, exp in rel:
                 if gen not in declared:
                     raise InconsistentRecord(f"relator mentions undeclared generator {gen!r}")
+                if exp.coeffs:  # most exponents are constants
+                    for name, _coeff in exp.coeffs:
+                        if name not in declared_params:
+                            raise InconsistentRecord(
+                                f"relator exponent mentions undeclared parameter {name!r}")
         return super().__new__(cls, generators, relators, parameters)
 
     @property
@@ -112,6 +123,30 @@ class Presentation(_PresentationFields):
 
     def holonomy_generators(self) -> List[str]:
         return [g.name for g in self.generators if g.role == HOLONOMY]
+
+
+class ParityTable(NamedTuple):
+    """A record's F_2 system, affine in its parameters mod 2.
+
+    Bit i of a row stands for generator i.  At a parameter row, relator r's
+    row (the generators with odd exponent sum in it) is ``base[r]`` XOR
+    ``toggles[j][r]`` over the parameters j with odd values: ``base`` holds
+    the exponents' ``const % 2`` and ``toggles[j]`` their coefficients of
+    parameter j mod 2.
+    """
+
+    generators: Tuple[str, ...]
+    parameters: Tuple[str, ...]
+    base: Tuple[int, ...]
+    toggles: Tuple[Tuple[int, ...], ...]  # in the order of ``parameters``
+
+    def rows(self, params: Mapping[str, int]) -> Sequence[int]:
+        """Per relator, its row at ``params`` (any integers)."""
+        rows: Sequence[int] = self.base
+        for name, toggle in zip(self.parameters, self.toggles):
+            if params[name] % 2:
+                rows = [r ^ t for r, t in zip(rows, toggle)]
+        return rows
 
 
 class _RecordFields(NamedTuple):
@@ -187,6 +222,27 @@ class AlmostBieberbachRecord(_RecordFields):
             signs.append(int(x == lifted.central))
         return tuple(signs)
 
+    @cached_property
+    def parity_table(self) -> ParityTable:
+        """The F_2 system's rows, as ``ParityTable`` entries: one pass over
+        the relators' letters, on first use, kept on the record object."""
+        pres = self.presentation
+        names = tuple(pres.generator_names)
+        bit = {n: 1 << i for i, n in enumerate(names)}
+        column = {p: j for j, p in enumerate(pres.parameters)}
+        base: List[int] = []
+        toggles = [[0] * len(pres.relators) for _ in pres.parameters]
+        for r, rel in enumerate(pres.relators):
+            row = 0
+            for gen, expr in rel:
+                if expr.const % 2:
+                    row ^= bit[gen]
+                for name, coeff in expr.coeffs:
+                    if coeff % 2:
+                        toggles[column[name]][r] ^= bit[gen]
+            base.append(row)
+        return ParityTable(names, pres.parameters, tuple(base), tuple(map(tuple, toggles)))
+
 
 class SignAssignment(NamedTuple):
     signs: Tuple[Tuple[str, int], ...]
@@ -196,11 +252,35 @@ class SignAssignment(NamedTuple):
 
 
 class LiftResult(NamedTuple):
+    """The lifts at one parameter row.
+
+    ``solution`` is the elimination's ``(p, kernel)`` (``_f2_solve``) when
+    the count path found lifts; ``valid_assignments`` lists them from it,
+    on each read.  An oracle's result carries no solution.
+    """
+
     exists: bool
     count: int
-    valid_assignments: Tuple[SignAssignment, ...]
     strategy: str  # "direct" | "sylow"
     parallelizable: bool
+    generators: Tuple[str, ...] = ()
+    solution: Optional[Tuple[int, Tuple[int, ...]]] = None
+
+    @property
+    def valid_assignments(self) -> Tuple[SignAssignment, ...]:
+        """The valid sign assignments in increasing order of their bit
+        vectors, generator i on bit i."""
+        if self.solution is None:
+            return ()
+        p, kernel = self.solution
+        valid = [p]
+        for v in kernel:
+            valid += [bits ^ v for bits in valid]
+        names = self.generators
+        return tuple(
+            SignAssignment(tuple((n, -1 if bits >> i & 1 else 1) for i, n in enumerate(names)))
+            for bits in valid
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +300,6 @@ def _check_params(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> 
         raise InconsistentRecord(
             f"family {record.family}: expected parameters {sorted(declared)}, got {sorted(given)}"
         )
-
-
-def instantiate_relators(presentation: Presentation, params: Mapping[str, int]) -> List[ConcreteWord]:
-    out = []
-    for rel in presentation.relators:
-        concrete = []
-        for gen, expr in rel:
-            e = expr.evaluate(params)
-            if e != 0:
-                concrete.append((gen, e))
-        out.append(tuple(concrete))
-    return out
 
 
 def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
@@ -283,19 +351,6 @@ def base_preimages(record: AlmostBieberbachRecord) -> Dict[str, CliffordElement]
     return out
 
 
-def _parity_rows(presentation: Presentation, params: Mapping[str, int]) -> List[int]:
-    """Per relator, the bit mask of the generators with odd exponent sum."""
-    pos = {n: i for i, n in enumerate(presentation.generator_names)}
-    rows: List[int] = []
-    for concrete in instantiate_relators(presentation, params):
-        row = 0
-        for gen, exp in concrete:
-            if exp % 2:
-                row ^= 1 << pos[gen]
-        rows.append(row)
-    return rows
-
-
 def _render_word(w: Word) -> str:
     if not w:
         return "1"
@@ -335,44 +390,25 @@ def _f2_solve(rows: Sequence[int], rhs: Sequence[int], nvars: int) -> Optional[T
     return p, kernel
 
 
-def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
-    """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
-    rows = _parity_rows(presentation, params)
-    return len(_f2_solve(rows, [0] * len(rows), len(presentation.generator_names))[1])
-
-
 def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
     """Count the lifts of the classifying representation to Spin(4).
 
     An assignment s (bit i = 1 meaning generator i carries -1) is valid iff
     every relator evaluates to +1, that is, iff for every relator the parity
-    of s on the generators with odd exponent sum equals the relator's sign
-    bit (``relator_signs``), because -1 is central and base relator values
-    are +-1.  The valid assignments are listed in increasing order of their
-    bit vectors (generator i on bit i); their signs are relative to the
-    lifts ``holonomy_lift`` chooses.
+    of s on the generators with odd exponent sum (``parity_table``) equals
+    the relator's sign bit (``relator_signs``), because -1 is central and
+    base relator values are +-1.  The result keeps the elimination's
+    solution, from which ``LiftResult.valid_assignments`` lists the valid
+    assignments; their signs are relative to the lifts ``holonomy_lift``
+    chooses.
     """
     _check_params(record, params)
-    names = record.presentation.generator_names
-    solved = _f2_solve(_parity_rows(record.presentation, params), record.relator_signs, len(names))
-    valid: List[int] = []
-    if solved is not None:
-        p, kernel = solved
-        valid = [p]
-        for v in kernel:
-            valid += [bits ^ v for bits in valid]
-    assignments = tuple(
-        SignAssignment(tuple((n, -1 if bits >> i & 1 else 1) for i, n in enumerate(names)))
-        for bits in valid
-    )
-    exists = bool(valid)
-    return LiftResult(
-        exists=exists,
-        count=len(valid),
-        valid_assignments=assignments,
-        strategy="direct",
-        parallelizable=exists,
-    )
+    table = record.parity_table
+    solved = _f2_solve(table.rows(params), record.relator_signs, len(table.generators))
+    if solved is None:
+        return LiftResult(False, 0, "direct", False, table.generators)
+    p, kernel = solved
+    return LiftResult(True, 1 << len(kernel), "direct", True, table.generators, (p, tuple(kernel)))
 
 
 # ---------------------------------------------------------------------------

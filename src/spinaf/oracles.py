@@ -10,7 +10,10 @@
   of F of odd index made of signed permutations (``fp.sylow_subgroup``),
   rewritten by Reidemeister-Schreier (``sylow_pullback_record``), and the
   count 2^(mod-2 abelianization rank);
-- ``word_matrix``: a word's integer matrix, by matrix arithmetic.
+- ``word_matrix``: a word's integer matrix, by matrix arithmetic;
+- ``instantiate_relators`` and ``parity_rows``: the relators and their F_2
+  rows at one parameter row, from every exponent evaluated there, where
+  the count path reads ``AlmostBieberbachRecord.parity_table``.
 
 No ``spinaf`` command imports this module.
 """
@@ -26,7 +29,6 @@ from .fp import (
     HOLONOMY,
     LATTICE,
     AlmostBieberbachRecord,
-    ConcreteWord,
     ExponentExpr,
     GeneratorDecl,
     IntMatrix,
@@ -34,13 +36,40 @@ from .fp import (
     Presentation,
     _check_params,
     _f2_solve,
-    _parity_rows,
     base_preimages,
-    instantiate_relators,
     reduce_params_mod2,
     sylow_subgroup,
 )
 from .groups import CosetTable, Word, spanning_tree, word_to_letters
+
+ConcreteWord = Tuple[Tuple[str, int], ...]
+
+
+def instantiate_relators(presentation: Presentation, params: Mapping[str, int]) -> List[ConcreteWord]:
+    """The relators with every exponent evaluated at ``params``; letters
+    with exponent 0 are dropped."""
+    out = []
+    for rel in presentation.relators:
+        concrete = []
+        for gen, expr in rel:
+            e = expr.evaluate(params)
+            if e != 0:
+                concrete.append((gen, e))
+        out.append(tuple(concrete))
+    return out
+
+
+def parity_rows(presentation: Presentation, params: Mapping[str, int]) -> List[int]:
+    """Per relator, the bit mask of the generators with odd exponent sum."""
+    pos = {n: i for i, n in enumerate(presentation.generator_names)}
+    rows: List[int] = []
+    for concrete in instantiate_relators(presentation, params):
+        row = 0
+        for gen, exp in concrete:
+            if exp % 2:
+                row ^= 1 << pos[gen]
+        rows.append(row)
+    return rows
 
 
 def word_matrix(matrices: Mapping[str, IntMatrix], w: Sequence[Tuple[str, int]]) -> IntMatrix:
@@ -71,7 +100,7 @@ def evaluate_word(
 
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
     """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
-    rows = _parity_rows(presentation, params)
+    rows = parity_rows(presentation, params)
     return len(_f2_solve(rows, [0] * len(rows), len(presentation.generator_names))[1])
 
 
@@ -227,8 +256,8 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     one = CliffordElement.scalar(DIM, 1)
     rhs = [int(evaluate_word(rel, {}, base) != one)
            for rel in instantiate_relators(pullback.presentation, {})]
-    rows = _parity_rows(pullback.presentation, {})
+    rows = parity_rows(pullback.presentation, {})
     if _f2_solve(rows, rhs, len(pullback.presentation.generators)) is None:
-        return LiftResult(False, 0, (), "sylow", False)
+        return LiftResult(False, 0, "sylow", False)
     d = abelianization_mod2_rank(record.presentation, params)
-    return LiftResult(True, 2 ** d, (), "sylow", True)
+    return LiftResult(True, 2 ** d, "sylow", True)

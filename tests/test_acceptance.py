@@ -169,7 +169,7 @@ def test_criterion_5_double_cover(bundled):
 def _brute_force_count(record, params):
     base = fp.base_preimages(record)
     names = record.presentation.generator_names
-    relators = fp.instantiate_relators(record.presentation, params)
+    relators = oracles.instantiate_relators(record.presentation, params)
     one = CliffordElement.scalar(fp.DIM, 1)
     count = 0
     for signs in itertools.product((1, -1), repeat=len(names)):

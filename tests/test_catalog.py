@@ -43,14 +43,14 @@ def test_records_and_results_are_read_only(bundled):
 
 
 def _cached(record):
-    return {"relator_signs"} & set(vars(record))
+    return {"relator_signs", "parity_table"} & set(vars(record))
 
 
 def test_record_equality_ignores_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.relator_signs is not None
-    assert _cached(r) == {"relator_signs"}
+    assert r.relator_signs is not None and r.parity_table is not None
+    assert _cached(r) == {"relator_signs", "parity_table"}
     copy_ = cat.record_from_json(cat.record_to_json(r))
     assert _cached(copy_) == set()
     assert copy_ == r and r == copy_
@@ -59,7 +59,7 @@ def test_record_equality_ignores_cached_values(bundled):
 def test_replace_gives_a_record_with_no_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.relator_signs is not None
+    assert r.relator_signs is not None and r.parity_table is not None
     renamed = r._replace(holonomy_name="C6")
     assert type(renamed) is fp.AlmostBieberbachRecord
     assert renamed.holonomy_name == "C6" and renamed.family == "4"
@@ -243,6 +243,8 @@ def test_spin_work_is_lazy_and_shared_per_record(monkeypatch):
     monkeypatch.setattr(fp, "lifted_holonomy", counting)
     catalog = cat.load_catalog(cat.bundled_path("catalog.json"))
     assert calls == []
+    # a process that counts one row pays for one record's signs and table
+    assert [r.family for r in catalog.records if _cached(r)] == []
     rows = [r for r in cat.load_expectations(cat.bundled_path("expectations.json"))
             if r.family == "4"]
     assert len(rows) == 3
@@ -261,6 +263,25 @@ def test_verify_makes_no_clifford_product_and_no_sylow_pullback(monkeypatch):
     catalog, expectations = cat.load_bundled()  # fresh records: no sign computed yet
     report = cat.verify(catalog, expectations)
     assert (report.total, report.failures) == (127, 0)
+
+
+def test_verify_counts_each_row_through_the_module_attributes(bundled, monkeypatch):
+    # tracers wrap fp.count_lifts and fp.enumerate_lifts where they are looked
+    # up, count their calls and read each result's count; verify must reach
+    # both through those names, once per row
+    catalog, expectations = bundled
+    results = {"count_lifts": [], "enumerate_lifts": []}
+    for name, seen in results.items():
+        def counting(record, params, _original=getattr(fp, name), _seen=seen):
+            result = _original(record, params)
+            _seen.append(result)
+            return result
+        monkeypatch.setattr(fp, name, counting)
+    assert cat.verify(catalog, expectations).failures == 0
+    for name, seen in results.items():
+        assert len(seen) == len(expectations) == 127, name
+        assert [r.count for r in seen] == [e.count for e in sorted(
+            expectations, key=lambda e: (e.family, e.params))], name
 
 
 def _bundled_expectations_json():
@@ -329,6 +350,10 @@ _7B = ["records", _INDEX["7b"]]
                  id="relator-undeclared-generator"),
     pytest.param("catalog", _7B, _put(_7B + ["generators", 1, "name"], "a"),
                  id="duplicate-generator"),
+    pytest.param("catalog", _REC, _put(_EXP + ["coeffs"], {"zz": -1}),
+                 id="exponent-undeclared-parameter"),
+    pytest.param("catalog", _REC, _put(_REC + ["parameters"], ["k1", "k2", "k3", "k4", "k1"]),
+                 id="duplicate-parameter"),
     pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], 2),
                  id="params-2"),
     pytest.param("expectations", _ROW + ["params", 1], _put(_ROW + ["params", 1], True),

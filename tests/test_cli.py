@@ -290,7 +290,7 @@ def test_export_assignments_make_every_relator_one(bundled, reuse_bundled):
         out, _ = _stdout_and_stderr("export", "--family", e.family, "--params", params)
         payload = json.loads(out)
         base = {name: _spin_element(x) for name, x in payload["base_preimages"].items()}
-        relators = fp.instantiate_relators(record.presentation, payload["params"])
+        relators = oracles.instantiate_relators(record.presentation, payload["params"])
         assert len(payload["assignments"]) == e.count
         for assignment in payload["assignments"]:
             for rel in relators:

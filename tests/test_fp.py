@@ -210,7 +210,7 @@ def brute_force_assignments(record, params):
     Returns the valid ones as ``sign_bits`` masks."""
     base = fp.base_preimages(record)
     names = record.presentation.generator_names
-    relators = fp.instantiate_relators(record.presentation, params)
+    relators = oracles.instantiate_relators(record.presentation, params)
     one = CliffordElement.scalar(fp.DIM, 1)
     valid = []
     for signs in itertools.product((1, -1), repeat=len(names)):
@@ -239,6 +239,23 @@ def test_count_is_2_to_rank_against_brute_force(catalog):
             if res.count:
                 # count = 2^(n - rank) is a power of two
                 assert res.count & (res.count - 1) == 0
+
+
+def test_parity_table_rows_equal_the_instantiated_rows(bundled):
+    # the count path reads each row off the record's affine table; the oracle
+    # evaluates every exponent at the row
+    catalog, expectations = bundled
+    rng = random.Random(23)
+    seen = set()
+    for e in expectations:
+        r = catalog.find(e.family)
+        names = r.presentation.parameters
+        for vector in [e.params] + [[rng.randint(-5, 5) for _ in names] for _ in range(3)]:
+            params = dict(zip(names, vector))
+            seen.update(vector)
+            assert (list(r.parity_table.rows(params))
+                    == oracles.parity_rows(r.presentation, params)), (e.family, vector)
+    assert min(seen) < 0 and max(seen) >= 2
 
 
 def test_mod2_invariance(catalog):
@@ -296,16 +313,23 @@ def test_exponent_expr():
     assert fp.ExponentExpr.make(0).evaluate({}) == 0
 
 
-@pytest.mark.parametrize("generators, relators, message", [
-    pytest.param([("a", "lattice"), ("al", "fibre")], (), "unknown generator role 'fibre'",
+E = fp.ExponentExpr.make
+
+
+@pytest.mark.parametrize("generators, parameters, relators, message", [
+    pytest.param([("a", "lattice"), ("al", "fibre")], (), (), "unknown generator role 'fibre'",
                  id="unknown-role"),
-    pytest.param([("a", "lattice"), ("a", "holonomy")], (), "duplicate generator names",
+    pytest.param([("a", "lattice"), ("a", "holonomy")], (), (), "duplicate generator names",
                  id="duplicate-name"),
-    pytest.param([("a", "lattice")], ((("b", 1),),), "relator mentions undeclared generator 'b'",
-                 id="undeclared-generator"),
+    pytest.param([("a", "lattice")], (), ((("b", E(1)),),),
+                 "relator mentions undeclared generator 'b'", id="undeclared-generator"),
+    pytest.param([("a", "lattice")], ("k1", "k1"), (), "duplicate parameter names",
+                 id="duplicate-parameter"),
+    pytest.param([("a", "lattice")], ("k1",), ((("a", E(0, {"k1": 1, "zz": 1})),),),
+                 "relator exponent mentions undeclared parameter 'zz'",
+                 id="undeclared-parameter"),
 ])
-def test_presentation_built_in_code_is_checked(generators, relators, message):
+def test_presentation_built_in_code_is_checked(generators, parameters, relators, message):
     with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
         gens = tuple(fp.GeneratorDecl(name, role) for name, role in generators)
-        fp.Presentation(gens, tuple(tuple((g, fp.ExponentExpr.make(e)) for g, e in r)
-                                    for r in relators))
+        fp.Presentation(gens, relators, parameters)
