@@ -10,11 +10,11 @@ structure counts per (family, parameters) row.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
-from . import fp, holonomy, intmat
+from . import fp, intmat
 from .chartables import TABLES
 from .errors import (
     CatalogFormatError,
@@ -215,14 +215,24 @@ def record_from_json(d, at: JsonPath = ()) -> AlmostBieberbachRecord:
     )
 
 
-class Catalog(NamedTuple):
+class _CatalogFields(NamedTuple):
     records: Tuple[AlmostBieberbachRecord, ...]
 
+
+class Catalog(_CatalogFields):
+    """The records of a catalog; without ``__slots__`` the subclass has an
+    instance ``__dict__``, where ``_by_family`` keeps its index."""
+
+    @cached_property
+    def _by_family(self) -> Dict[str, AlmostBieberbachRecord]:
+        # the first record of a family wins, as a scan would find it
+        return {r.family: r for r in reversed(self.records)}
+
     def find(self, family: str) -> AlmostBieberbachRecord:
-        for r in self.records:
-            if r.family == family:
-                return r
-        raise CatalogFormatError(f"no record for family {family!r}")
+        record = self._by_family.get(family)
+        if record is None:
+            raise CatalogFormatError(f"no record for family {family!r}")
+        return record
 
     @property
     def families(self) -> List[str]:
@@ -237,12 +247,14 @@ def check_record(record: AlmostBieberbachRecord) -> None:
     orientability, and, on a record with a holonomy matrix that is not a
     signed permutation, that ``fp.sylow_subgroup`` has odd index."""
     holonomy_gens = record.presentation.holonomy_generators()
+    dets = []
     for name, mat in record.matrices.items():
         if name not in holonomy_gens:
             raise InconsistentRecord(
                 f"family {record.family}: matrix for {name!r}, which is not a holonomy generator"
             )
-        if abs(intmat.int_det(mat)) != 1:
+        dets.append(intmat.int_det(mat))
+        if abs(dets[-1]) != 1:
             raise InconsistentRecord(
                 f"family {record.family}: matrix of {name!r} is not unimodular"
             )
@@ -259,7 +271,9 @@ def check_record(record: AlmostBieberbachRecord) -> None:
         raise InconsistentRecord(
             f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
         ) from exc
-    if not holonomy.orientability(record):
+    # the matrices are those of the holonomy generators, so this is
+    # ``holonomy.orientability`` on the determinants computed above
+    if any(d != 1 for d in dets):
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
     if not record.signed_perm_holonomy:
         # the Sylow strategy restricts to fp.sylow_subgroup, sound only at odd index
@@ -341,22 +355,18 @@ class ClassifyRow(NamedTuple):
     parallelizable: bool
 
 
-def _param_dict(record: AlmostBieberbachRecord, params: Sequence[int]) -> Dict[str, int]:
+def classify_record(record: AlmostBieberbachRecord, params: Sequence[int]) -> ClassifyRow:
     names = record.presentation.parameters
     if len(params) != len(names):
         raise InconsistentRecord(
             f"family {record.family} takes {len(names)} parameters, got {len(params)}"
         )
-    return fp.reduce_params_mod2(dict(zip(names, params)))
-
-
-def classify_record(record: AlmostBieberbachRecord, params: Sequence[int]) -> ClassifyRow:
-    p = _param_dict(record, params)
+    p = {n: v % 2 for n, v in zip(names, params)}
     result = fp.count_lifts(record, p)
     return ClassifyRow(
         family=record.family,
         holonomy=record.holonomy_name,
-        params=tuple(p[n] for n in record.presentation.parameters),
+        params=tuple(p.values()),
         count=result.count,
         parallelizable=result.parallelizable,
     )

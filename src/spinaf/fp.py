@@ -17,11 +17,14 @@ the system's rows are affine in the parameters mod 2.
 One count path serves every record: the base signs are traced in
 Ĝ = λ⁻¹(F), built from the presentation of F's character table
 (``lifted_holonomy``; ``AlmostBieberbachRecord.relator_signs``, computed on
-first use), the rows come from one table per record
-(``AlmostBieberbachRecord.parity_table``, also computed on first use), and
-each parameter row is one F_2 elimination (``enumerate_lifts``), with no
-Clifford product.  F itself, one integer multiplication table, is built
-once per record when the catalog is loaded
+first use).  The relators whose rows do not depend on the parameters mod 2
+are eliminated once per record, and the others kept as a base row, toggles
+per parameter and a sign (``AlmostBieberbachRecord.parity_system``, also
+computed on first use).  A parameter row adds only those rows to the
+record's echelon, and its count is 2^(generators - rank)
+(``enumerate_lifts``), with no Clifford product.  ``_f2_solve`` is the one
+F_2 elimination; the oracles call it too.  F itself, one integer
+multiplication table, is built once per record when the catalog is loaded
 (``AlmostBieberbachRecord.holonomy_group``).  Loading a catalog checks that
 ``sylow_subgroup`` has odd index on every record whose matrices are not all
 signed permutations.  The independent oracles that back the count path in
@@ -125,28 +128,40 @@ class Presentation(_PresentationFields):
         return [g.name for g in self.generators if g.role == HOLONOMY]
 
 
-class ParityTable(NamedTuple):
-    """A record's F_2 system, affine in its parameters mod 2.
+class ParitySystem(NamedTuple):
+    """A record's F_2 system, with its constant relators eliminated once.
 
-    Bit i of a row stands for generator i.  At a parameter row, relator r's
-    row (the generators with odd exponent sum in it) is ``base[r]`` XOR
-    ``toggles[j][r]`` over the parameters j with odd values: ``base`` holds
-    the exponents' ``const % 2`` and ``toggles[j]`` their coefficients of
-    parameter j mod 2.
+    Bit i of a row stands for generator i.  A relator whose row does not
+    depend on the parameters mod 2 is constant: its row and sign bit are
+    added to ``echelon`` (``_f2_solve``) when the system is built, and one
+    that is always ``0 | 0`` drops out there.  ``echelon`` is None when the
+    constant rows are inconsistent, so that no parameter row has a lift.
+    Each other relator is kept as its row at parameters 0 (the exponents'
+    ``const % 2``) in ``rows``, the bits an odd value of parameter j
+    toggles (the coefficients mod 2) as pairs ``(j, bits)`` in ``toggles``,
+    and its sign bit in ``signs``.
     """
 
     generators: Tuple[str, ...]
     parameters: Tuple[str, ...]
-    base: Tuple[int, ...]
-    toggles: Tuple[Tuple[int, ...], ...]  # in the order of ``parameters``
+    echelon: Optional[Mapping[int, int]]
+    rows: Tuple[int, ...]
+    toggles: Tuple[Tuple[Tuple[int, int], ...], ...]  # per relator, its non-zero toggles
+    signs: Tuple[int, ...]
 
-    def rows(self, params: Mapping[str, int]) -> Sequence[int]:
-        """Per relator, its row at ``params`` (any integers)."""
-        rows: Sequence[int] = self.base
-        for name, toggle in zip(self.parameters, self.toggles):
-            if params[name] % 2:
-                rows = [r ^ t for r, t in zip(rows, toggle)]
-        return rows
+    def solve(self, odd: Sequence[int]) -> Optional[Dict[int, int]]:
+        """The echelon at a parameter row whose parameters have the
+        parities ``odd`` (in the order of ``parameters``), or None when
+        that row has no lift."""
+        if self.echelon is None:
+            return None
+        rows = []
+        for row, toggles in zip(self.rows, self.toggles):
+            for j, toggle in toggles:
+                if odd[j]:
+                    row ^= toggle
+            rows.append(row)
+        return _f2_solve(rows, self.signs, len(self.generators), self.echelon)
 
 
 class _RecordFields(NamedTuple):
@@ -168,10 +183,11 @@ class AlmostBieberbachRecord(_RecordFields):
             return self.matrices[gen]
         return intmat.int_identity(DIM)
 
-    @property
+    @cached_property
     def signed_perm_holonomy(self) -> bool:
         """Whether every holonomy matrix is a signed permutation, i.e. has
-        spin preimages over Q(sqrt 2) (``base_preimages``)."""
+        spin preimages over Q(sqrt 2) (``base_preimages``); computed on
+        first use and kept."""
         return all(
             intmat.is_signed_perm(self.matrix_of(g)) for g in self.presentation.holonomy_generators()
         )
@@ -223,25 +239,37 @@ class AlmostBieberbachRecord(_RecordFields):
         return tuple(signs)
 
     @cached_property
-    def parity_table(self) -> ParityTable:
-        """The F_2 system's rows, as ``ParityTable`` entries: one pass over
-        the relators' letters, on first use, kept on the record object."""
+    def parity_system(self) -> ParitySystem:
+        """The F_2 system with its constant relators eliminated: one pass
+        over the relators' letters and one ``_f2_solve``, on first use,
+        kept on the record object."""
         pres = self.presentation
         names = tuple(pres.generator_names)
         bit = {n: 1 << i for i, n in enumerate(names)}
         column = {p: j for j, p in enumerate(pres.parameters)}
-        base: List[int] = []
-        toggles = [[0] * len(pres.relators) for _ in pres.parameters]
-        for r, rel in enumerate(pres.relators):
+        constant_rows: List[int] = []
+        constant_signs: List[int] = []
+        rows: List[int] = []
+        toggles: List[Tuple[Tuple[int, int], ...]] = []
+        signs: List[int] = []
+        for rel, sign in zip(pres.relators, self.relator_signs):
             row = 0
+            toggle = [0] * len(column)
             for gen, expr in rel:
                 if expr.const % 2:
                     row ^= bit[gen]
                 for name, coeff in expr.coeffs:
                     if coeff % 2:
-                        toggles[column[name]][r] ^= bit[gen]
-            base.append(row)
-        return ParityTable(names, pres.parameters, tuple(base), tuple(map(tuple, toggles)))
+                        toggle[column[name]] ^= bit[gen]
+            if any(toggle):
+                rows.append(row)
+                toggles.append(tuple((j, t) for j, t in enumerate(toggle) if t))
+                signs.append(sign)
+            else:
+                constant_rows.append(row)
+                constant_signs.append(sign)
+        echelon = _f2_solve(constant_rows, constant_signs, len(names))
+        return ParitySystem(names, pres.parameters, echelon, tuple(rows), tuple(toggles), tuple(signs))
 
 
 class SignAssignment(NamedTuple):
@@ -254,9 +282,9 @@ class SignAssignment(NamedTuple):
 class LiftResult(NamedTuple):
     """The lifts at one parameter row.
 
-    ``solution`` is the elimination's ``(p, kernel)`` (``_f2_solve``) when
-    the count path found lifts; ``valid_assignments`` lists them from it,
-    on each read.  An oracle's result carries no solution.
+    ``echelon`` is the row's reduced echelon form (``_f2_solve``) when the
+    count path found lifts; ``valid_assignments`` lists them from it, on
+    each read.  An oracle's result carries no echelon.
     """
 
     exists: bool
@@ -264,15 +292,15 @@ class LiftResult(NamedTuple):
     strategy: str  # "direct" | "sylow"
     parallelizable: bool
     generators: Tuple[str, ...] = ()
-    solution: Optional[Tuple[int, Tuple[int, ...]]] = None
+    echelon: Optional[Mapping[int, int]] = None
 
     @property
     def valid_assignments(self) -> Tuple[SignAssignment, ...]:
         """The valid sign assignments in increasing order of their bit
         vectors, generator i on bit i."""
-        if self.solution is None:
+        if self.echelon is None:
             return ()
-        p, kernel = self.solution
+        p, kernel = _f2_solution(self.echelon, len(self.generators))
         valid = [p]
         for v in kernel:
             valid += [bits ^ v for bits in valid]
@@ -293,13 +321,20 @@ def reduce_params_mod2(params: Mapping[str, int]) -> Dict[str, int]:
     return {k: v % 2 for k, v in params.items()}
 
 
-def _check_params(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> None:
-    declared = set(record.presentation.parameters)
-    given = set(params)
-    if declared != given:
+def _parities(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> List[int]:
+    """The values of ``params`` mod 2, in the order of the record's
+    parameters; a missing, extra or misnamed parameter raises."""
+    names = record.presentation.parameters
+    try:
+        odd = [params[n] % 2 for n in names]
+    except KeyError:
+        odd = None
+    # the names are distinct (``Presentation``), so this compares the sets
+    if odd is None or len(params) != len(names):
         raise InconsistentRecord(
-            f"family {record.family}: expected parameters {sorted(declared)}, got {sorted(given)}"
+            f"family {record.family}: expected parameters {sorted(names)}, got {sorted(params)}"
         )
+    return odd
 
 
 def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
@@ -357,37 +392,56 @@ def _render_word(w: Word) -> str:
     return "*".join(f"{g}^({e})" for g, e in w)
 
 
-def _f2_solve(rows: Sequence[int], rhs: Sequence[int], nvars: int) -> Optional[Tuple[int, List[int]]]:
-    """Solve parity(rows[r] & s) == rhs[r] for a bit vector s of ``nvars`` bits.
+def _f2_solve(
+    rows: Sequence[int], rhs: Sequence[int], nvars: int, echelon: Optional[Mapping[int, int]] = None
+) -> Optional[Dict[int, int]]:
+    """Add the equations parity(rows[r] & s) == rhs[r], for a bit vector s
+    of ``nvars`` bits, to ``echelon`` (none: an empty system).
 
-    Gauss-Jordan elimination over F_2 with each row's lowest bit as its
-    pivot.  Returns None when the system is inconsistent, and otherwise
-    ``(p, kernel)``: the solutions are exactly p XOR a subset of ``kernel``.
+    The one F_2 elimination: Gauss-Jordan with each row's lowest bit as its
+    pivot.  An echelon maps each pivot bit to its row, with the right-hand
+    side on bit ``nvars``; every pivot bit is set in its own row only.
+    Returns the new echelon, a copy, or None when the system is
+    inconsistent.  The system has 2^(nvars - len(echelon)) solutions, and
+    ``_f2_solution`` lists them.  The reduced form is unique, so it does not
+    depend on the order the rows come in.
+    """
+    pivots = dict(echelon) if echelon else {}
+    top = 1 << nvars
+    for row, b in zip(rows, rhs):
+        if b:
+            row |= top
+        for bit, prow in pivots.items():
+            if row & bit:
+                row ^= prow
+        if not row:
+            continue
+        bit = row & -row
+        if bit == top:
+            return None
+        for q, prow in pivots.items():
+            if prow & bit:
+                pivots[q] = prow ^ row
+        pivots[bit] = row
+    return pivots
+
+
+def _f2_solution(echelon: Mapping[int, int], nvars: int) -> Tuple[int, Tuple[int, ...]]:
+    """``(p, kernel)`` for a consistent echelon of ``_f2_solve``: the
+    solutions are exactly p XOR a subset of ``kernel``.
+
     Each kernel vector has one free bit, its highest, and ``kernel`` is
     sorted by it; p has no free bit.  So the subset with bit mask i gives
     the i-th smallest solution.
     """
-    pivots: Dict[int, Tuple[int, int]] = {}  # pivot bit mask -> (row, rhs)
-    for row, b in zip(rows, rhs):
-        for bit, (prow, pb) in pivots.items():
-            if row & bit:
-                row, b = row ^ prow, b ^ pb
-        if not row:
-            if b:
-                return None
-            continue
-        bit = row & -row
-        for q, (prow, pb) in pivots.items():
-            if prow & bit:
-                pivots[q] = (prow ^ row, pb ^ b)
-        pivots[bit] = (row, b)
-    p = sum(bit for bit, (_, b) in pivots.items() if b)
+    top = 1 << nvars
+    p = sum(bit for bit, row in echelon.items() if row & top)
     kernel = []
     for i in range(nvars):
         free = 1 << i
-        if free not in pivots:
-            kernel.append(free | sum(bit for bit, (prow, _) in pivots.items() if prow & free))
-    return p, kernel
+        if free not in echelon:
+            kernel.append(free | sum(bit for bit, row in echelon.items() if row & free))
+    return p, tuple(kernel)
 
 
 def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
@@ -395,20 +449,22 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 
     An assignment s (bit i = 1 meaning generator i carries -1) is valid iff
     every relator evaluates to +1, that is, iff for every relator the parity
-    of s on the generators with odd exponent sum (``parity_table``) equals
-    the relator's sign bit (``relator_signs``), because -1 is central and
-    base relator values are +-1.  The result keeps the elimination's
-    solution, from which ``LiftResult.valid_assignments`` lists the valid
-    assignments; their signs are relative to the lifts ``holonomy_lift``
-    chooses.
+    of s on the generators with odd exponent sum equals the relator's sign
+    bit (``relator_signs``), because -1 is central and base relator values
+    are +-1.  The record's constant relators are eliminated once
+    (``parity_system``); a row adds its parameter-dependent relators to
+    that echelon, and the count is 2^(generators - rank).  The result keeps
+    the row's echelon, from which ``LiftResult.valid_assignments`` lists the
+    valid assignments; their signs are relative to the lifts
+    ``holonomy_lift`` chooses.
     """
-    _check_params(record, params)
-    table = record.parity_table
-    solved = _f2_solve(table.rows(params), record.relator_signs, len(table.generators))
-    if solved is None:
-        return LiftResult(False, 0, "direct", False, table.generators)
-    p, kernel = solved
-    return LiftResult(True, 1 << len(kernel), "direct", True, table.generators, (p, tuple(kernel)))
+    odd = _parities(record, params)
+    system = record.parity_system
+    echelon = system.solve(odd)
+    if echelon is None:
+        return LiftResult(False, 0, "direct", False, system.generators)
+    count = 1 << (len(system.generators) - len(echelon))
+    return LiftResult(True, count, "direct", True, system.generators, echelon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The exact integer 4 x 4 kernel under every catalog load.
 
 Every holonomy matrix is a 4 x 4 integer matrix.  Loading a catalog closes
-them into a finite group (one product per element and generator), and
-``lift_power_sign`` reads a trace off their powers; so the 4 x 4 product
-and inverse are written out.  Integer matrices are tuples of row tuples;
-lists are accepted as input.  Matrices over Q(sqrt 2) live in
-:mod:`spinaf.linalg`, which the commands that count never import.
+them into a finite group (one product per element and generator), checks
+their determinants, and ``lift_power_sign`` reads a trace off their powers;
+so the 4 x 4 product, determinant and inverse are written out.  Integer
+matrices are tuples of row tuples; lists are accepted as input.  Matrices
+over Q(sqrt 2) live in :mod:`spinaf.linalg`, which the commands that count
+never import.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ def int_identity(n: int):
 
 
 def int_det(A) -> int:
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = 0
-    for j in range(n):
-        if A[0][j] == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        total += (1 if j % 2 == 0 else -1) * A[0][j] * int_det(minor)
-    return total
+    """The determinant of a 4 x 4 integer matrix, by Laplace expansion
+    along the top and the bottom pair of rows, as in ``int_mat_inverse``."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    return ((a00 * a11 - a10 * a01) * (a22 * a33 - a32 * a23)
+            - (a00 * a12 - a10 * a02) * (a21 * a33 - a31 * a23)
+            + (a00 * a13 - a10 * a03) * (a21 * a32 - a31 * a22)
+            + (a01 * a12 - a11 * a02) * (a20 * a33 - a30 * a23)
+            - (a01 * a13 - a11 * a03) * (a20 * a32 - a30 * a22)
+            + (a02 * a13 - a12 * a03) * (a20 * a31 - a30 * a21))
 
 
 def int_mat_inverse(A):

@@ -13,7 +13,7 @@
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
 - ``instantiate_relators`` and ``parity_rows``: the relators and their F_2
   rows at one parameter row, from every exponent evaluated there, where
-  the count path reads ``AlmostBieberbachRecord.parity_table``.
+  the count path reads ``AlmostBieberbachRecord.parity_system``.
 
 No ``spinaf`` command imports this module.
 """
@@ -34,10 +34,9 @@ from .fp import (
     IntMatrix,
     LiftResult,
     Presentation,
-    _check_params,
     _f2_solve,
+    _parities,
     base_preimages,
-    reduce_params_mod2,
     sylow_subgroup,
 )
 from .groups import CosetTable, Word, spanning_tree, word_to_letters
@@ -101,7 +100,8 @@ def evaluate_word(
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:
     """dim_F2 of Hom(Gamma, C_2) = |generators| - rank of the exponent matrix."""
     rows = parity_rows(presentation, params)
-    return len(_f2_solve(rows, [0] * len(rows), len(presentation.generator_names))[1])
+    nvars = len(presentation.generator_names)
+    return nvars - len(_f2_solve(rows, [0] * len(rows), nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,7 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     why any such subgroup serves.  Parameters are reduced mod 2 first: they
     enter the pullback's relators as exponents.
     """
-    _check_params(record, params)
-    params = reduce_params_mod2(params)
+    params = dict(zip(record.presentation.parameters, _parities(record, params)))
     pullback = sylow_pullback_record(record, params)
     base = base_preimages(pullback)
     one = CliffordElement.scalar(DIM, 1)

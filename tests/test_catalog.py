@@ -43,14 +43,14 @@ def test_records_and_results_are_read_only(bundled):
 
 
 def _cached(record):
-    return {"relator_signs", "parity_table"} & set(vars(record))
+    return {"relator_signs", "parity_system"} & set(vars(record))
 
 
 def test_record_equality_ignores_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.relator_signs is not None and r.parity_table is not None
-    assert _cached(r) == {"relator_signs", "parity_table"}
+    assert r.relator_signs is not None and r.parity_system is not None
+    assert _cached(r) == {"relator_signs", "parity_system"}
     copy_ = cat.record_from_json(cat.record_to_json(r))
     assert _cached(copy_) == set()
     assert copy_ == r and r == copy_
@@ -59,7 +59,7 @@ def test_record_equality_ignores_cached_values(bundled):
 def test_replace_gives_a_record_with_no_cached_values(bundled):
     catalog, _ = bundled
     r = catalog.find("4")
-    assert r.relator_signs is not None and r.parity_table is not None
+    assert r.relator_signs is not None and r.parity_system is not None
     renamed = r._replace(holonomy_name="C6")
     assert type(renamed) is fp.AlmostBieberbachRecord
     assert renamed.holonomy_name == "C6" and renamed.family == "4"

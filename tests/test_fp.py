@@ -165,10 +165,19 @@ def test_f2_solve_against_brute_force():
         brute = [s for s in range(1 << k)
                  if all(bin(row & s).count("1") % 2 == b for row, b in zip(rows, rhs))]
         solved = fp._f2_solve(rows, rhs, k)
+        # the same rows added to the echelon of a first part of them: the
+        # reduced form is unique, and the first echelon is left as it was
+        j = rng.randint(0, len(rows))
+        first = fp._f2_solve(rows[:j], rhs[:j], k)
+        if first is not None:
+            kept = dict(first)
+            assert fp._f2_solve(rows[j:], rhs[j:], k, first) == solved
+            assert first == kept
         if not brute:
             assert solved is None
             continue
-        p, kernel = solved
+        assert len(brute) == 1 << (k - len(solved))
+        p, kernel = fp._f2_solution(solved, k)
         listed = []
         for i in range(1 << len(kernel)):
             s = p
@@ -241,21 +250,76 @@ def test_count_is_2_to_rank_against_brute_force(catalog):
                 assert res.count & (res.count - 1) == 0
 
 
-def test_parity_table_rows_equal_the_instantiated_rows(bundled):
-    # the count path reads each row off the record's affine table; the oracle
-    # evaluates every exponent at the row
-    catalog, expectations = bundled
+def test_parity_system_solves_like_the_instantiated_rows(catalog):
+    # the count path adds a row's parameter-dependent relators to the
+    # record's echelon of its constant ones; the oracle evaluates every
+    # exponent at the row and eliminates the whole system from scratch.
+    # Every parity vector of every record, and each again with its entries
+    # shifted by even amounts in -6..6
     rng = random.Random(23)
     seen = set()
-    for e in expectations:
-        r = catalog.find(e.family)
+    rows = 0
+    for r in catalog.records:
         names = r.presentation.parameters
-        for vector in [e.params] + [[rng.randint(-5, 5) for _ in names] for _ in range(3)]:
-            params = dict(zip(names, vector))
-            seen.update(vector)
-            assert (list(r.parity_table.rows(params))
-                    == oracles.parity_rows(r.presentation, params)), (e.family, vector)
+        generators = tuple(r.presentation.generator_names)
+        assert len(names) <= 5, r.family
+        for bits in itertools.product((0, 1), repeat=len(names)):
+            shifted = [b + 2 * rng.randint(-3, 2) for b in bits]
+            seen.update(shifted)
+            solved = fp._f2_solve(oracles.parity_rows(r.presentation, dict(zip(names, shifted))),
+                                  r.relator_signs, len(generators))
+            oracle = fp.LiftResult(solved is not None,
+                                   0 if solved is None else 1 << (len(generators) - len(solved)),
+                                   "direct", solved is not None, generators, solved)
+            for vector in (bits, shifted):
+                res = fp.enumerate_lifts(r, dict(zip(names, vector)))
+                assert res == oracle, (r.family, vector)
+                assert res.valid_assignments == oracle.valid_assignments, (r.family, vector)
+            rows += 1
+    assert rows == sum(1 << len(r.presentation.parameters) for r in catalog.records)
     assert min(seen) < 0 and max(seen) >= 2
+
+
+def test_inconsistent_constant_relators_count_0_at_every_row():
+    # al is a half turn in one plane: both its spin lifts square to -1, so
+    # the parameter-free relator al^2 is the row 0 | 1, and the record has
+    # no lift whatever its parameters.  No bundled record has such a relator
+    gens = (fp.GeneratorDecl("a", fp.LATTICE), fp.GeneratorDecl("al", fp.HOLONOMY))
+    relators = (
+        (("al", E(2)),),
+        (("a", E(0, {"k1": 1})), ("al", E(2))),
+        (("a", E(1, {"k2": 1})),),
+    )
+    record = fp.AlmostBieberbachRecord(
+        family="half-turn", holonomy_name="C2",
+        presentation=fp.Presentation(gens, relators, ("k1", "k2")),
+        matrices={"al": ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))},
+    )
+    cat.check_record(record)
+    assert record.relator_signs == (1, 1, 0)
+    assert record.parity_system.echelon is None
+    for bits in itertools.product((0, 1), repeat=2):
+        params = dict(zip(("k1", "k2"), bits))
+        res = fp.count_lifts(record, params)
+        assert (res.exists, res.count, res.parallelizable) == (False, 0, False)
+        assert res.valid_assignments == ()
+        assert brute_force_assignments(record, params) == []
+        assert oracles.sylow_strategy(record, params).count == 0
+
+
+@pytest.mark.parametrize("params, got", [
+    pytest.param({"k1": 0, "k2": 0, "k3": 0}, "['k1', 'k2', 'k3']", id="missing"),
+    pytest.param({"k1": 0, "k2": 0, "k3": 0, "k4": 0, "k5": 1}, "['k1', 'k2', 'k3', 'k4', 'k5']",
+                 id="extra"),
+    pytest.param({"k1": 0, "k2": 0, "k3": 0, "K4": 0}, "['K4', 'k1', 'k2', 'k3']", id="misnamed"),
+])
+def test_count_lifts_refuses_parameters_that_are_not_the_records(catalog, params, got):
+    r = catalog.find("4")
+    assert r.presentation.parameters == ("k1", "k2", "k3", "k4")
+    message = f"family 4: expected parameters ['k1', 'k2', 'k3', 'k4'], got {got}"
+    for count in (fp.count_lifts, oracles.sylow_strategy):
+        with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
+            count(r, params)
 
 
 def test_mod2_invariance(catalog):
@@ -303,7 +367,7 @@ def test_lift_groups_have_double_order(catalog):
 
 def test_wrong_parameter_count_rejected(catalog):
     r = catalog.find("4")
-    with pytest.raises(InconsistentRecord):
+    with pytest.raises(InconsistentRecord, match=r"^family 4 takes 4 parameters, got 2$"):
         cat.classify_record(r, (0, 0))
 
 

@@ -65,6 +65,21 @@ def test_int_mat_pow_is_repeated_products(A, k):
     assert intmat.int_mat_pow(A, k) == expected
 
 
+def cofactor_det(A):
+    """The determinant by cofactor expansion along the first row."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=int_matrices)
+def test_int_det_is_the_cofactor_expansion(A):
+    assert intmat.int_det(A) == cofactor_det(A)
+    assert intmat.int_det(tuple(map(tuple, A))) == cofactor_det(A)
+
+
 def test_int_mat_inverse_of_a_dense_matrix():
     # every entry and every 2 x 2 minor of rows (0, 1) and (2, 3) is
     # nonzero, so every term of the closed-form adjugate contributes
