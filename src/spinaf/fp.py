@@ -15,22 +15,23 @@ relator's base sign.  Parameters appear only in lattice-generator exponents
 the system's rows are affine in the parameters mod 2.
 
 One count path serves every record: the base signs are traced in
-Ĝ = λ⁻¹(F), built from the presentation of F's character table
-(``lifted_holonomy``; ``AlmostBieberbachRecord.relator_signs``, computed on
-first use).  The relators whose rows do not depend on the parameters mod 2
-are eliminated once per record, and the others kept as a base row, toggles
-per parameter and a sign (``AlmostBieberbachRecord.parity_system``, also
-computed on first use).  A parameter row adds only those rows to the
-record's echelon, and its count is 2^(generators - rank)
-(``enumerate_lifts``), with no Clifford product.  ``_f2_solve`` is the one
-F_2 elimination; the oracles call it too.  F itself, one integer
-multiplication table, is built once per record when the catalog is loaded
-(``AlmostBieberbachRecord.holonomy_group``).  Loading a catalog checks that
-``sylow_subgroup`` has odd index on every record whose matrices are not all
-signed permutations.  The independent oracles that back the count path in
-the tests (Clifford products over ``base_preimages``, the Sylow pullback,
-and the relators instantiated at a parameter row) live in
-:mod:`spinaf.oracles`, which no command imports.
+Ĝ = λ⁻¹(F), the central extension of F that one F_2 solve over F's Cayley
+graph builds (``lifted_holonomy``; ``AlmostBieberbachRecord.relator_signs``,
+computed on first use).  The relators whose rows do not depend on the
+parameters mod 2 are eliminated once per record, and the others kept as a
+base row, toggles per parameter and a sign
+(``AlmostBieberbachRecord.parity_system``, also computed on first use).  A
+parameter row adds only those rows to the record's echelon, and its count
+is 2^(generators - rank) (``enumerate_lifts``), with no Clifford product.
+``_f2_solve`` is the one F_2 elimination; the oracles call it too.  F
+itself, one integer multiplication table, is built once per record when
+the catalog is loaded (``AlmostBieberbachRecord.holonomy_group``).  Loading
+a catalog checks that ``sylow_subgroup`` has odd index on every record
+whose matrices are not all signed permutations.  The independent oracles
+that back the count path in the tests (Clifford products over
+``base_preimages``, the Sylow pullback, the relators instantiated at a
+parameter row, and Ĝ by coset enumeration) live in :mod:`spinaf.oracles`,
+which no command imports.
 """
 
 from __future__ import annotations
@@ -230,11 +231,7 @@ class AlmostBieberbachRecord(_RecordFields):
             for g, e in rel:
                 if g in lift:
                     x = G.mul(x, G.power(lift[g], e.const))
-            if x not in (G.identity, lifted.central):
-                raise InconsistentRecord(
-                    f"family {self.family}: relator {_render_word(rel)} does not "
-                    "hold for the holonomy matrices"
-                )
+            # ``holonomy_group`` checked the relator on F, so x lies over its identity
             signs.append(int(x == lifted.central))
         return tuple(signs)
 
@@ -289,8 +286,6 @@ class LiftResult(NamedTuple):
 
     exists: bool
     count: int
-    strategy: str  # "direct" | "sylow"
-    parallelizable: bool
     generators: Tuple[str, ...] = ()
     echelon: Optional[Mapping[int, int]] = None
 
@@ -314,11 +309,6 @@ class LiftResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
-
-
-def reduce_params_mod2(params: Mapping[str, int]) -> Dict[str, int]:
-    """Reduce a parameter assignment mod 2 (the count only depends on this)."""
-    return {k: v % 2 for k, v in params.items()}
 
 
 def _parities(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> List[int]:
@@ -462,9 +452,9 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
     system = record.parity_system
     echelon = system.solve(odd)
     if echelon is None:
-        return LiftResult(False, 0, "direct", False, system.generators)
+        return LiftResult(False, 0, system.generators)
     count = 1 << (len(system.generators) - len(echelon))
-    return LiftResult(True, count, "direct", True, system.generators, echelon)
+    return LiftResult(True, count, system.generators, echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -533,35 +523,51 @@ class LiftedHolonomy(NamedTuple):
 
 
 def lifted_holonomy(record: AlmostBieberbachRecord) -> LiftedHolonomy:
-    """Ĝ built from the presentation of the named holonomy group's
-    character table.
+    """Ĝ as F x {0, 1}, element 2x + s over F's element x: 0 is the identity
+    and 1 the kernel element c.
 
-    The record's ``holonomy_group`` maps the table's generators onto
-    elements of F.  Ĝ is the central extension of F by the order-2
-    kernel c; each power relator w^m = 1 of F lifts to w^m = (sign) where
-    the sign is read off from one integer trace, that of the involution
-    among the powers of theta(w) (``lift_power_sign``).  Coset enumeration
-    realizes Ĝ by its regular action, which must have 2|F| elements; each
-    element's matrix is that of its word in the generators.
+    A generator g_j of the named group's table acts by
+    (x, s) g_j = (x g_j, s + e(x, j)), with one bit e(x, j) per edge
+    x -> x g_j of F's Cayley graph, and c flips s.  The bits are 0 on a
+    spanning tree, and around the loop that a power relator w^m spells from
+    any x they sum to its sign (``lift_power_sign``): one ``_f2_solve``.  The
+    table presents F, so its relator loops span the graph's cycles mod 2 and
+    fix every other bit.  No solution means the lifted relators force c = 1,
+    and a free bit that the table presents a group larger than F (then Ĝ has
+    more than 2|F| elements); both raise InconsistentRecord.
     """
     F = record.holonomy_group
-    table = F.table
-    pos = {g: i for i, g in enumerate(table.generators)}
-    c = len(table.generators) + 1  # the central kernel generator
-    relators = [(c, c)] + [(g, c, -g, -c) for g in range(1, c)]
-    for base, power in table.relators:
-        rel = groups.word_to_letters(base, pos) * power
-        if lift_power_sign(F.matrices[F.element_of_word(base)], power) < 0:
-            rel = rel + (c,)
-        relators.append(rel)
-    G, words = groups.regular_representation(c, relators)
-    if len(G) != 2 * F.order:
+    products, inverses = F.group.table, F.group.inverses
+    gens, k = F.generators, len(F.generators)
+    right = [[row[g] for g in gens] for row in products]
+    nvars = k * len(right)  # bit x k + j is e(x, j)
+    rows = [1 << (x * k + j) for _, x, j in groups.spanning_tree(right)]
+    rhs = [0] * len(rows)
+    pos = {g: i for i, g in enumerate(F.table.generators)}
+    for base, power in F.table.relators:
+        word = groups.word_to_letters(base, pos) * power
+        sign = int(lift_power_sign(F.matrices[F.element_of_word(base)], power) < 0)
+        for x in F.group.elements:
+            row = 0
+            for letter in word:  # the letter g_j^-1 walks the edge y -> y g_j = x back
+                j = abs(letter) - 1
+                y = x if letter > 0 else products[x][inverses[gens[j]]]
+                row ^= 1 << (y * k + j)
+                x = right[x][j] if letter > 0 else y
+            rows.append(row)
+            rhs.append(sign)
+    echelon = _f2_solve(rows, rhs, nvars)
+    if echelon is None or len(echelon) < nvars:
+        order = F.order if echelon is None else f"more than {2 * F.order}"
         raise InconsistentRecord(
-            f"family {record.family}: the lift of the {table.name} presentation has "
-            f"order {len(G)}, not twice the holonomy order {F.order}"
+            f"family {record.family}: the lift of the {F.table.name} presentation has "
+            f"order {order}, not twice the holonomy order {F.order}"
         )
-    images = [F.group.evaluate_word([k for k in w if k < c], F.generators) for w in words]
-    return LiftedHolonomy(G, tuple(F.matrices[x] for x in images), images.index(0, 1))
+    bits = _f2_solution(echelon, nvars)[0]
+    action = [[2 * y + (s ^ bits >> (x * k + j) & 1) for j, y in enumerate(targets)]
+              + [2 * x + 1 - s] for x, targets in enumerate(right) for s in (0, 1)]
+    G = groups.FiniteGroup.from_right_action(action)
+    return LiftedHolonomy(G, tuple(F.matrices[e >> 1] for e in G.elements), 1)
 
 
 def holonomy_lift(lifted: LiftedHolonomy, M: IntMatrix) -> int:

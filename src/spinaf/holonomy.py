@@ -1,4 +1,4 @@
-"""Integral holonomy representations: closure, orientability, characters.
+"""Integral holonomy representations: closure and characters.
 
 The catalog stores one integer matrix per holonomy generator.  This module
 closes them into a finite group F with one integer multiplication table,
@@ -38,23 +38,10 @@ class FiniteMatrixGroup(NamedTuple):
     def order(self) -> int:
         return len(self.group)
 
-    @property
-    def generator_map(self) -> Tuple[Tuple[str, IntMatrix], ...]:
-        """Table generator name -> the matrix realizing it."""
-        return tuple(zip(self.table.generators, (self.matrices[x] for x in self.generators)))
-
     def element_of_word(self, word: Sequence[Tuple[str, int]]) -> int:
         """The element of a word in the table's generators."""
         pos = {g: i for i, g in enumerate(self.table.generators)}
         return self.group.evaluate_word(groups.word_to_letters(word, pos), self.generators)
-
-
-def orientability(record: AlmostBieberbachRecord) -> bool:
-    """True iff every holonomy matrix has determinant +1."""
-    return all(
-        intmat.int_det(record.matrix_of(g)) == 1
-        for g in record.presentation.holonomy_generators()
-    )
 
 
 def _check_relators(

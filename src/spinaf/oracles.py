@@ -13,17 +13,22 @@
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
 - ``instantiate_relators`` and ``parity_rows``: the relators and their F_2
   rows at one parameter row, from every exponent evaluated there, where
-  the count path reads ``AlmostBieberbachRecord.parity_system``.
+  the count path reads ``AlmostBieberbachRecord.parity_system``;
+- ``todd_coxeter`` and ``regular_representation``: coset enumeration, the
+  reference for the Ĝ of ``fp.lifted_holonomy`` (on the table presentation
+  with a central generator and the ``fp.lift_power_sign`` signs), and the
+  check that each table presentation presents a group of the table's order.
 
 No ``spinaf`` command imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import intmat
 from .clifford import CliffordElement
+from .errors import EnumerationBoundExceeded
 from .fp import (
     DIM,
     HOLONOMY,
@@ -39,7 +44,7 @@ from .fp import (
     base_preimages,
     sylow_subgroup,
 )
-from .groups import CosetTable, Word, spanning_tree, word_to_letters
+from .groups import FiniteGroup, Word, spanning_tree, word_to_letters
 
 ConcreteWord = Tuple[Tuple[str, int], ...]
 
@@ -102,6 +107,193 @@ def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, in
     rows = parity_rows(presentation, params)
     nvars = len(presentation.generator_names)
     return nvars - len(_f2_solve(rows, [0] * len(rows), nvars))
+
+
+# ---------------------------------------------------------------------------
+# Todd-Coxeter coset enumeration (HLT strategy with coincidence handling)
+# ---------------------------------------------------------------------------
+
+
+class CosetTable:
+    """Coset table produced by :func:`todd_coxeter`.
+
+    ``table[c][x]`` is the coset reached from ``c`` by letter ``x``, where
+    letter ``2k`` is generator ``k+1`` and letter ``2k+1`` its inverse.
+    After enumeration completes the table is compact: cosets are numbered
+    0..index-1 with 0 the subgroup itself.
+    """
+
+    def __init__(self, table: List[List[int]]):
+        self.table = table
+
+    @property
+    def index(self) -> int:
+        return len(self.table)
+
+    def apply_word(self, c: int, word: Word) -> int:
+        for w in word:
+            letter = 2 * (abs(w) - 1) + (0 if w > 0 else 1)
+            c = self.table[c][letter]
+        return c
+
+
+def todd_coxeter(
+    ngens: int,
+    relators: Sequence[Word],
+    subgroup: Sequence[Word] = (),
+    bound: int = 8192,
+) -> CosetTable:
+    """Enumerate the cosets of <subgroup> in <gens | relators>.
+
+    Raises EnumerationBoundExceeded if more than ``bound`` cosets are
+    defined along the way (the final index may be much smaller).
+    """
+    nletters = 2 * ngens
+
+    def letters(word: Word) -> List[int]:
+        return [2 * (abs(w) - 1) + (0 if w > 0 else 1) for w in word]
+
+    rel_letters = [letters(r) for r in relators]
+    sub_letters = [letters(w) for w in subgroup]
+
+    table: List[List[Optional[int]]] = [[None] * nletters]
+    p: List[int] = [0]  # union-find for coincidences
+    defined = 1
+
+    def rep(c: int) -> int:
+        while p[c] != c:
+            p[c] = p[p[c]]
+            c = p[c]
+        return c
+
+    def define(c: int, x: int) -> int:
+        nonlocal defined
+        if defined >= bound:
+            raise EnumerationBoundExceeded(f"coset enumeration exceeded {bound} cosets")
+        d = len(table)
+        table.append([None] * nletters)
+        p.append(d)
+        table[c][x] = d
+        table[d][x ^ 1] = c
+        defined += 1
+        return d
+
+    coincidences: List[Tuple[int, int]] = []
+
+    def merge(a: int, b: int):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            p[b] = a
+            coincidences.append((a, b))
+
+    def process_coincidences():
+        while coincidences:
+            a, b = coincidences.pop()
+            a = rep(a)
+            for x in range(nletters):
+                d = table[b][x]
+                if d is None:
+                    continue
+                table[b][x] = None
+                d = rep(d)
+                a2 = rep(a)
+                if table[a2][x] is None:
+                    table[a2][x] = d
+                    if table[d][x ^ 1] is None:
+                        table[d][x ^ 1] = a2
+                    else:
+                        merge(table[d][x ^ 1], a2)
+                else:
+                    merge(table[a2][x], d)
+                dx = rep(d)
+                if table[dx][x ^ 1] is None:
+                    table[dx][x ^ 1] = a2
+
+    def scan_and_fill(c: int, word: List[int]):
+        f, b = c, c
+        i, j = 0, len(word) - 1
+        while True:
+            # scan forward as far as possible
+            while i <= j and table[f][word[i]] is not None:
+                f = rep(table[f][word[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    merge(f, b)
+                return
+            # scan backward
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b = rep(table[b][word[j] ^ 1])
+                j -= 1
+            if j < i:
+                merge(f, b)
+                return
+            if i == j:
+                # deduction closes the scan
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            # fill a gap and keep scanning
+            define(f, word[i])
+
+    for w in sub_letters:
+        scan_and_fill(0, w)
+        process_coincidences()
+
+    c = 0
+    while c < len(table):
+        if rep(c) != c:
+            c += 1
+            continue
+        for rel in rel_letters:
+            if rep(c) != c:
+                break
+            scan_and_fill(c, rel)
+            process_coincidences()
+        if rep(c) == c:
+            for x in range(nletters):
+                if rep(c) != c:
+                    break
+                if table[c][x] is None:
+                    define(c, x)
+                    for rel in rel_letters:
+                        scan_and_fill(c, rel)
+                        process_coincidences()
+        c += 1
+
+    # compactify live cosets
+    live = [c for c in range(len(table)) if rep(c) == c]
+    remap = {c: i for i, c in enumerate(live)}
+    compact = []
+    for c in live:
+        row = []
+        for x in range(nletters):
+            d = table[c][x]
+            if d is None:
+                raise EnumerationBoundExceeded("enumeration finished with an incomplete table")
+            row.append(remap[rep(d)])
+        compact.append(row)
+    return CosetTable(compact)
+
+
+def regular_representation(
+    ngens: int, relators: Sequence[Word], bound: int = 8192
+) -> Tuple[FiniteGroup, List[Word]]:
+    """The group <gens | relators> as a permutation group on itself, and
+    per element its word in the generators.
+
+    Elements are cosets of the trivial subgroup, 0 the identity.  Each
+    word is the breadth-first path to its coset along the generators only:
+    each one permutes the finitely many cosets, so the cosets are all
+    reached without inverse letters.
+    """
+    ct = todd_coxeter(ngens, relators, subgroup=(), bound=bound)
+    right = [row[0::2] for row in ct.table]  # letter 2k is generator k + 1
+    words: List[Word] = [()] * ct.index
+    for y, x, k in spanning_tree(right):
+        words[y] = words[x] + (k + 1,)
+    return FiniteGroup.from_right_action(right), words
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +392,7 @@ def sylow_pullback_record(
                 row[2 * i + j] = coset_of[y]
         rows.append(row)
         c += 1
-    gamma_table = CosetTable(len(names), rows)
+    gamma_table = CosetTable(rows)
     pos = {n: i for i, n in enumerate(names)}
     gamma_relators = [
         word_to_letters(w, pos) for w in instantiate_relators(record.presentation, params)
@@ -257,6 +449,6 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
            for rel in instantiate_relators(pullback.presentation, {})]
     rows = parity_rows(pullback.presentation, {})
     if _f2_solve(rows, rhs, len(pullback.presentation.generators)) is None:
-        return LiftResult(False, 0, "sylow", False)
+        return LiftResult(False, 0)
     d = abelianization_mod2_rank(record.presentation, params)
-    return LiftResult(True, 2 ** d, "sylow", True)
+    return LiftResult(True, 2 ** d)

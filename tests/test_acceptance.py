@@ -197,6 +197,6 @@ def test_criterion_6_counting(bundled):
             # mod-2 invariance: shifting any parameter by 2 changes nothing
             shifted = {n: v + 2 for n, v in params.items()}
             assert (
-                fp.count_lifts(record, fp.reduce_params_mod2(shifted)).count
+                fp.count_lifts(record, dict(zip(names, fp._parities(record, shifted)))).count
                 == result.count
             )

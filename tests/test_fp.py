@@ -5,7 +5,7 @@ import re
 import pytest
 
 from spinaf import catalog as cat
-from spinaf import chartables, fp, intmat, oracles
+from spinaf import chartables, fp, groups, intmat, oracles
 from spinaf.clifford import CliffordElement
 from spinaf.errors import InconsistentRecord, SpinafError, UnsupportedScalar
 
@@ -27,9 +27,7 @@ def test_family_4_counts(catalog):
     for bits, count in expected.items():
         res = fp.enumerate_lifts(r, params_of(r, bits))
         assert res.count == count
-        assert res.strategy == "direct"
         assert len(res.valid_assignments) == count
-        assert res.parallelizable == (count > 0)
 
 
 def test_family_5_nonspin_row(catalog):
@@ -37,7 +35,6 @@ def test_family_5_nonspin_row(catalog):
     res = fp.enumerate_lifts(r, params_of(r, (1, 0, 0, 1)))
     assert res.count == 0
     assert not res.exists
-    assert not res.parallelizable
 
 
 def test_c6_sylow_counts(catalog):
@@ -45,9 +42,7 @@ def test_c6_sylow_counts(catalog):
     assert not r.signed_perm_holonomy
     for bits, count in {(0, 0, 0, 0): 4, (1, 0, 0, 0): 2,
                         (0, 0, 0, 1): 4, (1, 0, 0, 1): 2}.items():
-        res = oracles.sylow_strategy(r, params_of(r, bits))
-        assert res.count == count
-        assert res.strategy == "sylow"
+        assert oracles.sylow_strategy(r, params_of(r, bits)).count == count
 
 
 def test_wrongly_named_record_is_refused_not_miscounted(catalog):
@@ -69,7 +64,7 @@ def test_direct_count_needs_no_spin_preimages(catalog):
     with pytest.raises(UnsupportedScalar):
         fp.base_preimages(r)
     result = fp.count_lifts(r, params_of(r, (0, 0, 0, 0)))
-    assert (result.strategy, result.count) == ("direct", 4)
+    assert result.count == 4
     assert result == fp.enumerate_lifts(r, params_of(r, (0, 0, 0, 0)))
     assert oracles.sylow_strategy(r, params_of(r, (0, 0, 0, 0))).count == 4
 
@@ -93,7 +88,6 @@ def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
     small = oracles.sylow_strategy(r, params_of(r, (1, 0, 0, 0)))
     large = oracles.sylow_strategy(r, params_of(r, (20001, 0, 0, 0)))
     assert large == small
-    assert small.strategy == "sylow"
     assert len(built) == 2
     assert relator_length(built[1]) == relator_length(built[0])
 
@@ -108,7 +102,6 @@ def test_count_lifts_agrees_with_sylow_strategy_on_every_row(catalog):
         r = catalog.find(e.family)
         p = params_of(r, e.params)
         direct, sylow = fp.count_lifts(r, p), oracles.sylow_strategy(r, p)
-        assert (direct.strategy, sylow.strategy) == ("direct", "sylow")
         assert sylow.count == direct.count == e.count, (e.family, e.params)
 
 
@@ -204,8 +197,64 @@ def test_abstract_lift_rejects_a_presentation_of_a_larger_group(catalog, monkeyp
     d8 = table.relators[:2] + (((("a", 1), ("b", 1)), 4),)
     monkeypatch.setitem(chartables.TABLES, "C2xC2", table._replace(relators=d8))
     fresh = catalog.find("27")._replace()  # no holonomy group built with the real table yet
-    with pytest.raises(InconsistentRecord, match="family 27: .* has order 16, not twice"):
+    with pytest.raises(InconsistentRecord, match="^family 27: .* not twice the holonomy order 4$"):
         fp._lift_group_abstract(fresh)
+
+
+def test_lift_whose_relators_force_c_to_1_is_refused(catalog, monkeypatch):
+    # with b^2 = 1 in place of b^2 = c, the lifted relator (ba)^2 = c gives
+    # b a b^-1 = c a^-1, and conjugating a^3 = 1 by b then forces c = 1
+    r = catalog.find("158")
+    F = r.holonomy_group
+    b = F.matrices[F.element_of_word((("b", 1),))]
+    sign = fp.lift_power_sign
+    monkeypatch.setattr(fp, "lift_power_sign",
+                        lambda M, m: -sign(M, m) if (M, m) == (b, 2) else sign(M, m))
+    message = "family 158: the lift of the S3 presentation has order 6, not twice the holonomy order 6"
+    with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
+        fp.lifted_holonomy(r)
+
+
+def coset_enumeration_lift(record):
+    """Ĝ realized by coset enumeration of the table presentation with a
+    central generator c and each power relator signed by
+    ``lift_power_sign``: the reference for ``fp.lifted_holonomy``."""
+    F = record.holonomy_group
+    table = F.table
+    pos = {g: i for i, g in enumerate(table.generators)}
+    c = len(table.generators) + 1
+    relators = [(c, c)] + [(g, c, -g, -c) for g in range(1, c)]
+    for base, power in table.relators:
+        rel = groups.word_to_letters(base, pos) * power
+        if fp.lift_power_sign(F.matrices[F.element_of_word(base)], power) < 0:
+            rel = rel + (c,)
+        relators.append(rel)
+    G, words = oracles.regular_representation(c, relators)
+    images = [F.group.evaluate_word([k for k in w if k < c], F.generators) for w in words]
+    return fp.LiftedHolonomy(G, tuple(F.matrices[x] for x in images), images.index(0, 1))
+
+
+def test_lifted_holonomy_agrees_with_coset_enumeration(catalog):
+    # the second Ĝ oracle for every record, the 8 whose matrices are not all
+    # signed permutations included: same order and type, and the relator
+    # signs traced in the reference with holonomy_lift's rule are the record's
+    assert len(catalog.records) == 43
+    for r in catalog.records:
+        lifted, reference = fp.lifted_holonomy(r), coset_enumeration_lift(r)
+        G = reference.group
+        assert len(lifted.group) == len(G) == 2 * r.holonomy_group.order, r.family
+        assert groups.identify_group(lifted.group) == groups.identify_group(G), r.family
+        lift = {g: fp.holonomy_lift(reference, r.matrix_of(g))
+                for g in r.presentation.holonomy_generators()}
+        signs = []
+        for rel in r.presentation.relators:
+            x = G.identity
+            for g, e in rel:
+                if g in lift:
+                    x = G.mul(x, G.power(lift[g], e.const))
+            assert x in (G.identity, reference.central), (r.family, rel)
+            signs.append(int(x == reference.central))
+        assert tuple(signs) == r.relator_signs, r.family
 
 
 def sign_bits(signs):
@@ -270,7 +319,7 @@ def test_parity_system_solves_like_the_instantiated_rows(catalog):
                                   r.relator_signs, len(generators))
             oracle = fp.LiftResult(solved is not None,
                                    0 if solved is None else 1 << (len(generators) - len(solved)),
-                                   "direct", solved is not None, generators, solved)
+                                   generators, solved)
             for vector in (bits, shifted):
                 res = fp.enumerate_lifts(r, dict(zip(names, vector)))
                 assert res == oracle, (r.family, vector)
@@ -301,7 +350,7 @@ def test_inconsistent_constant_relators_count_0_at_every_row():
     for bits in itertools.product((0, 1), repeat=2):
         params = dict(zip(("k1", "k2"), bits))
         res = fp.count_lifts(record, params)
-        assert (res.exists, res.count, res.parallelizable) == (False, 0, False)
+        assert (res.exists, res.count) == (False, 0)
         assert res.valid_assignments == ()
         assert brute_force_assignments(record, params) == []
         assert oracles.sylow_strategy(record, params).count == 0
@@ -330,8 +379,8 @@ def test_mod2_invariance(catalog):
         for _ in range(3):
             bits = {n: rng.randint(0, 1) for n in names}
             shifted = {n: v + 2 * rng.randint(0, 3) for n, v in bits.items()}
-            assert (fp.count_lifts(r, fp.reduce_params_mod2(shifted)).count
-                    == fp.count_lifts(r, bits).count)
+            reduced = dict(zip(names, fp._parities(r, shifted)))
+            assert fp.count_lifts(r, reduced).count == fp.count_lifts(r, bits).count
 
 
 def test_valid_assignments_form_a_torsor(catalog):

@@ -66,21 +66,21 @@ def test_abelian_invariants():
 def test_todd_coxeter_s3():
     # <a, b | a^3, b^2, (ab)^2>, trivial subgroup -> 6 cosets
     relators = [(1, 1, 1), (2, 2), (1, 2, 1, 2)]
-    ct = groups.todd_coxeter(2, relators, [])
+    ct = oracles.todd_coxeter(2, relators, [])
     assert ct.index == 6
 
 
 def test_todd_coxeter_with_subgroup():
     # same S3, subgroup <a> of order 3 -> index 2
     relators = [(1, 1, 1), (2, 2), (1, 2, 1, 2)]
-    ct = groups.todd_coxeter(2, relators, [(1,)])
+    ct = oracles.todd_coxeter(2, relators, [(1,)])
     assert ct.index == 2
 
 
 def test_regular_representation_q8():
     # <a, b | a^4, a^2 b^-2, b^-1 a b a>
     relators = [(1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)]
-    G, words = groups.regular_representation(2, relators)
+    G, words = oracles.regular_representation(2, relators)
     assert len(G) == 8
     assert groups.identify_group(G) == "Q8"
     # breadth-first words in the generators: distinct, prefix-closed, no inverses
@@ -92,11 +92,11 @@ def test_reidemeister_schreier_index_two():
     # free group of rank 2 modulo nothing, subgroup of index 2 via parity
     # of b: use C4 = <a | a^4>, subgroup <a^2> of index 2
     relators = [(1, 1, 1, 1)]
-    ct = groups.todd_coxeter(1, relators, [(1, 1)])
+    ct = oracles.todd_coxeter(1, relators, [(1, 1)])
     assert ct.index == 2
     subgens, subrels, transversal = oracles.reidemeister_schreier(1, relators, ct)
     # the subgroup C2 needs one generator
-    G, _ = groups.regular_representation(
+    G, _ = oracles.regular_representation(
         len(subgens), [r for r in subrels if r]
     )
     assert len(G) == 2
@@ -111,6 +111,6 @@ def test_element_order_and_profile():
 
 def test_conjugacy_classes_s3():
     relators = [(1, 1, 1), (2, 2), (1, 2, 1, 2)]
-    G, _ = groups.regular_representation(2, relators)
+    G, _ = oracles.regular_representation(2, relators)
     sizes = sorted(len(c) for c in G.conjugacy_classes())
     assert sizes == [1, 2, 3]
