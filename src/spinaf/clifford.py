@@ -7,19 +7,28 @@ with exact zero pruning.  Dimensions 1 through 8 are supported; everything
 this package needs lives in C_4.
 
 Products look blade signs up in :func:`sign_table`, a 2^n x 2^n table that
-:func:`blade_product` fills once per dimension, on first use.
+:func:`blade_product` fills once per dimension, on first use, and run in
+integers: one denominator per factor, one gcd per output blade.  Results of
+the algebra's own operations are not re-checked; ``CliffordElement(n, terms)``
+checks its input.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import lcm
+from typing import Dict, Sequence, Tuple
 
 from .errors import DimensionError, NonVectorError
-from .qsqrt2 import ZERO, QSqrt2
+from .qsqrt2 import ZERO, QSqrt2, _reduced
 
 MAX_DIM = 8
+
+_new = object.__new__
+_set = object.__setattr__
+
 
 def _coerce_coeff(c) -> QSqrt2:
     if isinstance(c, QSqrt2):
@@ -79,7 +88,7 @@ class CliffordElement:
 
     def __init__(self, n: int, terms: Mapping[int, object] | Iterable[Tuple[int, object]] = ()):
         _check_dim(n)
-        object.__setattr__(self, "n", n)
+        _set(self, "n", n)
         clean: Dict[int, QSqrt2] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mask, coeff in items:
@@ -92,8 +101,8 @@ class CliffordElement:
                 clean.pop(mask, None)
             else:
                 clean[mask] = c
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "_terms", clean)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CliffordElement is immutable")
@@ -167,12 +176,12 @@ class CliffordElement:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        return CliffordElement(self.n, terms)
+        return _element(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CliffordElement(self.n, {m: -c for m, c in self._terms.items()})
+        return _element(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QSqrt2)):
@@ -188,23 +197,32 @@ class CliffordElement:
         c = _coerce_coeff(c)
         if c.is_zero():
             return CliffordElement.zero(self.n)
-        return CliffordElement(self.n, {m: coeff * c for m, coeff in self._terms.items()})
+        return _element(self.n, {m: coeff * c for m, coeff in self._terms.items()})
 
     def __mul__(self, other):
+        """The product in integers: with each factor over one denominator,
+        a blade pair adds +-(a1 a2 + 2 b1 b2, a1 b2 + b1 a2) to its output
+        blade's pair, which takes one gcd.  The result is not re-checked."""
         if isinstance(other, (int, Fraction, QSqrt2)):
             return self.scale(other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._check_same(other)
         negative = sign_table(self.n)
-        acc: Dict[int, QSqrt2] = {}
-        for mx, cx in self._terms.items():
+        dx, xs = _integral(self._terms)
+        dy, ys = _integral(other._terms)
+        acc: Dict[int, list] = {}  # mask -> [a, b] of the coefficient (a + b sqrt2)/(dx dy)
+        for mx, ax, bx in xs:
             row = negative[mx]
-            for my, cy in other._terms.items():
-                c = cx * cy
-                mask = mx ^ my
-                acc[mask] = acc.get(mask, ZERO) + (-c if row[my] else c)
-        return CliffordElement(self.n, acc)
+            for my, ay, by in ys:
+                pair = acc.setdefault(mx ^ my, [0, 0])
+                if row[my]:
+                    pair[0] -= ax * ay + 2 * bx * by
+                    pair[1] -= ax * by + bx * ay
+                else:
+                    pair[0] += ax * ay + 2 * bx * by
+                    pair[1] += ax * by + bx * ay
+        return _element(self.n, {m: _reduced(a, b, dx * dy) for m, (a, b) in acc.items() if a or b})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QSqrt2)):
@@ -226,28 +244,22 @@ class CliffordElement:
 
     # -- the three involutions -------------------------------------------
 
+    def _negate_grades(self, residues) -> "CliffordElement":
+        """Negate the grade-k parts with k mod 4 in ``residues``."""
+        return _element(self.n, {m: -c if m.bit_count() % 4 in residues else c
+                                 for m, c in self._terms.items()})
+
     def star(self) -> "CliffordElement":
         """Reversal: (-1)^(k(k-1)/2) on each grade-k part."""
-        out = {}
-        for m, c in self._terms.items():
-            k = m.bit_count()
-            out[m] = -c if (k * (k - 1) // 2) % 2 else c
-        return CliffordElement(self.n, out)
+        return self._negate_grades((2, 3))
 
     def grade_involution(self) -> "CliffordElement":
         """The main involution: (-1)^k on each grade-k part."""
-        out = {}
-        for m, c in self._terms.items():
-            out[m] = -c if m.bit_count() % 2 else c
-        return CliffordElement(self.n, out)
+        return self._negate_grades((1, 3))
 
     def conjugate(self) -> "CliffordElement":
         """Clifford conjugation, the composite of the other two involutions."""
-        out = {}
-        for m, c in self._terms.items():
-            k = m.bit_count()
-            out[m] = -c if (k * (k + 1) // 2) % 2 else c
-        return CliffordElement(self.n, out)
+        return self._negate_grades((1, 2))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -289,6 +301,23 @@ class CliffordElement:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def _element(n: int, terms: Dict[int, QSqrt2]) -> CliffordElement:
+    """The element with an already clean ``terms`` (masks in range, nonzero
+    coefficients in normal form), built without the constructor's checks."""
+    x = _new(CliffordElement)
+    _set(x, "n", n)
+    _set(x, "_terms", terms)
+    _set(x, "_hash", None)
+    return x
+
+
+def _integral(terms: Dict[int, QSqrt2]) -> Tuple[int, list]:
+    """A common denominator d of the coefficients and, per blade, the
+    integer pair (a, b) with coefficient (a + b sqrt2)/d."""
+    d = lcm(*[c._d for c in terms.values()])
+    return d, [(m, c._a * (d // c._d), c._b * (d // c._d)) for m, c in terms.items()]
 
 
 def vector_embed(n: int, coords: Sequence) -> CliffordElement:

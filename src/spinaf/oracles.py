@@ -11,6 +11,7 @@
   rewritten by Reidemeister-Schreier (``sylow_pullback_record``), and the
   count 2^(mod-2 abelianization rank);
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
+- ``is_spin``: membership in Spin(n), from its definition;
 - ``instantiate_relators`` and ``parity_rows``: the relators and their F_2
   rows at one parameter row, from every exponent evaluated there, where
   the count path reads ``AlmostBieberbachRecord.parity_system``;
@@ -100,6 +101,15 @@ def evaluate_word(
             exp = -exp
         result = result * x ** exp
     return result
+
+
+def is_spin(x: CliffordElement) -> bool:
+    """Whether x lies in Spin(n): x is even, x conj(x) = 1, and x v conj(x)
+    is a vector for every generator v."""
+    xbar = x.conjugate()
+    return x.is_even() and x * xbar == CliffordElement.scalar(x.n, 1) and all(
+        (x * CliffordElement.generator(x.n, j) * xbar).grades() <= {1} for j in range(1, x.n + 1)
+    )
 
 
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:

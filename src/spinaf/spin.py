@@ -16,6 +16,7 @@ root leaves the field.
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -25,18 +26,10 @@ from .linalg import Matrix
 from .qsqrt2 import ZERO, QSqrt2
 
 
-def is_spin(x: CliffordElement) -> bool:
-    """Whether x lies in Spin(n)."""
-    if not x.is_even():
-        return False
-    if x * x.conjugate() != CliffordElement.scalar(x.n, 1):
-        return False
-    xbar = x.conjugate()
-    for j in range(1, x.n + 1):
-        v = x * CliffordElement.generator(x.n, j) * xbar
-        if v.grades() - {1}:
-            return False
-    return True
+@cache
+def _generators(n: int) -> Tuple[CliffordElement, ...]:
+    """The generators e_1, ..., e_n of C_n, built once per dimension."""
+    return tuple(CliffordElement.generator(n, j) for j in range(1, n + 1))
 
 
 def lam(x: CliffordElement) -> Matrix:
@@ -47,10 +40,7 @@ def lam(x: CliffordElement) -> Matrix:
     indicate that x is not a spin element).
     """
     xbar = x.conjugate()
-    cols = []
-    for j in range(1, x.n + 1):
-        v = x * CliffordElement.generator(x.n, j) * xbar
-        cols.append(vector_extract(v))
+    cols = [vector_extract(x * e * xbar) for e in _generators(x.n)]
     M = tuple(tuple(cols[j][i] for j in range(x.n)) for i in range(x.n))
     linalg.check_special_orthogonal(M)
     return M

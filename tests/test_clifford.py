@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,3 +147,91 @@ def test_power():
         product = product * x
     with pytest.raises(ValueError):
         e12 ** -1
+
+
+# -- products and involutions build their results without re-checking --------
+
+
+def reference_product(x, y):
+    """The product with one QSqrt2 multiply and one QSqrt2 add per blade
+    pair, signs from blade_product."""
+    acc = {}
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            sign, mask = blade_product(mx, my)
+            c = cx * cy
+            acc[mask] = acc.get(mask, QSqrt2(0)) + (c if sign > 0 else -c)
+    return CliffordElement(x.n, acc)
+
+
+def seeded_elements(seed, count):
+    """Elements of C_4 whose coefficients mix denominators and sqrt 2 parts,
+    the double_cover pool's mixed rotation, and pairs of factors whose
+    product has terms that cancel."""
+    rng = random.Random(seed)
+
+    def coeff():
+        a = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+        b = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5, 8)))
+        return QSqrt2(a, b)
+
+    out = [
+        CliffordElement(4, {rng.randrange(16): coeff() for _ in range(rng.randint(0, 6))})
+        for _ in range(count)
+    ]
+    half, quarter = QSqrt2(0, Fraction(1, 2)), QSqrt2(Fraction(1, 2))
+    mixed = CliffordElement(4, {0: half, 0b0011: quarter, 0b0101: quarter})
+    one_plus = CliffordElement(4, {0: 1, 0b0011: QSqrt2(0, 1)})
+    e1_plus_e2 = CliffordElement(4, {0b0001: Fraction(1, 3), 0b0010: QSqrt2(1, 1)})
+    out += [mixed, mixed.conjugate(), one_plus, one_plus.conjugate(),
+            e1_plus_e2, e1_plus_e2.grade_involution()]
+    return out
+
+
+def assert_clean(x):
+    """x is what the checked constructor makes of its own terms: masks in
+    range, no zero coefficient, every coefficient in QSqrt2 normal form."""
+    assert x == CliffordElement(x.n, x.terms)
+    for mask, c in x.terms.items():
+        assert 0 <= mask < 1 << x.n
+        assert not c.is_zero()
+        normal = QSqrt2(c.a, c.b)
+        assert (c._a, c._b, c._d) == (normal._a, normal._b, normal._d)
+
+
+def test_products_and_involutions_are_clean_and_match_the_reference():
+    elements = seeded_elements(7, 40)
+    rng = random.Random(8)
+    cancelled = 0
+    for x in elements:
+        for r in (-x, x.conjugate(), x.star(), x.grade_involution(),
+                  x.scale(QSqrt2(Fraction(-2, 3), Fraction(1, 4))), x.scale(Fraction(1, 2))):
+            assert_clean(r)
+        for y in elements[-6:] + rng.sample(elements, 10):
+            product = x * y
+            assert_clean(product)
+            assert product == reference_product(x, y)
+            cancelled += len(product.terms) < len({mx ^ my for mx in x.terms for my in y.terms})
+    assert cancelled  # some products do cancel terms
+
+
+def test_product_terms_cancel_to_zero_and_to_scalars():
+    one_plus = CliffordElement(4, {0: 1, 0b0011: QSqrt2(0, 1)})
+    assert (one_plus * one_plus.conjugate()).terms == {0: QSqrt2(3)}
+    e1, e2 = CliffordElement.generator(4, 1), CliffordElement.generator(4, 2)
+    assert ((e1 + e2) * (e1 - e2)).terms == {0b0011: QSqrt2(-2)}
+    assert (e1 * CliffordElement.zero(4)).is_zero()
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(DimensionError):
+        CliffordElement(4, {16: 1})
+    with pytest.raises(DimensionError):
+        CliffordElement(4, [(-1, 1)])
+    with pytest.raises(DimensionError):
+        CliffordElement(9, {})
+    with pytest.raises(TypeError):
+        CliffordElement(4, {0: 1.5})
+    # repeated masks are summed, and a zero sum is pruned
+    summed = CliffordElement(4, [(3, 1), (3, -1), (5, Fraction(1, 2))])
+    assert summed.terms == {5: QSqrt2(Fraction(1, 2))}

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from spinaf import intmat, linalg, spin
+from spinaf import intmat, linalg, oracles, spin
 from spinaf.clifford import CliffordElement
-from spinaf.errors import NotInSO, UnsupportedScalar
+from spinaf.errors import NonVectorError, NotInSO, UnsupportedScalar
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -32,7 +32,7 @@ def test_signed_perm_census():
 def test_signed_perm_roundtrip_all_192():
     for M in signed_perm_matrices():
         x, neg = spin.preimage(M)
-        assert spin.is_spin(x)
+        assert oracles.is_spin(x)
         assert spin.lam(x) == M
         assert neg == -x
         assert spin.lam(neg) == M
@@ -68,7 +68,7 @@ def test_preimage_mixed_plane_rotation():
     M = spin.lam(x0)
     assert not intmat.is_signed_perm(M)
     x, neg = spin.preimage(M)
-    assert spin.is_spin(x)
+    assert oracles.is_spin(x)
     assert spin.lam(x) == M
     assert x == x0 or x == -x0
 
@@ -90,7 +90,7 @@ def test_preimage_without_scalar_part():
     # zero frame sum, and the image is not a signed permutation
     one_half, half_sqrt2 = QSqrt2(Fraction(1, 2)), QSqrt2(0, Fraction(1, 2))
     x0 = CliffordElement(4, {0b0011: one_half, 0b0101: one_half, 0b1001: half_sqrt2})
-    assert spin.is_spin(x0)
+    assert oracles.is_spin(x0)
     M = spin.lam(x0)
     assert not intmat.is_signed_perm(M)
     x, neg = spin.preimage(M)
@@ -162,3 +162,13 @@ def test_subgroup_closure_q8():
     e23 = CliffordElement.blade(4, [2, 3])
     elems = spin.subgroup_closure([e12, e23])
     assert len(elems) == 8
+
+
+def test_lam_refuses_a_non_spin_element():
+    # 1 + e1 carries e2 to 2 e1e2, which is not a vector
+    x = CliffordElement(4, {0: 1, 0b0001: 1})
+    with pytest.raises(NonVectorError):
+        spin.lam(x)
+    # the scalar 2 carries every generator to 4 times itself
+    with pytest.raises(NotInSO, match="not orthogonal"):
+        spin.lam(CliffordElement.scalar(4, 2))

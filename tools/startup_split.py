@@ -5,12 +5,17 @@ For each command, runs N fresh interpreters one after another.  Each
 imports ``spinaf.cli``, then runs the command through ``spinaf.cli.main``
 with ``catalog.load_catalog`` timed, and reports three spans: the import,
 the catalog load, and the rest of the command.  Prints the median of each
-in milliseconds, with the median wall time of the whole process, and the
-modules the command loaded beyond those of a bare interpreter: the
-``spinaf`` modules, then the others.
+in milliseconds with its quartiles, with the wall time of the whole
+process, and the modules the command loaded beyond those of a bare
+interpreter: the ``spinaf`` modules, then the others.
+
+With ``--against OTHER_SRC`` each command's batch alternates the two
+checkouts run by run (which goes first swaps every run), so drift in the
+host's speed falls on both alike, and each span is printed for both.
 
     python3 tools/startup_split.py               # 10 runs per command
     python3 tools/startup_split.py --runs 20 --src ../other-checkout/src
+    python3 tools/startup_split.py --against ../parent-checkout/src
 
 The children inherit the environment, so ``PYTHONDONTWRITEBYTECODE=1``
 (no ``__pycache__``, every module compiled from source) holds in them too
@@ -78,12 +83,25 @@ def run_once(src: Path, args) -> dict:
     return result
 
 
+SPANS = ("wall", "import", "load", "command")
+
+
+def spread(values) -> str:
+    """The median in milliseconds, with the quartiles in brackets."""
+    ms = sorted(1000 * v for v in values)
+    q1, q3 = statistics.quantiles(ms, n=4)[::2] if len(ms) > 1 else (ms[0], ms[0])
+    return f"{statistics.median(ms):6.1f} [{q1:.1f}-{q3:.1f}]"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10, help="fresh interpreters per command")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the src directory of the checkout to measure")
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="a second src directory, run alternately with --src in each batch")
     args = parser.parse_args()
+    checkouts = [args.src] + ([args.against] if args.against else [])
 
     bare = []
     for _ in range(args.runs):
@@ -92,17 +110,29 @@ def main() -> int:
         bare.append(time.perf_counter() - start)
     print(f"python {sys.version.split()[0]}, {args.runs} runs per command, "
           f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}")
-    print(f"bare interpreter (python -c pass): {1000 * statistics.median(bare):.1f} ms wall")
-    print(f"{'command':<36} {'wall':>7} {'import':>7} {'load':>7} {'command':>8}  (median ms)")
+    for k, src in enumerate(checkouts):
+        print(f"checkout {k}: {src}")
+    print(f"bare interpreter (python -c pass): {spread(bare)} ms wall")
+    print(f"{'command':<36} {'':>2} " + " ".join(f"{k:>19}" for k in SPANS)
+          + "  (median [quartiles] ms)")
     for command in COMMANDS:
-        runs = [run_once(args.src, command) for _ in range(args.runs)]
-        med = {k: 1000 * statistics.median(r[k] for r in runs)
-               for k in ("wall", "import", "load", "command")}
-        print(f"{' '.join(command):<36} {med['wall']:7.1f} {med['import']:7.1f} "
-              f"{med['load']:7.1f} {med['command']:8.1f}")
-        modules = runs[0]["modules"]
-        print("    spinaf: " + " ".join(m for m in modules if m.split(".")[0] == "spinaf"))
-        print("    others: " + " ".join(m for m in modules if m.split(".")[0] != "spinaf"))
+        runs = [[] for _ in checkouts]
+        order = range(len(checkouts))
+        for i in range(args.runs):
+            for k in reversed(order) if i % 2 else order:
+                runs[k].append(run_once(checkouts[k], command))
+        for k, batch in enumerate(runs):
+            label = " ".join(command) if k == 0 else ""
+            print(f"{label:<36} {k:>2} "
+                  + " ".join(f"{spread(r[span] for r in batch):>19}" for span in SPANS))
+        for k, batch in enumerate(runs):
+            modules = batch[0]["modules"]
+            if k and modules == runs[0][0]["modules"]:
+                continue  # a second checkout's modules, printed only where they differ
+            own = [m for m in modules if m.split(".")[0] == "spinaf"]
+            tag = f" ({k})" if k else ""
+            print(f"    spinaf{tag}: " + " ".join(own))
+            print(f"    others{tag}: " + " ".join(m for m in modules if m not in own))
     return 0
 
 
