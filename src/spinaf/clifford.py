@@ -8,7 +8,9 @@ this package needs lives in C_4.
 
 Products look blade signs up in :func:`sign_table`, a 2^n x 2^n table that
 :func:`blade_product` fills once per dimension, on first use, and run in
-integers: one denominator per factor, one gcd per output blade.  Results of
+integers: one denominator per factor, one gcd per output blade.  The one
+product kernel, :func:`_product`, works on (mask, a, b) lists, so
+``spin.preimage`` multiplies with it without building elements.  Results of
 the algebra's own operations are not re-checked; ``CliffordElement(n, terms)``
 checks its input.
 """
@@ -200,29 +202,16 @@ class CliffordElement:
         return _element(self.n, {m: coeff * c for m, coeff in self._terms.items()})
 
     def __mul__(self, other):
-        """The product in integers: with each factor over one denominator,
-        a blade pair adds +-(a1 a2 + 2 b1 b2, a1 b2 + b1 a2) to its output
-        blade's pair, which takes one gcd.  The result is not re-checked."""
+        """The product by :func:`_product`; the result is not re-checked."""
         if isinstance(other, (int, Fraction, QSqrt2)):
             return self.scale(other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._check_same(other)
-        negative = sign_table(self.n)
         dx, xs = _integral(self._terms)
         dy, ys = _integral(other._terms)
-        acc: Dict[int, list] = {}  # mask -> [a, b] of the coefficient (a + b sqrt2)/(dx dy)
-        for mx, ax, bx in xs:
-            row = negative[mx]
-            for my, ay, by in ys:
-                pair = acc.setdefault(mx ^ my, [0, 0])
-                if row[my]:
-                    pair[0] -= ax * ay + 2 * bx * by
-                    pair[1] -= ax * by + bx * ay
-                else:
-                    pair[0] += ax * ay + 2 * bx * by
-                    pair[1] += ax * by + bx * ay
-        return _element(self.n, {m: _reduced(a, b, dx * dy) for m, (a, b) in acc.items() if a or b})
+        d = dx * dy
+        return _element(self.n, {m: _reduced(a, b, d) for m, a, b in _product(self.n, xs, ys)})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QSqrt2)):
@@ -318,6 +307,25 @@ def _integral(terms: Dict[int, QSqrt2]) -> Tuple[int, list]:
     integer pair (a, b) with coefficient (a + b sqrt2)/d."""
     d = lcm(*[c._d for c in terms.values()])
     return d, [(m, c._a * (d // c._d), c._b * (d // c._d)) for m, c in terms.items()]
+
+
+def _product(n: int, xs: list, ys: list) -> list:
+    """The product kernel on (mask, a, b) lists, each factor over its own
+    denominator and the nonzero terms of the result over their product: a
+    blade pair adds +-(a1 a2 + 2 b1 b2, a1 b2 + b1 a2) to its output blade."""
+    negative = sign_table(n)
+    acc: Dict[int, list] = {}
+    for mx, ax, bx in xs:
+        row = negative[mx]
+        for my, ay, by in ys:
+            pair = acc.setdefault(mx ^ my, [0, 0])
+            if row[my]:
+                pair[0] -= ax * ay + 2 * bx * by
+                pair[1] -= ax * by + bx * ay
+            else:
+                pair[0] += ax * ay + 2 * bx * by
+                pair[1] += ax * by + bx * ay
+    return [(m, a, b) for m, (a, b) in acc.items() if a or b]
 
 
 def vector_embed(n: int, coords: Sequence) -> CliffordElement:

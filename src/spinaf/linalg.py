@@ -1,19 +1,22 @@
-"""Small exact matrix utilities over Q(sqrt 2).
-
-Matrices are tuples of row tuples of :class:`QSqrt2` entries.  Nothing here
-is asymptotically clever; every matrix in sight is at most 8 x 8 (and the
-interesting ones are 4 x 4), so clarity wins.  The integer 4 x 4 kernel
-that every catalog load runs is :mod:`spinaf.intmat`.
+"""Small exact matrices over Q(sqrt 2): tuples of row tuples of QSqrt2
+entries, at most 8 x 8.  The product, the determinant and the orthogonality
+check put a matrix over one common denominator d and run on the integer
+pairs (a, b) of its entries (a + b sqrt2)/d; only returned entries take a
+gcd.  The integer 4 x 4 kernel that every catalog load runs is
+:mod:`spinaf.intmat`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .errors import DimensionError, NotInSO
-from .qsqrt2 import ZERO, QSqrt2
+from .qsqrt2 import ZERO, QSqrt2, _reduced
 
 Matrix = Tuple[Tuple[QSqrt2, ...], ...]
+
+ONE = QSqrt2(1)
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -28,52 +31,76 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    one = QSqrt2(1)
-    return tuple(tuple(one if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def _integral(A: Matrix) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """A common denominator d of the entries of A and its rows as integer
+    pairs (a, b), the entry being (a + b sqrt2)/d."""
+    d = lcm(*[x._d for row in A for x in row])
+    return d, [[(x._a * (d // x._d), x._b * (d // x._d)) for x in row] for row in A]
+
+
+def _dot(u: List[Tuple[int, int]], v: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """The integer pair of sum_k u_k v_k."""
+    a = b = 0
+    for (p, q), (r, s) in zip(u, v):
+        a += p * r + 2 * q * s
+        b += p * s + q * r
+    return a, b
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """The product AB; zero entries of A and B are skipped, not multiplied."""
-    n = len(A)
-    if len(B) != n:
+    """The product AB."""
+    if len(B) != len(A):
         raise DimensionError("matrix size mismatch")
-    out = []
-    for row in A:
-        acc = [ZERO] * n
-        for a, B_row in zip(row, B):
-            if a:
-                for j, b in enumerate(B_row):
-                    if b:
-                        acc[j] = acc[j] + a * b
-        out.append(tuple(acc))
-    return tuple(out)
+    da, rows = _integral(A)
+    db, rows_b = _integral(B)
+    cols = list(zip(*rows_b))
+    return tuple(tuple(_reduced(a, b, da * db) if a or b else ZERO
+                       for a, b in (_dot(row, col) for col in cols)) for row in rows)
 
 
 def transpose(A: Matrix) -> Matrix:
     return tuple(zip(*A))
 
 
+def _minor(rows: List[List[Tuple[int, int]]], i: int, cols: Tuple[int, ...]) -> Tuple[int, int]:
+    """The pair of the minor on rows i, i+1, ... and ``cols``, expanded
+    along row i."""
+    row = rows[i]
+    if len(cols) == 1:
+        return row[cols[0]]
+    a = b = 0
+    for k, j in enumerate(cols):
+        p, q = row[j]
+        if p or q:
+            r, s = _minor(rows, i + 1, cols[:k] + cols[k + 1:])
+            if k % 2:
+                p, q = -p, -q
+            a += p * r + 2 * q * s
+            b += p * s + q * r
+    return a, b
+
+
 def det(A: Matrix) -> QSqrt2:
-    """Determinant by fraction-free expansion (n <= 8, so this is fine)."""
+    """The determinant by cofactor expansion (n <= 8, so this is fine), over
+    d^n for the common denominator d."""
     n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = ZERO
-    for j in range(n):
-        if A[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        term = A[0][j] * det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    d, rows = _integral(A)
+    a, b = _minor(rows, 0, tuple(range(n)))
+    return _reduced(a, b, d ** n) if a or b else ZERO
 
 
 def is_orthogonal(A: Matrix) -> bool:
-    return mat_mul(A, transpose(A)) == identity(len(A))
+    """Whether A A^T = I, checked as A A^T = d^2 I in integers."""
+    d, rows = _integral(A)
+    return all(_dot(u, v) == (d * d if i == j else 0, 0)
+               for i, u in enumerate(rows) for j, v in enumerate(rows[i:], i))
 
 
 def check_special_orthogonal(A: Matrix) -> None:
     if not is_orthogonal(A):
         raise NotInSO("matrix is not orthogonal")
-    if det(A) != QSqrt2(1):
+    if det(A) != ONE:
         raise NotInSO("matrix is orthogonal but has determinant -1")

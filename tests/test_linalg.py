@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinaf import intmat, linalg, oracles
+from spinaf.errors import NotInSO
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -113,14 +114,14 @@ def test_every_bundled_relator_is_the_identity_matrix(bundled):
             assert oracles.word_matrix(record.matrices, letters) == identity, record.family
 
 
-def random_qsqrt2_matrix(rng):
-    """A 4 x 4 matrix over Q(sqrt 2) in which about half the entries are 0."""
+def random_qsqrt2_matrix(rng, n=4):
+    """An n x n matrix over Q(sqrt 2) in which about half the entries are 0."""
     def entry():
         if rng.random() < 0.5:
             return 0
         return QSqrt2(Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
                       Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
-    return linalg.as_matrix([[entry() for _ in range(4)] for _ in range(4)])
+    return linalg.as_matrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
 def test_mat_mul_is_the_dense_product():
@@ -164,3 +165,59 @@ def test_is_signed_perm():
     assert not intmat.is_signed_perm(linalg.as_matrix(
         [[half, -half, 0, 0], [half, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     ))
+
+
+def test_det_is_the_cofactor_expansion_over_qsqrt2():
+    rng = random.Random(13)
+    for n in range(1, 6):
+        for _ in range(40):
+            A = random_qsqrt2_matrix(rng, n)
+            d = linalg.det(A)
+            assert isinstance(d, QSqrt2)
+            assert d == cofactor_det(A), A
+
+
+def orthogonal_matrices(rng, n):
+    """Orthogonal n x n matrices over Q(sqrt 2): products of rotations by
+    45 degrees, by 90 degrees and by the angle with cosine 3/5 in random
+    coordinate planes, one of them with a row negated (determinant -1)."""
+    half = QSqrt2(0, Fraction(1, 2))
+    out = []
+    for _ in range(12):
+        M = linalg.identity(n)
+        for _ in range(rng.randint(0, 4) if n > 1 else 0):
+            i, k = rng.sample(range(n), 2)
+            c, s = rng.choice([(half, half), (QSqrt2(0), QSqrt2(1)),
+                               (QSqrt2(Fraction(3, 5)), QSqrt2(Fraction(4, 5)))])
+            G = [list(row) for row in linalg.identity(n)]
+            G[i][i], G[i][k], G[k][i], G[k][k] = c, -s, s, c
+            M = linalg.mat_mul(M, linalg.as_matrix(G))
+        out.append(M)
+    flipped = list(out[-1])
+    flipped[0] = tuple(-x for x in flipped[0])
+    out.append(tuple(flipped))
+    return out
+
+
+def test_is_orthogonal_is_the_product_with_the_transpose():
+    rng = random.Random(14)
+    # u^2 = 1 + (4/9) sqrt2: a row scaled by u keeps the rational part of
+    # A A^T equal to I and changes only its sqrt 2 part
+    u = QSqrt2(Fraction(1, 3), Fraction(2, 3))
+    verdicts = []
+    for n in range(1, 6):
+        for M in orthogonal_matrices(rng, n):
+            scaled = tuple((tuple(u * x for x in row) if i == 0 else row) for i, row in enumerate(M))
+            for A in (M, scaled, random_qsqrt2_matrix(rng, n)):
+                verdict = linalg.is_orthogonal(A)
+                assert verdict == (linalg.mat_mul(A, linalg.transpose(A)) == linalg.identity(n)), A
+                verdicts.append(verdict)
+            assert linalg.is_orthogonal(M) and not linalg.is_orthogonal(scaled)
+            if cofactor_det(M) == QSqrt2(1):
+                linalg.check_special_orthogonal(M)
+            else:
+                with pytest.raises(NotInSO, match="^matrix is orthogonal but has determinant -1$"):
+                    linalg.check_special_orthogonal(M)
+            with pytest.raises(NotInSO, match="^matrix is not orthogonal$"):
+                linalg.check_special_orthogonal(scaled)
+    assert True in verdicts and False in verdicts

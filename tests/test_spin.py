@@ -5,7 +5,7 @@ import random
 import pytest
 
 from spinaf import intmat, linalg, oracles, spin
-from spinaf.clifford import CliffordElement
+from spinaf.clifford import CliffordElement, vector_embed, vector_extract
 from spinaf.errors import NonVectorError, NotInSO, UnsupportedScalar
 from spinaf.qsqrt2 import QSqrt2
 
@@ -172,3 +172,91 @@ def test_lam_refuses_a_non_spin_element():
     # the scalar 2 carries every generator to 4 times itself
     with pytest.raises(NotInSO, match="not orthogonal"):
         spin.lam(CliffordElement.scalar(4, 2))
+
+
+def leibniz_det(M):
+    """The determinant as the sum over permutations."""
+    n = len(M)
+    total = QSqrt2(0)
+    for perm in itertools.permutations(range(n)):
+        term = QSqrt2(1)
+        for i, j in enumerate(perm):
+            term = term * M[i][j]
+        inversions = sum(perm[i] > perm[k] for i in range(n) for k in range(i + 1, n))
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def reference_lam(x):
+    """lam from its definition: column j is the vector part of x e_j conj(x)
+    by Clifford products, and the matrix is checked to be special
+    orthogonal by dense QSqrt2 sums and a Leibniz determinant."""
+    n = x.n
+    xbar = x.conjugate()
+    cols = [vector_extract(x * CliffordElement.generator(n, j) * xbar) for j in range(1, n + 1)]
+    M = tuple(tuple(col[i] for col in cols) for i in range(n))
+    for i in range(n):
+        for k in range(n):
+            if sum((M[i][j] * M[k][j] for j in range(n)), QSqrt2(0)) != QSqrt2(int(i == k)):
+                raise NotInSO("matrix is not orthogonal")
+    if leibniz_det(M) != QSqrt2(1):
+        raise NotInSO("matrix is orthogonal but has determinant -1")
+    return M
+
+
+def sandwich_elements(n, rng):
+    """Elements of C_n: products of 1 to 4 unit vectors with coordinates
+    in Q(sqrt 2), odd ones included, and non-spin elements: multiples of
+    those, those plus a random blade, and random elements, all with mixed
+    denominators and sqrt 2 parts."""
+    half = QSqrt2(0, Fraction(1, 2))
+
+    def unit_vector():
+        i, k = rng.sample(range(n), 2)
+        shapes = [{i: 1}, {i: half, k: half}, {i: Fraction(3, 5), k: Fraction(-4, 5)}]
+        if n > 2:
+            rest = rng.choice([m for m in range(n) if m not in (i, k)])
+            shapes.append({i: Fraction(1, 2), k: Fraction(-1, 2), rest: half})
+        coords = rng.choice(shapes)
+        return vector_embed(n, [coords.get(m, 0) for m in range(n)])
+
+    def coeff():
+        return QSqrt2(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))),
+                      Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))))
+
+    products = []
+    for _ in range(24):
+        x = unit_vector()
+        for _ in range(rng.randint(0, 3)):
+            x = x * unit_vector()
+        products.append(x)
+    return (
+        products
+        + [x.scale(QSqrt2(1, 1)) for x in products[:4]]
+        + [x + CliffordElement(n, {rng.randrange(1 << n): coeff()}) for x in products[:8]]
+        + [CliffordElement(n, {rng.randrange(1 << n): coeff() for _ in range(rng.randint(1, 5))})
+           for _ in range(8)]
+        + [CliffordElement.zero(n)]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lam_is_the_sandwich_by_clifford_products(n):
+    def outcome(f, x):
+        try:
+            return f(x)
+        except NonVectorError:
+            return NonVectorError
+        except NotInSO as exc:
+            return str(exc)
+
+    seen = set()
+    for x in sandwich_elements(n, random.Random(n)):
+        expected = outcome(reference_lam, x)
+        assert outcome(spin.lam, x) == expected, x
+        seen.add(expected if isinstance(expected, (type, str)) else "SO(n)")
+    assert seen >= {"SO(n)", "matrix is not orthogonal", NonVectorError}
+    # for odd n a unit vector u acts by v -> u v conj(u), which has
+    # determinant (-1)^(n-1), so only even n see determinant -1
+    if n % 2 == 0:
+        assert "matrix is orthogonal but has determinant -1" in seen
