@@ -7,7 +7,6 @@ __all__ = [
     "chartables",
     "cli",
     "clifford",
-    "cyclotomic",
     "errors",
     "fp",
     "groups",

@@ -2,38 +2,58 @@
 
 Every character value lives in Q(zeta_12), which contains all roots of
 unity of order dividing 12 — enough for groups of exponent dividing 12,
-which covers every holonomy group occurring in dimension four.  All inner
-products are computed exactly; decomposition therefore either returns
-literal non-negative integers or raises.
+which covers every holonomy group occurring in dimension four.  A value is
+written as an integer or a power of zeta_12 (:class:`Zeta`), and every
+inner product is a sum of integers times powers of zeta_12, which
+:func:`zeta_sum` adds up exactly on the power basis 1, z, z^2, z^3;
+decomposition therefore either returns literal non-negative integers or
+raises.
 
 Class representatives are stored as words in the table's abstract
 generators, alongside a defining presentation (power relators) used to
-match a concrete matrix group against the abstract one.  Character values
-are written as integers and powers of zeta_12 (:class:`Zeta`), and built in
-Q(zeta_12) when ``CharacterTable.characters`` is read, so that only the
-commands that decompose a character load :mod:`spinaf.cyclotomic`.
+match a concrete matrix group against the abstract one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple, Union
+from math import gcd
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import InconsistentRecord, UnknownGroup
-
-if TYPE_CHECKING:  # built by ``CharacterTable.characters``, which only ``char`` needs
-    from .cyclotomic import Cyc12
 
 ConcreteWord = Tuple[Tuple[str, int], ...]
 
 
 class Zeta(NamedTuple):
-    """The character value zeta_12^k, written down without building it in
-    Q(zeta_12)."""
+    """The character value zeta_12^k."""
 
     k: int
 
 
 Value = Union[int, Zeta]
+
+
+def as_power(v: Value) -> Tuple[int, int]:
+    """``v`` as (c, k), meaning c * zeta_12^k."""
+    return (1, v.k) if isinstance(v, Zeta) else (v, 0)
+
+
+def zeta_sum(terms: Iterable[Tuple[int, int]]) -> Tuple[int, int, int, int]:
+    """The sum of c * zeta_12^k over the pairs (c, k), as its integer
+    coefficients on the power basis 1, z, z^2, z^3 of Q(zeta_12).
+
+    The sum is rational exactly when the last three coefficients are 0.
+    """
+    slots = [0] * 6
+    for c, k in terms:
+        k %= 12
+        if k < 6:
+            slots[k] += c
+        else:  # z^6 = -1
+            slots[k - 6] -= c
+    s0, s1, s2, s3, s4, s5 = slots
+    # z^4 = z^2 - 1 and z^5 = z^3 - z, from the minimal polynomial z^4 - z^2 + 1
+    return (s0 - s4, s1 - s5, s2 + s4, s3 + s5)
 
 
 class CharacterTable(NamedTuple):
@@ -54,58 +74,42 @@ class CharacterTable(NamedTuple):
     def degrees(self) -> Tuple[int, ...]:
         return tuple(chi[0] for chi in self.character_values)
 
-    @property
-    def characters(self) -> Tuple[Tuple[Cyc12, ...], ...]:
-        """The character values as elements of Q(zeta_12)."""
-        from .cyclotomic import Cyc12
-
-        return tuple(
-            tuple(Cyc12.zeta_pow(v.k) if isinstance(v, Zeta) else Cyc12(v) for v in row)
-            for row in self.character_values
-        )
-
     def verify(self) -> None:
         """Exact first and second orthogonality, and sum of squared degrees."""
-        from .cyclotomic import Cyc12
-
-        characters = self.characters
+        characters = [[as_power(v) for v in chi] for chi in self.character_values]
         n = len(self.class_reps)
         if any(len(chi) != n for chi in characters):
             raise InconsistentRecord(f"{self.name}: ragged character table")
         order = self.order
         if sum(d * d for d in self.degrees) != order:
             raise InconsistentRecord(f"{self.name}: degrees do not sum to the order")
-        zero = Cyc12(0)
         for i, chi in enumerate(characters):
             for j, psi in enumerate(characters):
-                acc = zero
-                for size, a, b in zip(self.class_sizes, chi, psi):
-                    acc = acc + Cyc12(size) * a * b.conjugate()
-                expected = Cyc12(order if i == j else 0)
-                if acc != expected:
+                acc = zeta_sum(
+                    (size * a * b, s - t)
+                    for size, (a, s), (b, t) in zip(self.class_sizes, chi, psi)
+                )
+                if acc != (order if i == j else 0, 0, 0, 0):
                     raise InconsistentRecord(
                         f"{self.name}: row orthogonality fails for chi{i+1}, chi{j+1}"
                     )
+        columns = list(zip(*characters))
         for j in range(n):
             for k in range(n):
-                acc = zero
-                for chi in characters:
-                    acc = acc + chi[j] * chi[k].conjugate()
-                expected = Cyc12(order // self.class_sizes[j] if j == k else 0)
-                if acc != expected:
+                acc = zeta_sum((a * b, s - t) for (a, s), (b, t) in zip(columns[j], columns[k]))
+                if acc != (order // self.class_sizes[j] if j == k else 0, 0, 0, 0):
                     raise InconsistentRecord(
                         f"{self.name}: column orthogonality fails at classes {j}, {k}"
                     )
 
 
-def decompose(values: Sequence[Cyc12], table: CharacterTable) -> Tuple[int, ...]:
-    """Multiplicities of ``values`` (a class function) in the irreducibles.
+def decompose(values: Sequence[int], table: CharacterTable) -> Tuple[int, ...]:
+    """Multiplicities of ``values`` (an integer class function) in the
+    irreducibles.
 
     Computed exactly in Q(zeta_12); raises InconsistentRecord unless every
     multiplicity is a non-negative integer.
     """
-    from .cyclotomic import Cyc12
-
     if len(values) != len(table.class_reps):
         raise InconsistentRecord(
             f"{table.name}: class function has {len(values)} values, "
@@ -113,18 +117,21 @@ def decompose(values: Sequence[Cyc12], table: CharacterTable) -> Tuple[int, ...]
         )
     order = table.order
     out: List[int] = []
-    for i, chi in enumerate(table.characters):
-        acc = Cyc12(0)
-        for size, v, c in zip(table.class_sizes, values, chi):
-            acc = acc + Cyc12(size) * v * c.conjugate()
-        if not acc.is_rational():
+    for i, chi in enumerate(table.character_values):
+        acc = zeta_sum(
+            (size * v * c, -k)
+            for size, v, (c, k) in zip(table.class_sizes, values, map(as_power, chi))
+        )
+        if acc[1:] != (0, 0, 0):
             raise InconsistentRecord(f"{table.name}: non-rational multiplicity of chi{i+1}")
-        m = acc.rational_part() / order
-        if m.denominator != 1 or m < 0:
+        m, rem = divmod(acc[0], order)
+        if rem or m < 0:
+            g = gcd(acc[0], order)
+            shown = f"{acc[0] // g}/{order // g}" if rem else str(m)
             raise InconsistentRecord(
-                f"{table.name}: multiplicity of chi{i+1} is {m}, not a non-negative integer"
+                f"{table.name}: multiplicity of chi{i+1} is {shown}, not a non-negative integer"
             )
-        out.append(int(m))
+        out.append(m)
     return tuple(out)
 
 

@@ -11,15 +11,12 @@ the named group.  Each record builds F once and keeps it
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import chartables, groups, intmat
 from .chartables import CharacterTable, render_decomposition
 from .errors import InconsistentRecord
 from .fp import DIM, AlmostBieberbachRecord, _render_word
-
-if TYPE_CHECKING:  # built by ``trace_character``, which only ``char`` needs
-    from .cyclotomic import Cyc12
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -111,16 +108,15 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(G, tuple(mats), tuple(combo), table)
 
 
-def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
+def trace_character(record: AlmostBieberbachRecord) -> Tuple[int, ...]:
     """Trace class function of the holonomy representation, in the class
-    order of the named group's character table.
+    order of the named group's character table: one integer per class, the
+    trace of the class's integer matrices.
 
     Class constancy is verified element by element, and the evaluated class
     representatives are checked to land in distinct classes of the sizes
     the table declares.
     """
-    from .cyclotomic import Cyc12
-
     F = record.holonomy_group
     table = F.table
     traces = [sum(M[i][i] for i in range(DIM)) for M in F.matrices]
@@ -133,7 +129,7 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
             )
         for x in cls_:
             class_of[x] = idx
-    values: List[Cyc12] = []
+    values: List[int] = []
     seen = set()
     for rep_word, size in zip(table.class_reps, table.class_sizes):
         x = F.element_of_word(rep_word)
@@ -148,13 +144,12 @@ def trace_character(record: AlmostBieberbachRecord) -> Tuple[Cyc12, ...]:
                 f"family {record.family}: class size mismatch "
                 f"({len(classes[idx])} vs declared {size})"
             )
-        values.append(Cyc12(traces[x]))
+        values.append(traces[x])
     return tuple(values)
 
 
 def character_of_record(record: AlmostBieberbachRecord) -> Tuple[Tuple[int, ...], str]:
     """Decomposition of the holonomy representation; returns multiplicities
     and the rendered form such as '2χ1+χ3+χ4'."""
-    table = chartables.get_table(record.holonomy_name)
-    mults = chartables.decompose(trace_character(record), table)
+    mults = chartables.decompose(trace_character(record), record.holonomy_group.table)
     return mults, render_decomposition(mults)

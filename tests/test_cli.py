@@ -356,6 +356,14 @@ def test_classify_char_and_verify_leave_the_spin_modules_out():
             "loaded = {'spinaf.cyclotomic', 'spinaf.qsqrt2', 'fractions', 'csv'} & set(sys.modules)\n"
             "assert not loaded, f'{sorted(loaded)} imported'")
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+    # char decomposes in integer sums of powers of zeta_12: no field of
+    # character values, no Fraction
+    code = ("import contextlib, io, sys; from spinaf.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['char', '--family', '75']) == 0\n"
+            "loaded = {'spinaf.cyclotomic', 'spinaf.qsqrt2', 'fractions', 'decimal'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
 
 
 def test_no_command_loads_the_oracles():

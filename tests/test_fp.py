@@ -5,7 +5,7 @@ import re
 import pytest
 
 from spinaf import catalog as cat
-from spinaf import chartables, fp, groups, intmat, oracles
+from spinaf import chartables, fp, groups, intmat, linalg, oracles, spin
 from spinaf.clifford import CliffordElement
 from spinaf.errors import InconsistentRecord, SpinafError, UnsupportedScalar
 
@@ -446,3 +446,65 @@ def test_presentation_built_in_code_is_checked(generators, parameters, relators,
     with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
         gens = tuple(fp.GeneratorDecl(name, role) for name, role in generators)
         fp.Presentation(gens, relators, parameters)
+
+
+ROT3 = ((1, 0, 0, 0), (0, 0, -1, 0), (0, 1, -1, 0), (0, 0, 0, 1))
+ROT4 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+ROT6 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1))
+IDENT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_lift_power_sign():
+    # a rotation through 2 pi / m acting in one plane lifts to an element of
+    # order 2m in Spin(4): its m-th power is -1
+    assert fp.lift_power_sign(ROT4, 4) == -1
+    assert fp.lift_power_sign(ROT6, 6) == -1
+    # order-3 rotation lifts to order 3: cube is +1
+    assert fp.lift_power_sign(ROT3, 3) == 1
+    assert fp.lift_power_sign(IDENT, 1) == 1
+
+
+def _order(M):
+    P, o = M, 1
+    while P != IDENT:
+        P, o = intmat.int_mat_mul(P, M), o + 1
+    return o
+
+
+def test_lift_power_sign_matches_clifford_powers():
+    # an independent computation: the m-th power of an honest spin preimage
+    # in the Clifford algebra, for every signed permutation in SO(4)
+    matrices = cases = 0
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            M = tuple(
+                tuple(signs[j] if perm[j] == i else 0 for j in range(4)) for i in range(4)
+            )
+            if intmat.int_det(M) != 1:
+                continue
+            matrices += 1
+            x = spin.preimage(linalg.as_matrix(M))[0]
+            o = _order(M)
+            for m in sorted({o, 2 * o}):
+                if m % 2:
+                    continue
+                assert x ** m == fp.lift_power_sign(M, m) * x ** 0, (M, m)
+                cases += 1
+    assert (matrices, cases) == (192, 351)
+
+
+SHEAR = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+REFLECTION = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "M, m",
+    [
+        (ROT4, 6),  # order 4 does not divide 6
+        (SHEAR, 2),  # infinite order
+        (REFLECTION, 2),  # determinant -1
+    ],
+)
+def test_lift_power_sign_rejects(M, m):
+    with pytest.raises(InconsistentRecord):
+        fp.lift_power_sign(M, m)

@@ -36,8 +36,10 @@ def test_character_decompositions(catalog):
 
 def test_trace_character_values(catalog):
     # trivial holonomy: character is (4) on the single class
-    chi = holonomy.trace_character(catalog.find("1"))
-    assert [c.rational_part() for c in chi] == [4]
+    assert holonomy.trace_character(catalog.find("1")) == (4,)
+    # C4 (family 75): the identity, a quarter turn, a half turn and the
+    # inverse quarter turn, each the identity on the other plane
+    assert holonomy.trace_character(catalog.find("75")) == (4, 2, 0, 2)
 
 
 

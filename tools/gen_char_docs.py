@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from spinaf.chartables import TABLES
+from spinaf.chartables import TABLES, as_power, zeta_sum
 
 OUT = Path(__file__).resolve().parents[1] / "docs" / "character_tables.md"
 
@@ -20,6 +20,29 @@ def word_str(word) -> str:
     for gen, exp in word:
         parts.append(gen if exp == 1 else f"{gen}^{exp}")
     return "".join(parts)
+
+
+def value_str(v) -> str:
+    """A character value on the power basis 1, z, z^2, z^3 of Q(ζ12)."""
+    labels = ("", "z", "z^2", "z^3")
+    parts = []
+    for coeff, lab in zip(zeta_sum([as_power(v)]), labels):
+        if coeff == 0:
+            continue
+        if not lab:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(lab)
+        elif coeff == -1:
+            parts.append(f"-{lab}")
+        else:
+            parts.append(f"{coeff}{lab}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for pz in parts[1:]:
+        out += f" - {pz[1:]}" if pz.startswith("-") else f" + {pz}"
+    return out
 
 
 def render() -> str:
@@ -45,9 +68,9 @@ def render() -> str:
         lines.append("| " + " | ".join(header) + " |")
         lines.append("| " + " | ".join("---" for _ in header) + " |")
         lines.append("| size | " + " | ".join(str(s) for s in t.class_sizes) + " |")
-        for i, chi in enumerate(t.characters, start=1):
+        for i, chi in enumerate(t.character_values, start=1):
             lines.append(
-                f"| χ{i} | " + " | ".join(str(v) for v in chi) + " |"
+                f"| χ{i} | " + " | ".join(value_str(v) for v in chi) + " |"
             )
         lines.append("")
     return "\n".join(lines)
