@@ -23,7 +23,7 @@ from functools import cache
 from math import lcm
 from typing import Dict, Sequence, Tuple
 
-from .errors import DimensionError, NonVectorError
+from .errors import DimensionError
 from .qsqrt2 import ZERO, QSqrt2, _reduced
 
 MAX_DIM = 8
@@ -53,17 +53,9 @@ def blade_product(x: int, y: int) -> Tuple[int, int]:
     index lists, plus one factor of -1 for every repeated generator
     (e_i^2 = -1).
     """
-    swaps = 0
-    rest = y
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        # generators of x strictly above e_{i+1} that e_{i+1} must pass
-        swaps += ((x >> (i + 1))).bit_count()
-        rest ^= low
-    repeats = (x & y).bit_count()
-    sign = -1 if (swaps + repeats) % 2 else 1
-    return sign, x ^ y
+    # each generator e_(i+1) of y passes the generators of x above it
+    swaps = sum((x >> (i + 1)).bit_count() for i in range(y.bit_length()) if y >> i & 1)
+    return (-1 if (swaps + (x & y).bit_count()) % 2 else 1), x ^ y
 
 
 @cache
@@ -327,18 +319,3 @@ def _product(n: int, xs: list, ys: list) -> list:
                 pair[1] += ax * by + bx * ay
     return [(m, a, b) for m, (a, b) in acc.items() if a or b]
 
-
-def vector_embed(n: int, coords: Sequence) -> CliffordElement:
-    """Embed a coordinate vector of length n as sum_i coords[i] * e_{i+1}."""
-    _check_dim(n)
-    if len(coords) != n:
-        raise DimensionError(f"expected {n} coordinates, got {len(coords)}")
-    return CliffordElement(n, {1 << i: c for i, c in enumerate(coords)})
-
-
-def vector_extract(x: CliffordElement) -> list:
-    """Inverse of :func:`vector_embed`; raises NonVectorError off grade 1."""
-    for m in x._terms:
-        if m.bit_count() != 1:
-            raise NonVectorError(f"element has a non-vector component on blade {blade_str(m)}")
-    return [x.coeff(1 << i) for i in range(x.n)]

@@ -1,8 +1,10 @@
 """Small exact matrices over Q(sqrt 2): tuples of row tuples of QSqrt2
-entries, at most 8 x 8.  The product, the determinant and the orthogonality
-check put a matrix over one common denominator d and run on the integer
-pairs (a, b) of its entries (a + b sqrt2)/d; only returned entries take a
-gcd.  The integer 4 x 4 kernel that every catalog load runs is
+entries, at most 8 x 8.  The product, the determinant and the SO(n) check
+run on the integer pairs (a, b) of the entries (a + b sqrt2)/d over one
+common denominator d (:func:`_integral`); only returned entries take a gcd.
+``spin`` runs the SO(n) check :func:`_check_so` on pairs it already has,
+and ``is_orthogonal``, ``det`` and ``check_special_orthogonal`` wrap the
+same pair code.  The integer 4 x 4 kernel of catalog loads is
 :mod:`spinaf.intmat`.
 """
 
@@ -16,8 +18,6 @@ from .qsqrt2 import ZERO, QSqrt2, _reduced
 
 Matrix = Tuple[Tuple[QSqrt2, ...], ...]
 
-ONE = QSqrt2(1)
-
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     """Coerce a nested sequence of int/Fraction/QSqrt2 entries."""
@@ -28,10 +28,6 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
             raise DimensionError("matrix must be square")
         out.append(tuple(x if isinstance(x, QSqrt2) else QSqrt2(x) for x in row))
     return tuple(out)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def _integral(A: Matrix) -> Tuple[int, List[List[Tuple[int, int]]]]:
@@ -61,10 +57,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
                        for a, b in (_dot(row, col) for col in cols)) for row in rows)
 
 
-def transpose(A: Matrix) -> Matrix:
-    return tuple(zip(*A))
-
-
 def _minor(rows: List[List[Tuple[int, int]]], i: int, cols: Tuple[int, ...]) -> Tuple[int, int]:
     """The pair of the minor on rows i, i+1, ... and ``cols``, expanded
     along row i."""
@@ -92,15 +84,26 @@ def det(A: Matrix) -> QSqrt2:
     return _reduced(a, b, d ** n) if a or b else ZERO
 
 
-def is_orthogonal(A: Matrix) -> bool:
-    """Whether A A^T = I, checked as A A^T = d^2 I in integers."""
-    d, rows = _integral(A)
-    return all(_dot(u, v) == (d * d if i == j else 0, 0)
+def _orthogonal(d: int, rows: List[List[Tuple[int, int]]]) -> bool:
+    """Whether the matrix of integer pair rows over d has A A^T = d^2 I."""
+    one, zero = (d * d, 0), (0, 0)
+    return all(_dot(u, v) == (one if i == j else zero)
                for i, u in enumerate(rows) for j, v in enumerate(rows[i:], i))
 
 
-def check_special_orthogonal(A: Matrix) -> None:
-    if not is_orthogonal(A):
+def _check_so(d: int, rows: List[List[Tuple[int, int]]]) -> None:
+    """NotInSO unless the matrix of integer pair rows over d is in SO(n):
+    A A^T = d^2 I, and then the determinant's pair is (d^n, 0)."""
+    if not _orthogonal(d, rows):
         raise NotInSO("matrix is not orthogonal")
-    if det(A) != ONE:
+    if _minor(rows, 0, tuple(range(len(rows)))) != (d ** len(rows), 0):
         raise NotInSO("matrix is orthogonal but has determinant -1")
+
+
+def is_orthogonal(A: Matrix) -> bool:
+    """Whether A A^T = I."""
+    return _orthogonal(*_integral(A))
+
+
+def check_special_orthogonal(A: Matrix) -> None:
+    _check_so(*_integral(A))

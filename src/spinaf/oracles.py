@@ -12,6 +12,9 @@
   count 2^(mod-2 abelianization rank);
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
 - ``is_spin``: membership in Spin(n), from its definition;
+- ``vector_embed``, ``vector_extract``, ``identity`` and ``transpose``:
+  vectors of C_n and matrices over Q(sqrt 2) written out, the references
+  for ``spin.lam`` and ``linalg``;
 - ``instantiate_relators`` and ``parity_rows``: the relators and their F_2
   rows at one parameter row, from every exponent evaluated there, where
   the count path reads ``AlmostBieberbachRecord.parity_system``;
@@ -28,8 +31,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import intmat
-from .clifford import CliffordElement
-from .errors import EnumerationBoundExceeded
+from .clifford import CliffordElement, blade_str
+from .errors import DimensionError, EnumerationBoundExceeded, NonVectorError
 from .fp import (
     DIM,
     HOLONOMY,
@@ -46,6 +49,8 @@ from .fp import (
     sylow_subgroup,
 )
 from .groups import FiniteGroup, Word, spanning_tree, word_to_letters
+from .linalg import Matrix
+from .qsqrt2 import QSqrt2
 
 ConcreteWord = Tuple[Tuple[str, int], ...]
 
@@ -110,6 +115,29 @@ def is_spin(x: CliffordElement) -> bool:
     return x.is_even() and x * xbar == CliffordElement.scalar(x.n, 1) and all(
         (x * CliffordElement.generator(x.n, j) * xbar).grades() <= {1} for j in range(1, x.n + 1)
     )
+
+
+def vector_embed(n: int, coords: Sequence) -> CliffordElement:
+    """Embed a coordinate vector of length n as sum_i coords[i] * e_{i+1}."""
+    if len(coords) != n:
+        raise DimensionError(f"expected {n} coordinates, got {len(coords)}")
+    return CliffordElement(n, {1 << i: c for i, c in enumerate(coords)})
+
+
+def vector_extract(x: CliffordElement) -> list:
+    """Inverse of :func:`vector_embed`; raises NonVectorError off grade 1."""
+    for m in x.terms:
+        if m.bit_count() != 1:
+            raise NonVectorError(f"element has a non-vector component on blade {blade_str(m)}")
+    return [x.coeff(1 << i) for i in range(x.n)]
+
+
+def identity(n: int) -> Matrix:
+    return tuple(tuple(QSqrt2(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def transpose(A: Matrix) -> Matrix:
+    return tuple(zip(*A))
 
 
 def abelianization_mod2_rank(presentation: Presentation, params: Mapping[str, int]) -> int:

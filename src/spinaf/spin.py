@@ -3,19 +3,25 @@
 Spin(n) consists of the even elements x with x * conj(x) = 1 whose twisted
 conjugation v -> x v conj(x) preserves the span of the generators.  The
 covering map ``lam`` sends such an x to the special orthogonal matrix of
-that action; its kernel is {+1, -1}.
+that action; its kernel is {+1, -1}.  With c_A the coefficient of e_A in x,
+x e_j conj(x) sums t(A, B) = c_A c_B e_A e_j conj(e_B) over blade pairs,
+and t(B, A) = -conj(t(A, B)) (Lounesto, *Clifford Algebras and Spinors*,
+2001).  So ``lam`` adds each unordered pair once, doubled off the diagonal,
+on output blades of grade 1 or 2 mod 4, and skips grades 0 and 3 mod 4,
+where the two orders cancel.
 
 Preimages are computed exactly by one closed formula for every special
 orthogonal matrix over Q(sqrt 2): the frame-to-rotor construction (see
-Doran & Lasenby, *Geometric Algebra for Physicists*, 2003) builds a
-multiple of the preimage from the images of the basis blades, and
-normalising it fails with :class:`UnsupportedScalar` when the norm's square
-root leaves the field.
+Doran & Lasenby, *Geometric Algebra for Physicists*, 2003).  Each SO(n)
+check runs once, on integer pairs: ``lam`` checks its own before reducing
+any entry, ``preimage`` checks its input, and its guard lam(x) = M compares
+pairs with M's, which puts lam(x) in SO(n) without a second check.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -25,48 +31,65 @@ from .linalg import Matrix
 from .qsqrt2 import ZERO, _reduced
 
 
-def lam(x: CliffordElement) -> Matrix:
-    """The covering map: the matrix of v -> x v conj(x) on generators.
+@cache
+def _sandwich_table(n: int) -> Tuple[List[int], tuple]:
+    """The accumulator slots of lam in C_n and its table of blade pairs.
 
-    One pass over the blade pairs (A, B) of x, over one denominator d, fills
-    all n columns: the pair's integer product enters x e_j conj(x) on the
-    blade A ^ B ^ {j}, over d^2.  Raises NonVectorError if some generator is
-    not carried to a vector and NotInSO if the resulting matrix fails to be
-    special orthogonal (both indicate that x is not a spin element).
-    """
-    n = x.n
+    Each blade of grade 1 or 2 mod 4 has n slots, one per column j, vectors
+    first (e_(i+1) of column j at i n + j).  Entry [A][B] lists (slot, c) for
+    each column whose blade e_A e_j conj(e_B) = +-e_m has a slot: c is that
+    sign for A = B and twice it otherwise, where (B, A) adds the same."""
     negative = sign_table(n)
-    d, xs = _integral(x._terms)
-    acc_a, acc_b = [0] * (n << n), [0] * (n << n)  # blade m of column j at m * n + j
+    blades = [1 << i for i in range(n)]
+    blades += [m for m in range(1 << n) if m.bit_count() % 4 in (1, 2) and m.bit_count() > 1]
+    slots = {m: s * n for s, m in enumerate(blades)}
     columns = [(j, 1 << j) for j in range(n)]
-    for A, a1, b1 in xs:
-        row = negative[A]
-        for B, a2, b2 in xs:
-            p, q = a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
+    table = []
+    for A in range(1 << n):
+        row = []
+        for B in range(1 << n):
             # e_A e_j conj(e_B) = r (-1)^[j in B] e_A e_B e_j with r = -1 for
             # |B| = 2, 3 mod 4: conj(e_B) is (-1)^|B| times the reversal of
             # e_B, and e_j passes e_B with (-1)^(|B| - [j in B])
-            flip = row[B] ^ (B.bit_count() & 2 > 0)
-            AB = A ^ B
-            signs = negative[AB]
-            for j, bit in columns:
-                k = (AB ^ bit) * n + j
-                if flip ^ signs[bit] ^ (B & bit > 0):
-                    acc_a[k] -= p
-                    acc_b[k] -= q
-                else:
-                    acc_a[k] += p
-                    acc_b[k] += q
-    M = [[ZERO] * n for _ in range(n)]
-    for k, (a, b) in enumerate(zip(acc_a, acc_b)):
-        if a or b:
-            m, j = divmod(k, n)
-            if m.bit_count() != 1:
-                raise NonVectorError(f"element has a non-vector component on blade {blade_str(m)}")
-            M[m.bit_length() - 1][j] = _reduced(a, b, d * d)
-    M = tuple(map(tuple, M))
-    linalg.check_special_orthogonal(M)
-    return M
+            flip, AB, c = negative[A][B] ^ (B.bit_count() & 2 > 0), A ^ B, 1 if A == B else 2
+            row.append(tuple((slots[AB ^ bit] + j, -c if flip ^ negative[AB][bit] ^ (B & bit > 0) else c)
+                             for j, bit in columns if AB ^ bit in slots))
+        table.append(tuple(row))
+    return blades, tuple(table)
+
+
+def _sandwich(x: CliffordElement) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """lam(x) before its SO(n) check, as integer pair rows over D = d^2 for
+    the denominator d of x, from one pass over its unordered blade pairs.
+    Raises NonVectorError if some generator is not carried to a vector."""
+    n = x.n
+    blades, table = _sandwich_table(n)
+    d, xs = _integral(x._terms)
+    acc_a, acc_b = [0] * (n * len(blades)), [0] * (n * len(blades))
+    for i, (A, a1, b1) in enumerate(xs):
+        row = table[A]
+        for B, a2, b2 in xs[i:]:
+            p, q = a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
+            for k, c in row[B]:
+                acc_a[k] += c * p
+                acc_b[k] += c * q
+    for k in range(n * n, len(acc_a)):
+        if acc_a[k] or acc_b[k]:
+            raise NonVectorError(f"element has a non-vector component on blade {blade_str(blades[k // n])}")
+    return d * d, [list(zip(acc_a[i:i + n], acc_b[i:i + n])) for i in range(0, n * n, n)]
+
+
+def lam(x: CliffordElement) -> Matrix:
+    """The covering map: the matrix of v -> x v conj(x) on generators.
+
+    Raises NonVectorError if some generator is not carried to a vector and
+    NotInSO if the resulting matrix fails to be special orthogonal (both
+    indicate that x is not a spin element); the SO(n) check runs on the
+    integer pairs of :func:`_sandwich`, before any entry is reduced.
+    """
+    D, rows = _sandwich(x)
+    linalg._check_so(D, rows)
+    return tuple(tuple(_reduced(a, b, D) if a or b else ZERO for a, b in row) for row in rows)
 
 
 def canonical_sign(x: CliffordElement) -> CliffordElement:
@@ -74,10 +97,8 @@ def canonical_sign(x: CliffordElement) -> CliffordElement:
     blade-mask order is positive."""
     for m in sorted(x.terms):
         s = x.coeff(m).sign()
-        if s < 0:
-            return -x
-        if s > 0:
-            return x
+        if s:
+            return -x if s < 0 else x
     return x
 
 
@@ -100,9 +121,9 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     only field operations are the square root and one inverse.
     """
     n = len(M)
-    linalg.check_special_orthogonal(M)
-    negative = sign_table(n)
     d, rows = linalg._integral(M)
+    linalg._check_so(d, rows)
+    negative = sign_table(n)
     # the column M e_(j+1) as a (mask, a, b) list over d
     columns = [[(1 << i, a, b) for i, (a, b) in enumerate(col) if a or b] for col in zip(*rows)]
     images = [[(0, 1, 0)]]  # F_A over d^|A|
@@ -113,9 +134,7 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     # e_A^-1 = +-e_A folded in
     terms = []
     for A, F in enumerate(images):
-        scale = d ** (n - A.bit_count())
-        if negative[A][A]:
-            scale = -scale
+        scale = (-1 if negative[A][A] else 1) * d ** (n - A.bit_count())
         terms += [(A, m, a * scale, b * scale) for m, a, b in F]
     for B in range(1 << n):
         if B.bit_count() % 2:
@@ -138,13 +157,14 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     # the scalar y * conj(y) is the sum of the squared coefficients of y
     root = _reduced(sum(a * a + 2 * b * b for _, a, b in y), sum(2 * a * b for _, a, b in y), 1).sqrt()
     if root is None:
-        raise UnsupportedScalar(
-            "normalising the preimage requires a square root outside Q(sqrt 2)"
-        )
+        raise UnsupportedScalar("normalising the preimage requires a square root outside Q(sqrt 2)")
     inverse = root.inverse()
     r, s, e = inverse._a, inverse._b, inverse._d
     x = _element(n, {m: _reduced(a * r + 2 * b * s, a * s + b * r, e) for m, a, b in y})
-    if lam(x) != M:  # pragma: no cover - internal consistency guard
+    # the guard lam(x) = M, on integer pairs by cross-multiplication; M is
+    # in SO(n), so equality also puts lam(x) there
+    D, cover = _sandwich(x)
+    if [[(a * d, b * d) for a, b in u] for u in cover] != [[(a * D, b * D) for a, b in u] for u in rows]:
         raise NotInImage("internal error: constructed element does not cover the matrix")
     x = canonical_sign(x)
     return x, -x

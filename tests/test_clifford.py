@@ -10,9 +10,8 @@ from spinaf.clifford import (
     blade_product,
     blade_str,
     sign_table,
-    vector_embed,
-    vector_extract,
 )
+from spinaf.oracles import vector_embed, vector_extract
 from spinaf.errors import DimensionError, NonVectorError
 from spinaf.qsqrt2 import QSqrt2
 

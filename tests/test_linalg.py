@@ -184,12 +184,12 @@ def orthogonal_matrices(rng, n):
     half = QSqrt2(0, Fraction(1, 2))
     out = []
     for _ in range(12):
-        M = linalg.identity(n)
+        M = oracles.identity(n)
         for _ in range(rng.randint(0, 4) if n > 1 else 0):
             i, k = rng.sample(range(n), 2)
             c, s = rng.choice([(half, half), (QSqrt2(0), QSqrt2(1)),
                                (QSqrt2(Fraction(3, 5)), QSqrt2(Fraction(4, 5)))])
-            G = [list(row) for row in linalg.identity(n)]
+            G = [list(row) for row in oracles.identity(n)]
             G[i][i], G[i][k], G[k][i], G[k][k] = c, -s, s, c
             M = linalg.mat_mul(M, linalg.as_matrix(G))
         out.append(M)
@@ -210,7 +210,7 @@ def test_is_orthogonal_is_the_product_with_the_transpose():
             scaled = tuple((tuple(u * x for x in row) if i == 0 else row) for i, row in enumerate(M))
             for A in (M, scaled, random_qsqrt2_matrix(rng, n)):
                 verdict = linalg.is_orthogonal(A)
-                assert verdict == (linalg.mat_mul(A, linalg.transpose(A)) == linalg.identity(n)), A
+                assert verdict == (linalg.mat_mul(A, oracles.transpose(A)) == oracles.identity(n)), A
                 verdicts.append(verdict)
             assert linalg.is_orthogonal(M) and not linalg.is_orthogonal(scaled)
             if cofactor_det(M) == QSqrt2(1):

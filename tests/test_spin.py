@@ -5,8 +5,8 @@ import random
 import pytest
 
 from spinaf import intmat, linalg, oracles, spin
-from spinaf.clifford import CliffordElement, vector_embed, vector_extract
-from spinaf.errors import NonVectorError, NotInSO, UnsupportedScalar
+from spinaf.clifford import CliffordElement, blade_str
+from spinaf.errors import NonVectorError, NotInImage, NotInSO, UnsupportedScalar
 from spinaf.qsqrt2 import QSqrt2
 
 
@@ -189,11 +189,16 @@ def leibniz_det(M):
 
 def reference_lam(x):
     """lam from its definition: column j is the vector part of x e_j conj(x)
-    by Clifford products, and the matrix is checked to be special
-    orthogonal by dense QSqrt2 sums and a Leibniz determinant."""
+    by Clifford products, NonVectorError names the lowest non-vector blade
+    of any column, and the matrix is checked to be special orthogonal by
+    dense QSqrt2 sums and a Leibniz determinant."""
     n = x.n
     xbar = x.conjugate()
-    cols = [vector_extract(x * CliffordElement.generator(n, j) * xbar) for j in range(1, n + 1)]
+    images = [x * CliffordElement.generator(n, j) * xbar for j in range(1, n + 1)]
+    blades = [m for image in images for m in image.terms if m.bit_count() != 1]
+    if blades:
+        raise NonVectorError(f"element has a non-vector component on blade {blade_str(min(blades))}")
+    cols = [oracles.vector_extract(image) for image in images]
     M = tuple(tuple(col[i] for col in cols) for i in range(n))
     for i in range(n):
         for k in range(n):
@@ -212,13 +217,15 @@ def sandwich_elements(n, rng):
     half = QSqrt2(0, Fraction(1, 2))
 
     def unit_vector():
+        if n == 1:
+            return CliffordElement(1, {1: rng.choice((1, -1))})
         i, k = rng.sample(range(n), 2)
         shapes = [{i: 1}, {i: half, k: half}, {i: Fraction(3, 5), k: Fraction(-4, 5)}]
         if n > 2:
             rest = rng.choice([m for m in range(n) if m not in (i, k)])
             shapes.append({i: Fraction(1, 2), k: Fraction(-1, 2), rest: half})
         coords = rng.choice(shapes)
-        return vector_embed(n, [coords.get(m, 0) for m in range(n)])
+        return oracles.vector_embed(n, [coords.get(m, 0) for m in range(n)])
 
     def coeff():
         return QSqrt2(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))),
@@ -240,23 +247,47 @@ def sandwich_elements(n, rng):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_lam_is_the_sandwich_by_clifford_products(n):
     def outcome(f, x):
         try:
             return f(x)
-        except NonVectorError:
-            return NonVectorError
-        except NotInSO as exc:
-            return str(exc)
+        except (NonVectorError, NotInSO) as exc:
+            return type(exc), str(exc)
 
-    seen = set()
+    errors, in_so = set(), False
     for x in sandwich_elements(n, random.Random(n)):
         expected = outcome(reference_lam, x)
         assert outcome(spin.lam, x) == expected, x
-        seen.add(expected if isinstance(expected, (type, str)) else "SO(n)")
-    assert seen >= {"SO(n)", "matrix is not orthogonal", NonVectorError}
+        if isinstance(expected[0], type):
+            errors.add(expected)
+        else:
+            in_so = True
+    assert in_so and (NotInSO, "matrix is not orthogonal") in errors
+    # x e1 conj(x) is a multiple of e1 for every x in C_1
+    assert any(kind is NonVectorError for kind, _ in errors) == (n > 1)
     # for odd n a unit vector u acts by v -> u v conj(u), which has
     # determinant (-1)^(n-1), so only even n see determinant -1
     if n % 2 == 0:
-        assert "matrix is orthogonal but has determinant -1" in seen
+        assert (NotInSO, "matrix is orthogonal but has determinant -1") in errors
+    if n == 6:
+        # the pairs of C_6 also survive on blades of grade 5 and 6
+        named = [message.rsplit(" ", 1)[1] for kind, message in errors if kind is NonVectorError]
+        assert any(blade.count("e") >= 5 for blade in named)
+
+
+@pytest.mark.parametrize("part", ["rational", "sqrt2"])
+def test_preimage_guard_catches_a_wrong_cover(monkeypatch, part):
+    # lam(x) = M is compared on integer pairs; perturb one part of one entry
+    sandwich = spin._sandwich
+
+    def perturbed(x):
+        D, rows = sandwich(x)
+        a, b = rows[2][1]
+        rows[2][1] = (a + 1, b) if part == "rational" else (a, b + 1)
+        return D, rows
+
+    M = spin.lam(mixed_plane_rotation())
+    monkeypatch.setattr(spin, "_sandwich", perturbed)
+    with pytest.raises(NotInImage, match="^internal error: constructed element does not cover the matrix$"):
+        spin.preimage(M)
