@@ -243,9 +243,8 @@ def check_record(record: AlmostBieberbachRecord) -> None:
     """Eager record-level invariants: matrix shape and unimodularity,
     parameter-free holonomy exponents, a finite holonomy group F on which
     every relator holds and which is faithful to the named group (F is
-    built here, once, and kept on the record as ``holonomy_group``),
-    orientability, and, on a record with a holonomy matrix that is not a
-    signed permutation, that ``fp.sylow_subgroup`` has odd index."""
+    built here, once, and kept on the record as ``holonomy_group``) and
+    orientability."""
     holonomy_gens = record.presentation.holonomy_generators()
     dets = []
     for name, mat in record.matrices.items():
@@ -266,7 +265,7 @@ def check_record(record: AlmostBieberbachRecord) -> None:
     fp.check_holonomy_exponents(record)
     # the relators, then faithfulness (also validates the holonomy name)
     try:
-        F = record.holonomy_group
+        record.holonomy_group
     except ClosureBoundExceeded as exc:
         raise InconsistentRecord(
             f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
@@ -275,15 +274,6 @@ def check_record(record: AlmostBieberbachRecord) -> None:
     # holds the determinant of each: this is the orientability check
     if any(d != 1 for d in dets):
         raise InconsistentRecord(f"family {record.family}: non-orientable record")
-    if not record.signed_perm_holonomy:
-        # the Sylow strategy restricts to fp.sylow_subgroup, sound only at odd index
-        index = F.order // len(fp.sylow_subgroup(F))
-        if index % 2 == 0:
-            raise InconsistentRecord(
-                f"family {record.family}: some holonomy matrix is not a signed permutation, "
-                f"and the signed permutations in the holonomy group give a 2-subgroup of "
-                f"even index {index}, so the Sylow strategy cannot count the record"
-            )
 
 
 def _read_file(path, kind: str, key: str, read_item, identity) -> tuple:

@@ -25,13 +25,11 @@ parameter row adds only those rows to the record's echelon, and its count
 is 2^(generators - rank) (``enumerate_lifts``), with no Clifford product.
 ``_f2_solve`` is the one F_2 elimination; the oracles call it too.  F
 itself, one integer multiplication table, is built once per record when
-the catalog is loaded (``AlmostBieberbachRecord.holonomy_group``).  Loading
-a catalog checks that ``sylow_subgroup`` has odd index on every record
-whose matrices are not all signed permutations.  The independent oracles
-that back the count path in the tests (Clifford products over
-``base_preimages``, the Sylow pullback, the relators instantiated at a
-parameter row, and Ĝ by coset enumeration) live in :mod:`spinaf.oracles`,
-which no command imports.
+the catalog is loaded (``AlmostBieberbachRecord.holonomy_group``).  The
+independent oracles that back the count path in the tests (Clifford
+products over ``base_preimages``, the Sylow pullback, the relators
+instantiated at a parameter row, and Ĝ by coset enumeration) live in
+:mod:`spinaf.oracles`, which no command imports.
 """
 
 from __future__ import annotations
@@ -199,8 +197,7 @@ class AlmostBieberbachRecord(_RecordFields):
         relators and the named group by ``holonomy.matrix_group_closure``.
 
         Built once, when the catalog is loaded, and kept on the record: every
-        later use (the lifted group, the character, the Sylow subgroup) reads
-        its table.
+        later use (the lifted group, the character) reads its table.
         """
         from . import holonomy
 
@@ -458,29 +455,8 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
 
 
 # ---------------------------------------------------------------------------
-# the Sylow subgroup, and Ĝ = λ⁻¹(F)
+# Ĝ = λ⁻¹(F)
 # ---------------------------------------------------------------------------
-
-
-def sylow_subgroup(F: FiniteMatrixGroup) -> List[int]:
-    """A 2-subgroup S of F whose elements are signed permutations, as a
-    list of elements of F.
-
-    F's elements are taken in closure order, and each signed permutation
-    joins S when it and S generate a group of 2-power order.  S need not
-    be a Sylow subgroup of F; loading a catalog checks that its index is
-    odd on every record whose matrices are not all signed permutations.
-    """
-    G = F.group
-    gens: List[int] = []
-    S = [G.identity]
-    for x in G.elements:
-        if intmat.is_signed_perm(F.matrices[x]) and x not in S:
-            T = groups.closure(gens + [x], G.mul, G.identity)
-            if len(T) & (len(T) - 1) == 0:
-                gens.append(x)
-                S = T
-    return S
 
 
 def lift_power_sign(M: Sequence[Sequence[int]], m: int) -> int:

@@ -7,9 +7,10 @@
   preimages ``fp.base_preimages`` (over Q(sqrt 2), when every holonomy
   matrix is a signed permutation);
 - ``sylow_strategy``: existence decided on the pullback of a 2-subgroup S
-  of F of odd index made of signed permutations (``fp.sylow_subgroup``),
-  rewritten by Reidemeister-Schreier (``sylow_pullback_record``), and the
-  count 2^(mod-2 abelianization rank);
+  of F made of signed permutations (``sylow_subgroup``), rewritten by
+  Reidemeister-Schreier (``sylow_pullback_record``), and the count
+  2^(mod-2 abelianization rank); it refuses a record on which S has even
+  index;
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
 - ``is_spin``: membership in Spin(n), from its definition;
 - ``vector_embed``, ``vector_extract``, ``identity`` and ``transpose``:
@@ -32,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import intmat
 from .clifford import CliffordElement, blade_str
-from .errors import DimensionError, EnumerationBoundExceeded, NonVectorError
+from .errors import DimensionError, EnumerationBoundExceeded, NonVectorError, SpinafError
 from .fp import (
     DIM,
     HOLONOMY,
@@ -46,9 +47,9 @@ from .fp import (
     _f2_solve,
     _parities,
     base_preimages,
-    sylow_subgroup,
 )
-from .groups import FiniteGroup, Word, spanning_tree, word_to_letters
+from .groups import FiniteGroup, Word, closure, spanning_tree, word_to_letters
+from .holonomy import FiniteMatrixGroup
 from .linalg import Matrix
 from .qsqrt2 import QSqrt2
 
@@ -395,10 +396,31 @@ def reidemeister_schreier(
 # ---------------------------------------------------------------------------
 
 
+def sylow_subgroup(F: FiniteMatrixGroup) -> List[int]:
+    """A 2-subgroup S of F whose elements are signed permutations, as a
+    list of elements of F.
+
+    F's elements are taken in closure order, and each signed permutation
+    joins S when it and S generate a group of 2-power order.  S need not
+    be a Sylow subgroup of F; ``sylow_strategy`` checks that its index is
+    odd.
+    """
+    G = F.group
+    gens: List[int] = []
+    S = [G.identity]
+    for x in G.elements:
+        if intmat.is_signed_perm(F.matrices[x]) and x not in S:
+            T = closure(gens + [x], G.mul, G.identity)
+            if len(T) & (len(T) - 1) == 0:
+                gens.append(x)
+                S = T
+    return S
+
+
 def sylow_pullback_record(
     record: AlmostBieberbachRecord, params: Mapping[str, int]
 ) -> AlmostBieberbachRecord:
-    """The record for the preimage of ``fp.sylow_subgroup`` in Gamma, via
+    """The record for the preimage of ``sylow_subgroup`` in Gamma, via
     Reidemeister-Schreier.
 
     Gamma acts on the right cosets S x of S in F through its holonomy
@@ -472,14 +494,23 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     ``fp.enumerate_lifts`` that shares no sign computation with it.
 
     Existence is decided on the pullback record, whose holonomy matrices lie
-    in the signed-permutation group ``fp.sylow_subgroup``, by evaluating its
+    in the signed-permutation group ``sylow_subgroup``, by evaluating its
     relators as Clifford products (``evaluate_word``), and the count is
     2^(mod-2 abelianization rank) of the full record when a lift exists.
     Restriction to a subgroup of odd index loses no obstruction, which is
-    why any such subgroup serves.  Parameters are reduced mod 2 first: they
-    enter the pullback's relators as exponents.
+    why any such subgroup serves; at even index it may lose one, so the
+    oracle raises SpinafError there instead of counting.  Parameters are
+    reduced mod 2 first: they enter the pullback's relators as exponents.
     """
     params = dict(zip(record.presentation.parameters, _parities(record, params)))
+    F = record.holonomy_group
+    index = F.order // len(sylow_subgroup(F))
+    if index % 2 == 0:
+        raise SpinafError(
+            f"family {record.family}: some holonomy matrix is not a signed permutation, "
+            f"and the signed permutations in the holonomy group give a 2-subgroup of "
+            f"even index {index}, so the Sylow strategy cannot count the record"
+        )
     pullback = sylow_pullback_record(record, params)
     base = base_preimages(pullback)
     one = CliffordElement.scalar(DIM, 1)

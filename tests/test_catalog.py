@@ -119,14 +119,8 @@ def _al_power(family, old, new):
 
 
 @pytest.mark.parametrize("family, mutate", [
-    pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
-        al=[[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), id="4-al-not-signed-perm"),
     pytest.param("143", lambda d: _record(d, "143")["matrices"].update(
         zz=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), id="143-undeclared-generator"),
-    # al conjugated by the shear a -> a + c: the only signed permutation in
-    # the C6 it generates is the identity, so the Sylow subgroup is trivial
-    pytest.param("168", lambda d: _record(d, "168")["matrices"].update(
-        al=[[1, -1, 0, 0], [0, 0, 1, 0], [0, -1, 1, 0], [0, 0, 0, 1]]), id="168-sylow-empty"),
     pytest.param("169", _al_power("169", 6, 2), id="169-power-2"),
     pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
         al=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), id="4-non-orientable"),
@@ -146,29 +140,55 @@ def test_mutant_rejected_at_load_with_exit_2(tmp_path, cli, family, mutate):
     assert f"error: family {family}:" in result.output
 
 
-def test_record_without_an_odd_index_signed_perm_subgroup_rejected(tmp_path, cli):
-    # C4 generated by U R4 U^-1 for the shear U: a -> a + c.  No holonomy
-    # element but the identity is a signed permutation, so the 2-subgroup the
-    # Sylow strategy would restrict to has even index 4.
-    U = ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    R4 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    al = intmat.int_mat_mul(intmat.int_mat_mul(U, R4), intmat.int_mat_inverse(U))
-    gens = tuple(fp.GeneratorDecl(n, fp.LATTICE) for n in "abcd")
-    record = fp.AlmostBieberbachRecord(
-        family="C4-shear", holonomy_name="C4",
-        presentation=fp.Presentation(gens + (fp.GeneratorDecl("al", fp.HOLONOMY),), ()),
-        matrices={"al": al}, nilpotency_class=1)
+@pytest.mark.parametrize("family, al", [
+    # family 4's half turn diag(1, 1, -1, -1), conjugated over Q only
+    pytest.param("4", [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+                 id="4-conjugate-over-Q"),
+    # family 168's al conjugated by the shear a -> a + c: the only signed
+    # permutation in the C6 it generates is the identity
+    pytest.param("168", [[1, -1, 0, 0], [0, 0, 1, 0], [0, -1, 1, 0], [0, 0, 0, 1]],
+                 id="168-conjugate-over-Z"),
+])
+def test_matrix_that_is_no_signed_permutation_loads_and_counts_alike(
+        tmp_path, cli, bundled, family, al):
+    data = _bundled_json()
+    _record(data, family)["matrices"]["al"] = al
+    p = tmp_path / "conjugate.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    record = cat.load_catalog(p).find(family)
+    catalog, expectations = bundled
+    original = catalog.find(family)
     assert not record.signed_perm_holonomy
-    with pytest.raises(InconsistentRecord, match="family C4-shear: .* even index 4"):
-        cat.check_record(record)
+    rows = [e for e in expectations if e.family == family]
+    assert rows
+    for e in rows:
+        params = dict(zip(record.presentation.parameters, e.params))
+        result, bundled_result = fp.count_lifts(record, params), fp.count_lifts(original, params)
+        assert result.count == bundled_result.count == e.count, e.params
+        assert result.valid_assignments == bundled_result.valid_assignments, e.params
+    result = cli("verify", "--catalog", str(p))
+    assert result.exit_code == 0, result.output
+    assert "127 rows, 0 failures" in result.output
+
+
+def test_sheared_quarter_turn_loads_and_counts_0(tmp_path, cli, sheared_quarter_turn):
+    # a record whose holonomy matrices hold no signed permutation but the
+    # identity loads; its quarter turn lifts to x with x^4 = -1
+    record = sheared_quarter_turn
+    assert not record.signed_perm_holonomy
+    cat.check_record(record)
     p = tmp_path / "shear.json"
     p.write_text(json.dumps({"format_version": cat.FORMAT_VERSION,
                              "records": [cat.record_to_json(record)]}), encoding="utf-8")
-    with pytest.raises(InconsistentRecord, match="family C4-shear:"):
-        cat.load_catalog(p)
-    result = cli("classify", "--catalog", str(p), "--family", "C4-shear")
-    assert result.exit_code == 2
-    assert "error: family C4-shear:" in result.output
+    assert cat.load_catalog(p).records == (record,)
+    result = cli("classify", "--catalog", str(p), "--family", "C4-shear", "--format", "json")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == [{"family": "C4-shear", "holonomy": "C4", "params": [],
+                                          "count": 0, "parallelizable": False}]
+    result = cli("lift-group", "--catalog", str(p), "--family", "C4-shear")
+    assert result.exit_code == 0, result.output
+    assert result.output == ("family C4-shear: holonomy C4, preimage C8 of order 8 "
+                             "(abstract realization)\n")
 
 
 def test_relator_failing_only_through_a_negative_power_rejected(tmp_path, cli):

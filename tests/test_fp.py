@@ -144,9 +144,23 @@ def test_holonomy_lift_is_the_even_order_element_over_its_matrix(catalog):
 def test_sylow_subgroup_has_odd_index_on_every_record(catalog):
     for r in catalog.records:
         F = r.holonomy_group
-        S = fp.sylow_subgroup(F)
+        S = oracles.sylow_subgroup(F)
         assert all(intmat.is_signed_perm(F.matrices[x]) for x in S)
         assert len(S) & (len(S) - 1) == 0 and F.order // len(S) % 2 == 1, r.family
+
+
+def test_sylow_strategy_refuses_a_subgroup_of_even_index(sheared_quarter_turn):
+    # no element of the sheared quarter turn's C4 but the identity is a
+    # signed permutation, so S is trivial, of index 4; counting on it would
+    # miss the obstruction x^4 = -1 of the relator al^4 and give 2^5
+    cat.check_record(sheared_quarter_turn)
+    assert oracles.sylow_subgroup(sheared_quarter_turn.holonomy_group) == [0]
+    assert fp.count_lifts(sheared_quarter_turn, {}).count == 0
+    message = ("family C4-shear: some holonomy matrix is not a signed permutation, and the "
+               "signed permutations in the holonomy group give a 2-subgroup of even index 4, "
+               "so the Sylow strategy cannot count the record")
+    with pytest.raises(SpinafError, match=f"^{re.escape(message)}$"):
+        oracles.sylow_strategy(sheared_quarter_turn, {})
 
 
 def test_f2_solve_against_brute_force():
@@ -234,12 +248,10 @@ def coset_enumeration_lift(record):
     return fp.LiftedHolonomy(G, tuple(F.matrices[x] for x in images), images.index(0, 1))
 
 
-def test_lifted_holonomy_agrees_with_coset_enumeration(catalog):
-    # the second Ĝ oracle for every record, the 8 whose matrices are not all
-    # signed permutations included: same order and type, and the relator
-    # signs traced in the reference with holonomy_lift's rule are the record's
-    assert len(catalog.records) == 43
-    for r in catalog.records:
+def assert_lifted_holonomy_agrees_with_coset_enumeration(records):
+    """Same order and type, and the relator signs traced in the reference
+    with holonomy_lift's rule are the record's."""
+    for r in records:
         lifted, reference = fp.lifted_holonomy(r), coset_enumeration_lift(r)
         G = reference.group
         assert len(lifted.group) == len(G) == 2 * r.holonomy_group.order, r.family
@@ -255,6 +267,21 @@ def test_lifted_holonomy_agrees_with_coset_enumeration(catalog):
             assert x in (G.identity, reference.central), (r.family, rel)
             signs.append(int(x == reference.central))
         assert tuple(signs) == r.relator_signs, r.family
+
+
+def test_lifted_holonomy_agrees_with_coset_enumeration(catalog):
+    # the second Ĝ oracle for every record, the 8 whose matrices are not all
+    # signed permutations included
+    assert len(catalog.records) == 43
+    assert_lifted_holonomy_agrees_with_coset_enumeration(catalog.records)
+
+
+def test_lifted_holonomy_of_conjugated_records_agrees_with_coset_enumeration(conjugated):
+    # the same records written in other lattice bases, most of them no
+    # longer signed permutations
+    for conjugates in conjugated.values():
+        assert len(conjugates.records) == 43
+        assert_lifted_holonomy_agrees_with_coset_enumeration(conjugates.records)
 
 
 def sign_bits(signs):
