@@ -1,10 +1,12 @@
-"""Catalog and expectations files: reading, checking, classify and verify.
+"""Catalog and expectations files: reading, checking and verify.
 
 The catalog is a JSON file carrying one record per family: a finitely
 presented group (generators split into lattice and holonomy roles, relators
 with affine exponents in the family's parameters) together with the integer
 holonomy matrices.  The expectations file carries the reference spin
-structure counts per (family, parameters) row.
+structure counts per (family, parameters) row, the parameters as one value
+per parameter of the family in its order: the vector ``fp.count_lifts``
+takes, which ``verify`` passes to it as it is.
 """
 
 from __future__ import annotations
@@ -333,33 +335,8 @@ def load_expectations(path) -> Tuple[ExpectationRow, ...]:
 
 
 # ---------------------------------------------------------------------------
-# classify / verify
+# verify
 # ---------------------------------------------------------------------------
-
-
-class ClassifyRow(NamedTuple):
-    family: str
-    holonomy: str
-    params: Tuple[int, ...]
-    count: int
-    parallelizable: bool
-
-
-def classify_record(record: AlmostBieberbachRecord, params: Sequence[int]) -> ClassifyRow:
-    names = record.presentation.parameters
-    if len(params) != len(names):
-        raise InconsistentRecord(
-            f"family {record.family} takes {len(names)} parameters, got {len(params)}"
-        )
-    p = {n: v % 2 for n, v in zip(names, params)}
-    result = fp.count_lifts(record, p)
-    return ClassifyRow(
-        family=record.family,
-        holonomy=record.holonomy_name,
-        params=tuple(p.values()),
-        count=result.count,
-        parallelizable=result.count > 0,
-    )
 
 
 class ReportRow(NamedTuple):
@@ -426,7 +403,7 @@ def verify(catalog: Catalog, expectations: Sequence[ExpectationRow]) -> Report:
                     f"expectations row for family {exp.family} has holonomy "
                     f"{exp.holonomy}, but the family's holonomy is {record.holonomy_name}"
                 )
-            computed = fp.count_lifts(record, dict(zip(names, exp.params))).count
+            computed = fp.count_lifts(record, exp.params).count
         rows.append(
             ReportRow(
                 family=exp.family,

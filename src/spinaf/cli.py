@@ -89,8 +89,8 @@ def _param_vector(
     """Parse 'k1=..,k2=..'; unspecified parameters default to 0, and a
     parameter given twice is invalid input.
 
-    Values may be any integers; they are reduced mod 2 downstream and the
-    reduction is echoed in the output.
+    Values may be any integers; ``fp.count_lifts`` reduces them mod 2, and
+    the output echoes the reduction its result carries.
     """
     names = record.presentation.parameters
     values: Dict[str, int] = {}
@@ -227,19 +227,18 @@ def classify(catalog_path, family, params, fmt) -> None:
         records = [_find_record(catalog, family)]
     else:
         records = sorted(catalog.records, key=lambda r: r.family)
-    rows: List[cat.ClassifyRow] = []
-    for record in records:
-        try:
-            rows.append(cat.classify_record(record, _param_vector(record, params)))
-        except SpinafError as exc:
-            _fail(EXIT_INTERNAL, str(exc))
-    if fmt == "json":  # the row's fields are the JSON keys
-        print(_dump_json([r._asdict() for r in rows]))
+    rows = [(r, fp.count_lifts(r, _param_vector(r, params))) for r in records]
+    if fmt == "json":
+        print(_dump_json([
+            {"family": r.family, "holonomy": r.holonomy_name, "params": result.params,
+             "count": result.count, "parallelizable": result.exists}
+            for r, result in rows
+        ]))
         return
     table = [
-        (r.family, r.holonomy, _params_str(r.params), str(r.count),
-         "yes" if r.parallelizable else "no")
-        for r in rows
+        (r.family, r.holonomy_name, _params_str(result.params), str(result.count),
+         "yes" if result.exists else "no")
+        for r, result in rows
     ]
     print(_render_table(
         ["family", "holonomy", "params", "count", "parallelizable"], table, fmt))
@@ -255,8 +254,6 @@ def verify(catalog_path, expected_path, fmt) -> None:
         report = cat.verify(catalog, expectations)
     except CatalogFormatError as exc:  # a row's parameters do not fit its family
         _fail(EXIT_INVALID, str(exc))
-    except SpinafError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
     if fmt == "json":
         print(_dump_json(report.to_json()))
     else:
@@ -302,10 +299,7 @@ def lift_group(catalog_path, family, fmt) -> None:
     """Identify the preimage of the holonomy group in Spin(4)."""
     catalog = _load_catalog(catalog_path)
     record = _find_record(catalog, family)
-    try:
-        result = fp.lift_group(record)
-    except SpinafError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
+    result = fp.lift_group(record)
     if fmt == "json":
         print(_dump_json({
             "family": record.family,
@@ -335,10 +329,7 @@ def char(catalog_path, family, fmt) -> None:
     """Decompose the holonomy representation into irreducible characters."""
     catalog = _load_catalog(catalog_path)
     record = _find_record(catalog, family)
-    try:
-        mults, rendered = holonomy.character_of_record(record)
-    except SpinafError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
+    mults, rendered = holonomy.character_of_record(record)
     if fmt == "json":
         print(_dump_json({
             "family": record.family,
@@ -360,18 +351,12 @@ def export(catalog_path, family, params, fmt) -> None:
     del fmt
     catalog = _load_catalog(catalog_path)
     record = _find_record(catalog, family)
-    vector = _param_vector(record, params)
-    names = record.presentation.parameters
-    reduced = dict(zip(names, fp._parities(record, dict(zip(names, vector)))))
-    try:
-        result = fp.count_lifts(record, reduced)
-    except SpinafError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
+    result = fp.count_lifts(record, _param_vector(record, params))
     payload = {
         "family": record.family,
         "holonomy": record.holonomy_name,
         "nilpotency_class": record.nilpotency_class,
-        "params": reduced,
+        "params": dict(zip(record.presentation.parameters, result.params)),
         "count": result.count,
         "exists": result.exists,
         "strategy": "direct",
@@ -460,13 +445,17 @@ def main(argv: Optional[Sequence[str]] = None, prog_name: str = "spinaf") -> int
     """Run one ``spinaf`` command with ``argv`` (default: ``sys.argv[1:]``).
 
     Returns EXIT_OK; every other exit status is raised as SystemExit, usage
-    errors (argparse's) included, and a closed standard output as EXIT_IO.
+    errors (argparse's) included, a closed standard output as EXIT_IO, and
+    a SpinafError that no command turned into invalid input as
+    EXIT_INTERNAL.
     """
     args = vars(_parser(prog_name).parse_args(argv))
     run = args.pop("run")
     try:
         try:
             run(**args)
+        except SpinafError as exc:  # an internal invariant violation
+            _fail(EXIT_INTERNAL, str(exc))
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

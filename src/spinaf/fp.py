@@ -21,8 +21,11 @@ computed on first use).  The relators whose rows do not depend on the
 parameters mod 2 are eliminated once per record, and the others kept as a
 base row, toggles per parameter and a sign
 (``AlmostBieberbachRecord.parity_system``, also computed on first use).  A
-parameter row adds only those rows to the record's echelon, and its count
-is 2^(generators - rank) (``enumerate_lifts``), with no Clifford product.
+parameter row is a vector, one integer per parameter in the record's order,
+as the expectations file and the command line give it; ``count_lifts``
+reduces it mod 2, adds only those rows to the record's echelon, and counts
+2^(generators - rank) (``enumerate_lifts``), with no Clifford product.  Its
+``LiftResult`` carries the reduced row.
 ``_f2_solve`` is the one F_2 elimination; the oracles call it too.  F
 itself, one integer multiplication table, is built once per record when
 the catalog is loaded (``AlmostBieberbachRecord.holonomy_group``).  The
@@ -274,7 +277,7 @@ class SignAssignment(NamedTuple):
 
 
 class LiftResult(NamedTuple):
-    """The lifts at one parameter row.
+    """The lifts at one parameter row, counted at the parities ``params``.
 
     ``echelon`` is the row's reduced echelon form (``_f2_solve``) when the
     count path found lifts; ``valid_assignments`` lists them from it, on
@@ -283,6 +286,7 @@ class LiftResult(NamedTuple):
 
     exists: bool
     count: int
+    params: Tuple[int, ...]  # the row's values mod 2, in the record's parameter order
     generators: Tuple[str, ...] = ()
     echelon: Optional[Mapping[int, int]] = None
 
@@ -308,20 +312,15 @@ class LiftResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _parities(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> List[int]:
-    """The values of ``params`` mod 2, in the order of the record's
-    parameters; a missing, extra or misnamed parameter raises."""
+def _parities(record: AlmostBieberbachRecord, params: Sequence[int]) -> Tuple[int, ...]:
+    """``params``, one value per parameter of the record in its order, mod 2;
+    a row of another length raises."""
     names = record.presentation.parameters
-    try:
-        odd = [params[n] % 2 for n in names]
-    except KeyError:
-        odd = None
-    # the names are distinct (``Presentation``), so this compares the sets
-    if odd is None or len(params) != len(names):
+    if len(params) != len(names):
         raise InconsistentRecord(
-            f"family {record.family}: expected parameters {sorted(names)}, got {sorted(params)}"
+            f"family {record.family} takes {len(names)} parameters, got {len(params)}"
         )
-    return odd
+    return tuple(v % 2 for v in params)
 
 
 def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
@@ -431,8 +430,10 @@ def _f2_solution(echelon: Mapping[int, int], nvars: int) -> Tuple[int, Tuple[int
     return p, tuple(kernel)
 
 
-def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
-    """Count the lifts of the classifying representation to Spin(4).
+def enumerate_lifts(record: AlmostBieberbachRecord, params: Sequence[int]) -> LiftResult:
+    """Count the lifts of the classifying representation to Spin(4) at the
+    parameter row ``params``, one integer per parameter of the record in its
+    order; only their parities matter, and the result carries them.
 
     An assignment s (bit i = 1 meaning generator i carries -1) is valid iff
     every relator evaluates to +1, that is, iff for every relator the parity
@@ -449,9 +450,9 @@ def enumerate_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -
     system = record.parity_system
     echelon = system.solve(odd)
     if echelon is None:
-        return LiftResult(False, 0, system.generators)
+        return LiftResult(False, 0, odd, system.generators)
     count = 1 << (len(system.generators) - len(echelon))
-    return LiftResult(True, count, system.generators, echelon)
+    return LiftResult(True, count, odd, system.generators, echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +603,7 @@ def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
     )
 
 
-def count_lifts(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
+def count_lifts(record: AlmostBieberbachRecord, params: Sequence[int]) -> LiftResult:
     """The lifts at one parameter row; every record is counted by
     ``enumerate_lifts``."""
     return enumerate_lifts(record, params)

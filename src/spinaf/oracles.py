@@ -402,8 +402,8 @@ def sylow_subgroup(F: FiniteMatrixGroup) -> List[int]:
 
     F's elements are taken in closure order, and each signed permutation
     joins S when it and S generate a group of 2-power order.  S need not
-    be a Sylow subgroup of F; ``sylow_strategy`` checks that its index is
-    odd.
+    be a Sylow subgroup of F; ``sylow_pullback_record`` checks that its
+    index is odd.
     """
     G = F.group
     gens: List[int] = []
@@ -427,11 +427,19 @@ def sylow_pullback_record(
     matrices; lattice generators act trivially.  The Schreier generators'
     holonomy matrices are the theta-images of the corresponding words;
     generators whose matrix is the identity become lattice generators of
-    the pullback.
+    the pullback.  Raises SpinafError when S has even index in F, where the
+    pullback may lose an obstruction.
     """
     F = record.holonomy_group
     G = F.group
     S = sylow_subgroup(F)
+    index = F.order // len(S)
+    if index % 2 == 0:
+        raise SpinafError(
+            f"family {record.family}: some holonomy matrix is not a signed permutation, "
+            f"and the signed permutations in the holonomy group give a 2-subgroup of "
+            f"even index {index}, so the Sylow strategy cannot count the record"
+        )
     names = record.presentation.generator_names
     actions = {}  # holonomy generator -> its element of F and the inverse
     for n in record.presentation.holonomy_generators():
@@ -489,7 +497,7 @@ def sylow_pullback_record(
     )
 
 
-def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) -> LiftResult:
+def sylow_strategy(record: AlmostBieberbachRecord, params: Sequence[int]) -> LiftResult:
     """Lift count via restriction to the Sylow pullback: an oracle for
     ``fp.enumerate_lifts`` that shares no sign computation with it.
 
@@ -499,25 +507,19 @@ def sylow_strategy(record: AlmostBieberbachRecord, params: Mapping[str, int]) ->
     2^(mod-2 abelianization rank) of the full record when a lift exists.
     Restriction to a subgroup of odd index loses no obstruction, which is
     why any such subgroup serves; at even index it may lose one, so the
-    oracle raises SpinafError there instead of counting.  Parameters are
-    reduced mod 2 first: they enter the pullback's relators as exponents.
+    oracle raises SpinafError there instead of counting.  ``params`` is a
+    row as ``fp.count_lifts`` takes it, reduced mod 2 first: the values
+    enter the pullback's relators as exponents, evaluated by name.
     """
-    params = dict(zip(record.presentation.parameters, _parities(record, params)))
-    F = record.holonomy_group
-    index = F.order // len(sylow_subgroup(F))
-    if index % 2 == 0:
-        raise SpinafError(
-            f"family {record.family}: some holonomy matrix is not a signed permutation, "
-            f"and the signed permutations in the holonomy group give a 2-subgroup of "
-            f"even index {index}, so the Sylow strategy cannot count the record"
-        )
-    pullback = sylow_pullback_record(record, params)
+    odd = _parities(record, params)
+    named = dict(zip(record.presentation.parameters, odd))
+    pullback = sylow_pullback_record(record, named)
     base = base_preimages(pullback)
     one = CliffordElement.scalar(DIM, 1)
     rhs = [int(evaluate_word(rel, {}, base) != one)
            for rel in instantiate_relators(pullback.presentation, {})]
     rows = parity_rows(pullback.presentation, {})
     if _f2_solve(rows, rhs, len(pullback.presentation.generators)) is None:
-        return LiftResult(False, 0)
-    d = abelianization_mod2_rank(record.presentation, params)
-    return LiftResult(True, 2 ** d)
+        return LiftResult(False, 0, odd)
+    d = abelianization_mod2_rank(record.presentation, named)
+    return LiftResult(True, 2 ** d, odd)

@@ -186,17 +186,12 @@ def test_criterion_6_counting(bundled):
         names = record.presentation.parameters
         samples = [tuple(rng.randint(0, 1) for _ in names) for _ in range(2)]
         for bits in samples:
-            params = dict(zip(names, bits))
-            result = fp.count_lifts(record, params)
+            result = fp.count_lifts(record, bits)
             # count is 2^(mod-2 rank) when lifts exist
             if result.count:
                 assert result.count & (result.count - 1) == 0
             if record.signed_perm_holonomy:
                 # brute-force oracle over all sign assignments
-                assert result.count == _brute_force_count(record, params)
+                assert result.count == _brute_force_count(record, dict(zip(names, bits)))
             # mod-2 invariance: shifting any parameter by 2 changes nothing
-            shifted = {n: v + 2 for n, v in params.items()}
-            assert (
-                fp.count_lifts(record, dict(zip(names, fp._parities(record, shifted)))).count
-                == result.count
-            )
+            assert fp.count_lifts(record, [v + 2 for v in bits]).count == result.count

@@ -12,9 +12,10 @@ import pytest
 
 import spinaf
 from spinaf import catalog as cat
-from spinaf import fp, oracles
+from spinaf import fp, holonomy, oracles
 from spinaf.cli import main
 from spinaf.clifford import CliffordElement
+from spinaf.errors import SpinafError
 from spinaf.qsqrt2 import QSqrt2
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -136,6 +137,28 @@ def test_verify_csv_stdout_is_only_csv():
     assert len(rows) == 128 and all(len(row) == 6 for row in rows)
     assert rows[0] == ["family", "holonomy", "params", "expected", "computed", "status"]
     assert err == "127 rows, 0 failures, 15 rows with zero spin structures\n"
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    pytest.param(("classify", "--family", "4"), fp, "count_lifts", id="classify"),
+    pytest.param(("export", "--family", "4"), fp, "count_lifts", id="export"),
+    pytest.param(("verify",), cat, "verify", id="verify"),
+    pytest.param(("lift-group", "--family", "4"), fp, "lift_group", id="lift-group"),
+    pytest.param(("char", "--family", "4"), holonomy, "character_of_record", id="char"),
+])
+def test_library_error_on_loaded_data_exits_4(reuse_bundled, monkeypatch, argv, module, name):
+    # the data loaded and checked, so an error from the library call is an
+    # internal invariant violation: exit 4, its message, and no output
+    def boom(*args):
+        raise SpinafError("boom")
+
+    monkeypatch.setattr(module, name, boom)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    assert exc.value.code == 4
+    assert (out.getvalue(), err.getvalue()) == ("", "error: boom\n")
 
 
 def test_verify_altered_expectation_exit_1(cli, tmp_path):

@@ -15,24 +15,18 @@ def catalog(bundled):
     return bundled[0]
 
 
-def params_of(record, bits):
-    names = record.presentation.parameters
-    assert len(bits) == len(names)
-    return dict(zip(names, bits))
-
-
 def test_family_4_counts(catalog):
     r = catalog.find("4")
     expected = {(0, 0, 0, 0): 16, (0, 1, 0, 0): 8, (1, 0, 0, 0): 8}
     for bits, count in expected.items():
-        res = fp.enumerate_lifts(r, params_of(r, bits))
+        res = fp.enumerate_lifts(r, bits)
         assert res.count == count
         assert len(res.valid_assignments) == count
 
 
 def test_family_5_nonspin_row(catalog):
     r = catalog.find("5")
-    res = fp.enumerate_lifts(r, params_of(r, (1, 0, 0, 1)))
+    res = fp.enumerate_lifts(r, (1, 0, 0, 1))
     assert res.count == 0
     assert not res.exists
 
@@ -42,7 +36,7 @@ def test_c6_sylow_counts(catalog):
     assert not r.signed_perm_holonomy
     for bits, count in {(0, 0, 0, 0): 4, (1, 0, 0, 0): 2,
                         (0, 0, 0, 1): 4, (1, 0, 0, 1): 2}.items():
-        assert oracles.sylow_strategy(r, params_of(r, bits)).count == count
+        assert oracles.sylow_strategy(r, bits).count == count
 
 
 def test_wrongly_named_record_is_refused_not_miscounted(catalog):
@@ -50,7 +44,7 @@ def test_wrongly_named_record_is_refused_not_miscounted(catalog):
     # counting builds Ĝ from the named group's table, which must fit the matrices
     for family in ["4", "158", "173"]:
         r = catalog.find(family)
-        zeros = {n: 0 for n in r.presentation.parameters}
+        zeros = (0,) * len(r.presentation.parameters)
         for name in ["C6", "C2", "no-such-group"]:
             if name == r.holonomy_name:
                 continue
@@ -63,10 +57,10 @@ def test_direct_count_needs_no_spin_preimages(catalog):
     assert not r.signed_perm_holonomy
     with pytest.raises(UnsupportedScalar):
         fp.base_preimages(r)
-    result = fp.count_lifts(r, params_of(r, (0, 0, 0, 0)))
+    result = fp.count_lifts(r, (0, 0, 0, 0))
     assert result.count == 4
-    assert result == fp.enumerate_lifts(r, params_of(r, (0, 0, 0, 0)))
-    assert oracles.sylow_strategy(r, params_of(r, (0, 0, 0, 0))).count == 4
+    assert result == fp.enumerate_lifts(r, (0, 0, 0, 0))
+    assert oracles.sylow_strategy(r, (0, 0, 0, 0)).count == 4
 
 
 def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
@@ -85,8 +79,8 @@ def test_sylow_strategy_reduces_params_mod2(catalog, monkeypatch):
     def relator_length(record):
         return sum(len(rel) for rel in record.presentation.relators)
 
-    small = oracles.sylow_strategy(r, params_of(r, (1, 0, 0, 0)))
-    large = oracles.sylow_strategy(r, params_of(r, (20001, 0, 0, 0)))
+    small = oracles.sylow_strategy(r, (1, 0, 0, 0))
+    large = oracles.sylow_strategy(r, (20001, 0, 0, 0))
     assert large == small
     assert len(built) == 2
     assert relator_length(built[1]) == relator_length(built[0])
@@ -100,8 +94,7 @@ def test_count_lifts_agrees_with_sylow_strategy_on_every_row(catalog):
     assert len({e.family for e in rows}) == 43
     for e in rows:
         r = catalog.find(e.family)
-        p = params_of(r, e.params)
-        direct, sylow = fp.count_lifts(r, p), oracles.sylow_strategy(r, p)
+        direct, sylow = fp.count_lifts(r, e.params), oracles.sylow_strategy(r, e.params)
         assert sylow.count == direct.count == e.count, (e.family, e.params)
 
 
@@ -312,14 +305,14 @@ def test_count_is_2_to_rank_against_brute_force(catalog):
         names = r.presentation.parameters
         generators = tuple(r.presentation.generator_names)
         for _ in range(3):
-            params = {n: rng.randint(0, 1) for n in names}
-            res = fp.enumerate_lifts(r, params)
+            bits = [rng.randint(0, 1) for _ in names]
+            res = fp.enumerate_lifts(r, bits)
             # the exact list export prints: the brute-force set, in
             # increasing bit order with generator i on bit i
             assert all(tuple(n for n, _ in a.signs) == generators
                        for a in res.valid_assignments)
             listed = [sign_bits(s for _, s in a.signs) for a in res.valid_assignments]
-            assert listed == sorted(brute_force_assignments(r, params))
+            assert listed == sorted(brute_force_assignments(r, dict(zip(names, bits))))
             assert res.count == len(listed)
             if res.count:
                 # count = 2^(n - rank) is a power of two
@@ -346,9 +339,9 @@ def test_parity_system_solves_like_the_instantiated_rows(catalog):
                                   r.relator_signs, len(generators))
             oracle = fp.LiftResult(solved is not None,
                                    0 if solved is None else 1 << (len(generators) - len(solved)),
-                                   generators, solved)
+                                   bits, generators, solved)
             for vector in (bits, shifted):
-                res = fp.enumerate_lifts(r, dict(zip(names, vector)))
+                res = fp.enumerate_lifts(r, vector)
                 assert res == oracle, (r.family, vector)
                 assert res.valid_assignments == oracle.valid_assignments, (r.family, vector)
             rows += 1
@@ -375,24 +368,21 @@ def test_inconsistent_constant_relators_count_0_at_every_row():
     assert record.relator_signs == (1, 1, 0)
     assert record.parity_system.echelon is None
     for bits in itertools.product((0, 1), repeat=2):
-        params = dict(zip(("k1", "k2"), bits))
-        res = fp.count_lifts(record, params)
+        res = fp.count_lifts(record, bits)
         assert (res.exists, res.count) == (False, 0)
         assert res.valid_assignments == ()
-        assert brute_force_assignments(record, params) == []
-        assert oracles.sylow_strategy(record, params).count == 0
+        assert brute_force_assignments(record, dict(zip(("k1", "k2"), bits))) == []
+        assert oracles.sylow_strategy(record, bits).count == 0
 
 
-@pytest.mark.parametrize("params, got", [
-    pytest.param({"k1": 0, "k2": 0, "k3": 0}, "['k1', 'k2', 'k3']", id="missing"),
-    pytest.param({"k1": 0, "k2": 0, "k3": 0, "k4": 0, "k5": 1}, "['k1', 'k2', 'k3', 'k4', 'k5']",
-                 id="extra"),
-    pytest.param({"k1": 0, "k2": 0, "k3": 0, "K4": 0}, "['K4', 'k1', 'k2', 'k3']", id="misnamed"),
+@pytest.mark.parametrize("params", [
+    pytest.param((0, 0, 0), id="missing"),
+    pytest.param((0, 0, 0, 0, 1), id="extra"),
 ])
-def test_count_lifts_refuses_parameters_that_are_not_the_records(catalog, params, got):
+def test_count_lifts_refuses_parameters_that_are_not_the_records(catalog, params):
     r = catalog.find("4")
     assert r.presentation.parameters == ("k1", "k2", "k3", "k4")
-    message = f"family 4: expected parameters ['k1', 'k2', 'k3', 'k4'], got {got}"
+    message = f"family 4 takes 4 parameters, got {len(params)}"
     for count in (fp.count_lifts, oracles.sylow_strategy):
         with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
             count(r, params)
@@ -404,10 +394,9 @@ def test_mod2_invariance(catalog):
         r = catalog.find(family)
         names = r.presentation.parameters
         for _ in range(3):
-            bits = {n: rng.randint(0, 1) for n in names}
-            shifted = {n: v + 2 * rng.randint(0, 3) for n, v in bits.items()}
-            reduced = dict(zip(names, fp._parities(r, shifted)))
-            assert fp.count_lifts(r, reduced).count == fp.count_lifts(r, bits).count
+            bits = [rng.randint(0, 1) for _ in names]
+            shifted = [v + 2 * rng.randint(0, 3) for v in bits]
+            assert fp.count_lifts(r, shifted) == fp.count_lifts(r, bits)
 
 
 def test_valid_assignments_form_a_torsor(catalog):
@@ -415,7 +404,7 @@ def test_valid_assignments_form_a_torsor(catalog):
     # homogeneous system: the pointwise product (XOR) of two valid
     # assignments with a third is again valid
     r = catalog.find("29b")
-    res = fp.enumerate_lifts(r, params_of(r, (1, 0, 1, 0, 0)))
+    res = fp.enumerate_lifts(r, (1, 0, 1, 0, 0))
     assert res.count == 8
     rng = random.Random(22)
     valid = {tuple(sorted(a.as_dict().items())) for a in res.valid_assignments}
@@ -439,12 +428,6 @@ def test_lift_groups_have_double_order(catalog):
         g = fp.lift_group(r)
         assert g.name == name
         assert g.order == 2 * holonomy.matrix_group_closure(r).order
-
-
-def test_wrong_parameter_count_rejected(catalog):
-    r = catalog.find("4")
-    with pytest.raises(InconsistentRecord, match=r"^family 4 takes 4 parameters, got 2$"):
-        cat.classify_record(r, (0, 0))
 
 
 def test_exponent_expr():

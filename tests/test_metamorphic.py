@@ -33,7 +33,7 @@ def invariants(record, rows):
     lifted = fp.lift_group(record)
     counts = []
     for e in rows:
-        result = fp.count_lifts(record, dict(zip(record.presentation.parameters, e.params)))
+        result = fp.count_lifts(record, e.params)
         counts.append((e.params, result.count, _assignments(result)))
     return (lifted.name, lifted.order), holonomy.character_of_record(record), counts
 

@@ -819,7 +819,7 @@ def render() -> tuple:
     for family, hol_name, params, expected in TABLE:
         r = by_family[family]
         assert r.holonomy_name == hol_name, family
-        got = cat.classify_record(r, params).count
+        got = fp.count_lifts(r, params).count
         status = "ok" if got == expected else "MISMATCH"
         if got != expected:
             failures.append((family, params, expected, got))
