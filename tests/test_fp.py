@@ -430,6 +430,12 @@ def test_lift_groups_have_double_order(catalog):
         assert g.order == 2 * holonomy.matrix_group_closure(r).order
 
 
+def test_wrong_parameter_count_rejected(catalog):
+    r = catalog.find("4")
+    with pytest.raises(InconsistentRecord, match=r"^family 4 takes 4 parameters, got 2$"):
+        fp.count_lifts(r, (0, 0))
+
+
 def test_exponent_expr():
     e = fp.ExponentExpr.make(1, {"k1": 2})
     assert e.evaluate({"k1": 3}) == 7
