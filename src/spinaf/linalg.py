@@ -2,6 +2,9 @@
 entries, at most 8 x 8.  The product, the determinant and the SO(n) check
 run on the integer pairs (a, b) of the entries (a + b sqrt2)/d over one
 common denominator d (:func:`_integral`); only returned entries take a gcd.
+The product and the orthogonality test run over sparse rows, the nonzero
+entries of each row (:func:`_sparse`), since most inputs are signed
+permutations; the test still compares every entry of A A^T, both parts.
 ``spin`` runs the SO(n) check :func:`_check_so` on pairs it already has,
 and ``is_orthogonal``, ``det`` and ``check_special_orthogonal`` wrap the
 same pair code.  The integer 4 x 4 kernel of catalog loads is
@@ -37,24 +40,26 @@ def _integral(A: Matrix) -> Tuple[int, List[List[Tuple[int, int]]]]:
     return d, [[(x._a * (d // x._d), x._b * (d // x._d)) for x in row] for row in A]
 
 
-def _dot(u: List[Tuple[int, int]], v: List[Tuple[int, int]]) -> Tuple[int, int]:
-    """The integer pair of sum_k u_k v_k."""
-    a = b = 0
-    for (p, q), (r, s) in zip(u, v):
-        a += p * r + 2 * q * s
-        b += p * s + q * r
-    return a, b
+def _sparse(rows: List[List[Tuple[int, int]]]) -> List[List[Tuple[int, int, int]]]:
+    """Each row's nonzero entries as (column, a, b)."""
+    return [[(k, a, b) for k, (a, b) in enumerate(row) if a or b] for row in rows]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """The product AB."""
-    if len(B) != len(A):
+    """The product AB: row i adds each nonzero A[i][k] times B's row k."""
+    n = len(A)
+    if len(B) != n:
         raise DimensionError("matrix size mismatch")
-    da, rows = _integral(A)
-    db, rows_b = _integral(B)
-    cols = list(zip(*rows_b))
-    return tuple(tuple(_reduced(a, b, da * db) if a or b else ZERO
-                       for a, b in (_dot(row, col) for col in cols)) for row in rows)
+    (da, rows), (db, rows_b) = _integral(A), _integral(B)
+    sparse_b, d, out = _sparse(rows_b), da * db, []
+    for u in _sparse(rows):
+        acc_a, acc_b = [0] * n, [0] * n
+        for k, p, q in u:
+            for j, r, s in sparse_b[k]:
+                acc_a[j] += p * r + 2 * q * s
+                acc_b[j] += p * s + q * r
+        out.append(tuple([_reduced(a, b, d) if a or b else ZERO for a, b in zip(acc_a, acc_b)]))
+    return tuple(out)
 
 
 def _minor(rows: List[List[Tuple[int, int]]], i: int, cols: Tuple[int, ...]) -> Tuple[int, int]:
@@ -85,10 +90,24 @@ def det(A: Matrix) -> QSqrt2:
 
 
 def _orthogonal(d: int, rows: List[List[Tuple[int, int]]]) -> bool:
-    """Whether the matrix of integer pair rows over d has A A^T = d^2 I."""
-    one, zero = (d * d, 0), (0, 0)
-    return all(_dot(u, v) == (one if i == j else zero)
-               for i, u in enumerate(rows) for j, v in enumerate(rows[i:], i))
+    """Whether the matrix of integer pair rows over d has A A^T = d^2 I,
+    row i dotted with itself and the rows below over its nonzero entries."""
+    for i, u in enumerate(_sparse(rows)):
+        a = b = 0
+        for _, p, q in u:
+            a += p * p + 2 * q * q
+            b += p * q
+        if b or a != d * d:
+            return False
+        for v in rows[i + 1:]:
+            a = b = 0
+            for k, p, q in u:
+                r, s = v[k]
+                a += p * r + 2 * q * s
+                b += p * s + q * r
+            if a or b:
+                return False
+    return True
 
 
 def _check_so(d: int, rows: List[List[Tuple[int, int]]]) -> None:

@@ -13,6 +13,8 @@
   index;
 - ``word_matrix``: a word's integer matrix, by matrix arithmetic;
 - ``is_spin``: membership in Spin(n), from its definition;
+- ``canonical_sign``: the one of {x, -x} with its first nonzero coefficient
+  positive, which ``spin.preimage`` returns first;
 - ``vector_embed``, ``vector_extract``, ``identity`` and ``transpose``:
   vectors of C_n and matrices over Q(sqrt 2) written out, the references
   for ``spin.lam`` and ``linalg``;
@@ -131,6 +133,16 @@ def vector_extract(x: CliffordElement) -> list:
         if m.bit_count() != 1:
             raise NonVectorError(f"element has a non-vector component on blade {blade_str(m)}")
     return [x.coeff(1 << i) for i in range(x.n)]
+
+
+def canonical_sign(x: CliffordElement) -> CliffordElement:
+    """Of the pair {x, -x}, the one whose first nonzero coefficient in
+    blade-mask order is positive: the reference for ``spin.preimage``'s x."""
+    for m in sorted(x.terms):
+        s = x.coeff(m).sign()
+        if s:
+            return -x if s < 0 else x
+    return x
 
 
 def identity(n: int) -> Matrix:

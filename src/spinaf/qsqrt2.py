@@ -4,8 +4,11 @@ An element is stored as three integers a, b, d with value (a + b*sqrt(2))/d,
 d > 0 and gcd(a, b, d) = 1, the integral form of a number-field element
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, §4.2).
 The form is unique, so equality compares the triples, and a sum or product
-takes integer multiplications and one ``math.gcd``.  ``Fraction`` appears
-only where an element is built from rationals or read back (``a``, ``b``).
+takes integer multiplications and one ``math.gcd``.  A square root is a
+root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt`` of the norm and one
+per branch), which ``spin.preimage`` also takes of its integer pairs.
+``Fraction`` appears only where an element is built from rationals or read
+back (``a``, ``b``).
 This is the smallest field containing all coefficients that show up when
 lifting signed permutation matrices through the double cover, so every
 computation downstream of this module is exact.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Union
+from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -145,47 +148,14 @@ class QSqrt2:
 
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(2): one of -1, 0, 1."""
-        a, b = self._a, self._b
-        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-        if sa * sb >= 0:
-            return sa or sb
-        # a and b have strictly opposite signs: the larger of a^2, 2 b^2 wins
-        return sa if a * a > 2 * b * b else sb
+        return _sign(self._a, self._b)
 
     def sqrt(self) -> "QSqrt2 | None":
-        """The non-negative square root, if it lies in Q(sqrt 2) itself.
-
-        Returns None when the element is negative or its square root is
-        irrational over the field.
-        """
-        if self.sign() < 0:
-            return None
-        if self.is_zero():
-            return QSqrt2(0, 0)
-        a, b = self.a, self.b
-        # Want (c + d r)^2 = c^2 + 2 d^2 + 2 c d r == a + b r.
-        if b == 0:
-            c2 = _rational_sqrt(a)
-            if c2 is not None:
-                return QSqrt2(c2, 0)
-            d2 = _rational_sqrt(a / 2)
-            return None if d2 is None else QSqrt2(0, d2)
-        # b != 0, so c, d both nonzero and d = b/(2c):
-        #   2 c^4 - 2 a c^2 + b^2 = 0  =>  c^2 = (a ± sqrt(a^2 - 2 b^2)) / 2
-        root = _rational_sqrt(a * a - 2 * b * b)
-        if root is None:
-            return None
-        for branch in (root, -root):
-            c_sq = (a + branch) / 2
-            c = _rational_sqrt(c_sq) if c_sq > 0 else None
-            if c is None:
-                continue
-            cand = QSqrt2(c, b / (2 * c))
-            if cand.sign() < 0:
-                cand = -cand
-            if cand * cand == self:
-                return cand
-        return None
+        """The non-negative square root if it lies in Q(sqrt 2), else None:
+        the root of ad + bd*sqrt(2) in Z[sqrt 2] over d."""
+        d = self._d
+        root = _integer_root(self._a * d, self._b * d)
+        return None if root is None else _reduced(root[0], root[1], d)
 
     # -- misc -----------------------------------------------------------
 
@@ -221,11 +191,28 @@ ZERO = QSqrt2(0)
 """The shared zero; every QSqrt2 is immutable, so one instance serves all."""
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None (also for x < 0)."""
-    if x < 0:
+def _sign(a: int, b: int) -> int:
+    """Sign of the real number a + b*sqrt(2): one of -1, 0, 1."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # a and b have strictly opposite signs: the larger of a^2, 2 b^2 wins
+    return sa if a * a > 2 * b * b else sb
+
+
+def _integer_root(A: int, B: int) -> Tuple[int, int] | None:
+    """The (c, e) with c + e*sqrt(2) >= 0 and (c + e*sqrt(2))^2 = A + B*sqrt(2),
+    or None.  Z[sqrt 2] is integrally closed, so it holds every root that
+    Q(sqrt 2) holds.  A root has c^2 + 2 e^2 = A and 2 c e = B, so its norm
+    c^2 - 2 e^2 is +-r for r^2 = A^2 - 2 B^2, and c^2 = (A +- r)/2."""
+    N = A * A - 2 * B * B
+    r = isqrt(N) if A >= 0 and N >= 0 else None  # else negative or a non-square
+    if r is None or r * r != N:
         return None
-    num, den = isqrt(x.numerator), isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        return None
-    return Fraction(num, den)
+    for c2 in ((A + r) // 2, (A - r) // 2):
+        c, e = isqrt(c2), isqrt((A - c2) // 2)
+        if c * c == c2 and 2 * e * e == A - c2 and 2 * c * e == abs(B):
+            # c, e >= 0; for B < 0 one of them changes sign, the one that
+            # keeps c + e*sqrt(2) non-negative
+            return (c, e) if B >= 0 else (c, -e) if c2 >= 2 * e * e else (-c, e)
+    return None

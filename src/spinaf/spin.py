@@ -12,23 +12,25 @@ where the two orders cancel.
 
 Preimages are computed exactly by one closed formula for every special
 orthogonal matrix over Q(sqrt 2): the frame-to-rotor construction (see
-Doran & Lasenby, *Geometric Algebra for Physicists*, 2003).  Each SO(n)
-check runs once, on integer pairs: ``lam`` checks its own before reducing
-any entry, ``preimage`` checks its input, and its guard lam(x) = M compares
-pairs with M's, which puts lam(x) in SO(n) without a second check.
+Doran & Lasenby, *Geometric Algebra for Physicists*, 2003), in integers
+from M's pairs to x: the normalising factor is a square root in Z[sqrt 2],
+and no Fraction is built on the way.  Each SO(n) check runs once, on integer
+pairs: ``lam`` checks its own before reducing any entry, ``preimage``
+checks its input, and its guard lam(x) = M compares pairs with M's by
+cross-multiplication, which puts lam(x) in SO(n) without a second check.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .clifford import CliffordElement, _element, _integral, _product, blade_str, sign_table
 from .errors import NonVectorError, NotInImage, UnsupportedScalar
 from .linalg import Matrix
-from .qsqrt2 import ZERO, _reduced
+from .qsqrt2 import ZERO, _integer_root, _reduced, _sign
 
 
 @cache
@@ -73,9 +75,9 @@ def _sandwich(x: CliffordElement) -> Tuple[int, List[List[Tuple[int, int]]]]:
             for k, c in row[B]:
                 acc_a[k] += c * p
                 acc_b[k] += c * q
-    for k in range(n * n, len(acc_a)):
-        if acc_a[k] or acc_b[k]:
-            raise NonVectorError(f"element has a non-vector component on blade {blade_str(blades[k // n])}")
+    if any(acc_a[n * n:]) or any(acc_b[n * n:]):
+        k = next(k for k in range(n * n, len(acc_a)) if acc_a[k] or acc_b[k])
+        raise NonVectorError(f"element has a non-vector component on blade {blade_str(blades[k // n])}")
     return d * d, [list(zip(acc_a[i:i + n], acc_b[i:i + n])) for i in range(0, n * n, n)]
 
 
@@ -89,21 +91,12 @@ def lam(x: CliffordElement) -> Matrix:
     """
     D, rows = _sandwich(x)
     linalg._check_so(D, rows)
-    return tuple(tuple(_reduced(a, b, D) if a or b else ZERO for a, b in row) for row in rows)
-
-
-def canonical_sign(x: CliffordElement) -> CliffordElement:
-    """Of the pair {x, -x}, the one whose first nonzero coefficient in
-    blade-mask order is positive."""
-    for m in sorted(x.terms):
-        s = x.coeff(m).sign()
-        if s:
-            return -x if s < 0 else x
-    return x
+    return tuple([tuple([_reduced(a, b, D) if a or b else ZERO for a, b in row]) for row in rows])
 
 
 def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
-    """Both preimages (x, -x) of a special orthogonal matrix, x sign-canonical.
+    """Both preimages (x, -x) of a special orthogonal matrix, where x's first
+    nonzero coefficient in blade-mask order is positive.
 
     With F_A = (M e_a1)...(M e_ak) the image x e_A x^-1 of each blade e_A,
     the frame-to-rotor identity reads
@@ -114,11 +107,14 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     where |y|^2 is the scalar y * conj(y).  Raises NotInSO when M is not in
     SO(n) and UnsupportedScalar when |y| lies outside Q(sqrt 2).
 
-    The images and the sums run on integer pairs: with M over one
-    denominator d, F_A is a product of |A| columns over d^|A|, scaled by
-    d^(n-|A|) so that every sum is over d^n.  That denominator is dropped,
-    because y / |y| is the same for every positive multiple of y, so the
-    only field operations are the square root and one inverse.
+    Grouping the blades A by their least generator j nests the sum:
+    T_(n+1) = e_B, T_j = T_(j+1) + (M e_j) T_(j+1) e_j^-1 and y = T_1, so
+    it takes n products, not one image per blade.  It runs on integer
+    pairs: with M over one denominator d, T_j is over d^(n+1-j).  The
+    denominator d^n of y is dropped, because y / |y| is the same for every
+    positive multiple of y, and |y| is the root of y * conj(y) in Z[sqrt 2]
+    (``qsqrt2._integer_root``), so no Fraction and no field inverse is
+    built on the way to x.
     """
     n = len(M)
     d, rows = linalg._integral(M)
@@ -126,47 +122,40 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     negative = sign_table(n)
     # the column M e_(j+1) as a (mask, a, b) list over d
     columns = [[(1 << i, a, b) for i, (a, b) in enumerate(col) if a or b] for col in zip(*rows)]
-    images = [[(0, 1, 0)]]  # F_A over d^|A|
-    for A in range(1, 1 << n):
-        top = A.bit_length() - 1
-        images.append(_product(n, images[A ^ (1 << top)], columns[top]))
-    # (A, m, a, b): the term of F_A on e_m over d^n, with the sign of
-    # e_A^-1 = +-e_A folded in
-    terms = []
-    for A, F in enumerate(images):
-        scale = (-1 if negative[A][A] else 1) * d ** (n - A.bit_count())
-        terms += [(A, m, a * scale, b * scale) for m, a, b in F]
     for B in range(1 << n):
         if B.bit_count() % 2:
             continue
-        acc: Dict[int, list] = {}
-        for A, m, a, b in terms:
-            mb = m ^ B
-            pair = acc.setdefault(mb ^ A, [0, 0])
-            if negative[m][B] != negative[mb][A]:
-                pair[0] -= a
-                pair[1] -= b
-            else:
+        # T_j over d^(n+1-j), from T_(n+1) = e_B, with e_j^-1 = -e_j
+        y = [(B, 1, 0)]
+        for j in range(n - 1, -1, -1):
+            bit, acc = 1 << j, {m: [a * d, b * d] for m, a, b in y}
+            for m, a, b in _product(n, columns[j], y):
+                if not negative[m][bit]:
+                    a, b = -a, -b
+                pair = acc.setdefault(m ^ bit, [0, 0])
                 pair[0] += a
                 pair[1] += b
-        y = [(m, a, b) for m, (a, b) in acc.items() if a or b]
+            y = [(m, a, b) for m, (a, b) in acc.items() if a or b]
         if y:
             break
     else:  # pragma: no cover - some <x^-1 e_B>_0 is nonzero for x != 0
         raise NotInImage("internal error: every frame sum vanished")
-    # the scalar y * conj(y) is the sum of the squared coefficients of y
-    root = _reduced(sum(a * a + 2 * b * b for _, a, b in y), sum(2 * a * b for _, a, b in y), 1).sqrt()
+    # |y|^2 = y * conj(y) is the sum of the squared coefficients of y, an
+    # element of Z[sqrt 2], and |y| its integer root c + e sqrt2 > 0
+    root = _integer_root(sum(a * a + 2 * b * b for _, a, b in y), sum(2 * a * b for _, a, b in y))
     if root is None:
         raise UnsupportedScalar("normalising the preimage requires a square root outside Q(sqrt 2)")
-    inverse = root.inverse()
-    r, s, e = inverse._a, inverse._b, inverse._d
-    x = _element(n, {m: _reduced(a * r + 2 * b * s, a * s + b * r, e) for m, a, b in y})
+    # x = y / |y| = y (c - e sqrt2) / N for N = c^2 - 2 e^2; t moves the sign
+    # of N into the numerator and makes x's lowest blade positive like y's
+    c, e = root
+    N = c * c - 2 * e * e
+    t = _sign(*min(y)[1:]) * (1 if N > 0 else -1)
+    x = _element(n, {m: _reduced(t * (a * c - 2 * b * e), t * (b * c - a * e), abs(N)) for m, a, b in y})
     # the guard lam(x) = M, on integer pairs by cross-multiplication; M is
     # in SO(n), so equality also puts lam(x) there
     D, cover = _sandwich(x)
-    if [[(a * d, b * d) for a, b in u] for u in cover] != [[(a * D, b * D) for a, b in u] for u in rows]:
+    if any(a * d != r * D or b * d != s * D for u, v in zip(cover, rows) for (a, b), (r, s) in zip(u, v)):
         raise NotInImage("internal error: constructed element does not cover the matrix")
-    x = canonical_sign(x)
     return x, -x
 
 

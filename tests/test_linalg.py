@@ -221,3 +221,64 @@ def test_is_orthogonal_is_the_product_with_the_transpose():
             with pytest.raises(NotInSO, match="^matrix is not orthogonal$"):
                 linalg.check_special_orthogonal(scaled)
     assert True in verdicts and False in verdicts
+
+
+def triple_loop(A, B):
+    """The product AB entry by entry, zeros included."""
+    n = len(A)
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)), QSqrt2(0)) for j in range(n))
+                 for i in range(n))
+
+
+def sparse_kernel_cases(rng, n):
+    """(label, matrix, A A^T = I) for the edge cases of the row-sparse
+    kernels: signed permutations, a zero row, one entry of a signed
+    permutation perturbed only in its sqrt 2 part, a row orthogonal to the
+    others with a wrong norm (twice the row, and u times it, whose norm is
+    off only in its sqrt 2 part), and, for n >= 2, rows of norm 1 whose
+    product is 2 sqrt2/3, wrong only in the sqrt 2 part off the diagonal."""
+    u = QSqrt2(Fraction(1, 3), Fraction(2, 3))  # u^2 = 1 + (4/9) sqrt2
+    cases = [("zero", [[0] * n for _ in range(n)], False)]
+    for _ in range(6):
+        perm = rng.sample(range(n), n)
+        P = [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        perturbed = [list(row) for row in P]
+        perturbed[i][j] = QSqrt2(P[i][j], Fraction(rng.choice((-1, 1)), rng.randint(1, 4)))
+        cases += [
+            ("signed permutation", P, True),
+            ("zero row", [[0] * n if r == i else row for r, row in enumerate(P)], False),
+            ("sqrt 2 part perturbed", perturbed, False),
+            ("twice a row", [[2 * x for x in row] if r == i else row for r, row in enumerate(P)], False),
+            ("u times a row", [[u * x for x in row] if r == i else row for r, row in enumerate(P)], False),
+        ]
+        if n >= 2:
+            skew = [[int(r == c) for c in range(n)] for r in range(n)]
+            skew[1][0], skew[1][1] = QSqrt2(0, Fraction(2, 3)), Fraction(1, 3)
+            cases.append(("sqrt 2 part off the diagonal", triple_loop(linalg.as_matrix(skew), linalg.as_matrix(P)),
+                          False))
+    return [(label, linalg.as_matrix(A), orthogonal) for label, A, orthogonal in cases]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_row_sparse_kernels_are_the_dense_reference(n):
+    rng = random.Random(40 + n)
+    cases = sparse_kernel_cases(rng, n)
+    determinants = set()
+    for label, A, orthogonal in cases:
+        # the dense reference A A^T, every entry and both parts of each
+        assert (triple_loop(A, oracles.transpose(A)) == oracles.identity(n)) == orthogonal, label
+        assert linalg.is_orthogonal(A) == orthogonal, label
+        if not orthogonal:
+            with pytest.raises(NotInSO, match="^matrix is not orthogonal$"):
+                linalg.check_special_orthogonal(A)
+        elif cofactor_det(A) == QSqrt2(1):
+            determinants.add(1)
+            linalg.check_special_orthogonal(A)
+        else:
+            determinants.add(-1)
+            with pytest.raises(NotInSO, match="^matrix is orthogonal but has determinant -1$"):
+                linalg.check_special_orthogonal(A)
+        for _, B, _ in rng.sample(cases, 4):
+            assert linalg.mat_mul(A, B) == triple_loop(A, B), label
+    assert determinants == {1, -1}

@@ -143,3 +143,31 @@ def test_repr_and_str_render_fractions():
     assert str(x) == "-3/4 + 1/2√2"
     assert repr(QSqrt2(2)) == "QSqrt2(Fraction(2, 1), Fraction(0, 1))"
     assert str(QSqrt2(0, Fraction(-1, 2))) == "-1/2√2"
+
+
+def test_sqrt_is_the_brute_force_root_in_z_sqrt2():
+    # The root of (a + b sqrt2)/d is (c + e sqrt2)/d for (c + e sqrt2)^2 =
+    # ad + bd sqrt2 in Z[sqrt 2]; with |a|, |b| <= 40 and d <= 6 the rational
+    # part ad = c^2 + 2 e^2 is at most 240, so |c| <= 15 and |e| <= 10.
+    squares = {}
+    for c in range(-16, 17):
+        for e in range(-11, 12):
+            squares.setdefault((c * c + 2 * e * e, 2 * c * e), []).append((c, e))
+    kinds = set()
+    for d in range(1, 7):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                x = QSqrt2(Fraction(a, d), Fraction(b, d))
+                roots = [QSqrt2(Fraction(c, d), Fraction(e, d)) for c, e in squares.get((a * d, b * d), ())]
+                roots = [r for r in roots if r.sign() >= 0]
+                root = x.sqrt()
+                if roots:
+                    assert len(roots) == 1 and root == roots[0], (a, b, d)
+                    c, e, _ = normal_form(root)
+                    kinds.add((c == 0, e == 0, math.gcd(a, b, d) > 1))
+                else:
+                    assert root is None, (a, b, d)
+    # zero, roots with c = 0, with e = 0 and with both nonzero, each met on
+    # reduced and on unreduced triples
+    assert len(kinds) == 8
+    assert QSqrt2(Fraction(4, 2), Fraction(0, 2)).sqrt() == QSqrt2.sqrt2()

@@ -94,7 +94,7 @@ def test_preimage_without_scalar_part():
     M = spin.lam(x0)
     assert not intmat.is_signed_perm(M)
     x, neg = spin.preimage(M)
-    assert x == spin.canonical_sign(x0)
+    assert x == oracles.canonical_sign(x0)
     assert neg == -x
 
 
@@ -152,8 +152,8 @@ def test_spin_elements_have_unit_norm():
 
 def test_canonical_sign_idempotent():
     for x in spin_pool():
-        c = spin.canonical_sign(x)
-        assert c == spin.canonical_sign(-x)
+        c = oracles.canonical_sign(x)
+        assert c == oracles.canonical_sign(-x)
         assert c == x or c == -x
 
 
@@ -274,6 +274,18 @@ def test_lam_is_the_sandwich_by_clifford_products(n):
         # the pairs of C_6 also survive on blades of grade 5 and 6
         named = [message.rsplit(" ", 1)[1] for kind, message in errors if kind is NonVectorError]
         assert any(blade.count("e") >= 5 for blade in named)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_preimage_returns_the_canonical_sign_first(n):
+    # x is y / |y| with its sign taken from y's lowest blade; the spin
+    # elements among the products of unit vectors, and their negatives
+    one = CliffordElement.scalar(n, 1)
+    units = [x for x in sandwich_elements(n, random.Random(n)) if x.is_even() and x * x.conjugate() == one]
+    assert len(units) >= 6
+    for x in units + [-x for x in units]:
+        p, neg = spin.preimage(spin.lam(x))
+        assert p == oracles.canonical_sign(x) and neg == -p, x
 
 
 @pytest.mark.parametrize("part", ["rational", "sqrt2"])
