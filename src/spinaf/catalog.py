@@ -16,13 +16,9 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
-from . import fp, intmat
+from . import fp
 from .chartables import TABLES
-from .errors import (
-    CatalogFormatError,
-    ClosureBoundExceeded,
-    InconsistentRecord,
-)
+from .errors import CatalogFormatError, InconsistentRecord
 from .fp import (
     DIM,
     HOLONOMY,
@@ -242,40 +238,9 @@ class Catalog(_CatalogFields):
 
 
 def check_record(record: AlmostBieberbachRecord) -> None:
-    """Eager record-level invariants: matrix shape and unimodularity,
-    parameter-free holonomy exponents, a finite holonomy group F on which
-    every relator holds and which is faithful to the named group (F is
-    built here, once, and kept on the record as ``holonomy_group``) and
-    orientability."""
-    holonomy_gens = record.presentation.holonomy_generators()
-    dets = []
-    for name, mat in record.matrices.items():
-        if name not in holonomy_gens:
-            raise InconsistentRecord(
-                f"family {record.family}: matrix for {name!r}, which is not a holonomy generator"
-            )
-        dets.append(intmat.int_det(mat))
-        if abs(dets[-1]) != 1:
-            raise InconsistentRecord(
-                f"family {record.family}: matrix of {name!r} is not unimodular"
-            )
-    for g in holonomy_gens:
-        if g not in record.matrices:
-            raise InconsistentRecord(
-                f"family {record.family}: holonomy generator {g!r} has no matrix"
-            )
-    fp.check_holonomy_exponents(record)
-    # the relators, then faithfulness (also validates the holonomy name)
-    try:
-        record.holonomy_group
-    except ClosureBoundExceeded as exc:
-        raise InconsistentRecord(
-            f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
-        ) from exc
-    # every matrix is a holonomy generator's (checked above), so ``dets``
-    # holds the determinant of each: this is the orientability check
-    if any(d != 1 for d in dets):
-        raise InconsistentRecord(f"family {record.family}: non-orientable record")
+    """Every record-level check: they run where F is built
+    (``holonomy.matrix_group_closure``), and F is kept on the record."""
+    record.holonomy_group
 
 
 def _read_file(path, kind: str, key: str, read_item, identity) -> tuple:

@@ -19,8 +19,9 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from . import catalog as cat
@@ -154,8 +155,8 @@ def _params_str(params: Sequence[int]) -> str:
 
 
 def _qsqrt2_json(c) -> Dict[str, int]:
-    return {"a_num": c.a.numerator, "a_den": c.a.denominator,
-            "b_num": c.b.numerator, "b_den": c.b.denominator}
+    (a_num, a_den), (b_num, b_den) = c.ratios()
+    return {"a_num": a_num, "a_den": a_den, "b_num": b_num, "b_den": b_den}
 
 
 def _spin_element_json(x: CliffordElement) -> dict:
@@ -178,24 +179,43 @@ def _dump_json(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
+# A matrix entry is an integer, p/q or a plain decimal.  Fraction would also
+# take exponents, and turn a short literal such as 1e4000000 into an integer
+# of four million digits before the SO(4) check squares it.
+_RATIO = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_DECIMAL = re.compile(r"[-+]?([0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def _parse_matrix(literal: str):
     """Parse a matrix literal: 'identity', 'diag:1,1,-1,-1', or
     'mat:' followed by 16 row-major comma-separated rationals."""
-    from fractions import Fraction
-
     from . import linalg
+    from .qsqrt2 import _reduced
 
     literal = literal.strip()
     if literal == "identity":
         return linalg.as_matrix([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
-    def parse_entries(text: str, expected: int) -> List[Fraction]:
+    def entry(text: str):
+        if _RATIO.fullmatch(text):
+            num, _, den = text.partition("/")
+            n, d = int(num), int(den or 1)
+        elif _DECIMAL.fullmatch(text):
+            whole, _, frac = text.partition(".")
+            n, d = int(whole + frac), 10 ** len(frac)
+        else:
+            raise ValueError(text)
+        if d == 0:
+            raise ValueError(text)
+        return _reduced(n, 0, d)
+
+    def parse_entries(text: str, expected: int) -> list:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != expected:
             _fail(EXIT_INVALID, f"expected {expected} entries, got {len(parts)}")
-        try:
-            return [Fraction(p) for p in parts]
-        except (ValueError, ZeroDivisionError):
+        try:  # int() also refuses more digits than the interpreter's limit
+            return [entry(p) for p in parts]
+        except ValueError:
             _fail(EXIT_INVALID, f"non-rational matrix entry in {text!r}")
 
     if literal.startswith("diag:"):

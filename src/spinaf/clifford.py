@@ -12,15 +12,16 @@ integers: one denominator per factor, one gcd per output blade.  The one
 product kernel, :func:`_product`, works on (mask, a, b) lists, so
 ``spin.preimage`` multiplies with it without building elements.  Results of
 the algebra's own operations are not re-checked; ``CliffordElement(n, terms)``
-checks its input.
+checks its input.  A scalar operand is a QSqrt2 or a ``numbers.Rational``,
+so the module does not import ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import cache
 from math import lcm
+from numbers import Rational
 from typing import Dict, Sequence, Tuple
 
 from .errors import DimensionError
@@ -35,7 +36,7 @@ _set = object.__setattr__
 def _coerce_coeff(c) -> QSqrt2:
     if isinstance(c, QSqrt2):
         return c
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, Rational):
         return QSqrt2(c)
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
@@ -157,10 +158,18 @@ class CliffordElement:
         if self.n != other.n:
             raise DimensionError(f"cannot combine C_{self.n} and C_{other.n} elements")
 
+    def _operand(self, other) -> "CliffordElement | None":
+        """``other`` as an element: itself, the scalar of a QSqrt2 or a
+        rational, or None for anything else."""
+        if isinstance(other, CliffordElement):
+            return other
+        if isinstance(other, (QSqrt2, Rational)):
+            return CliffordElement.scalar(self.n, other)
+        return None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            other = CliffordElement.scalar(self.n, other)
-        if not isinstance(other, CliffordElement):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         self._check_same(other)
         terms = dict(self._terms)
@@ -178,9 +187,8 @@ class CliffordElement:
         return _element(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            other = CliffordElement.scalar(self.n, other)
-        if not isinstance(other, CliffordElement):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -195,10 +203,8 @@ class CliffordElement:
 
     def __mul__(self, other):
         """The product by :func:`_product`; the result is not re-checked."""
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            return self.scale(other)
         if not isinstance(other, CliffordElement):
-            return NotImplemented
+            return self.scale(other) if isinstance(other, (QSqrt2, Rational)) else NotImplemented
         self._check_same(other)
         dx, xs = _integral(self._terms)
         dy, ys = _integral(other._terms)
@@ -206,9 +212,7 @@ class CliffordElement:
         return _element(self.n, {m: _reduced(a, b, d) for m, a, b in _product(self.n, xs, ys)})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (QSqrt2, Rational)) else NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -245,9 +249,8 @@ class CliffordElement:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            other = CliffordElement.scalar(self.n, other)
-        if not isinstance(other, CliffordElement):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
 

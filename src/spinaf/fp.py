@@ -11,7 +11,7 @@ central, flipping a generator's sign flips a relator's value exactly when
 the relator's exponent sum in that generator is odd, so the valid
 assignments solve an affine system over F_2 whose right-hand side is each
 relator's base sign.  Parameters appear only in lattice-generator exponents
-(checked at load time), so the base signs are constants of the record, and
+(checked where F is built), so the base signs are constants of the record, and
 the system's rows are affine in the parameters mod 2.
 
 One count path serves every record: the base signs are traced in
@@ -26,6 +26,7 @@ as the expectations file and the command line give it; ``count_lifts``
 reduces it mod 2, adds only those rows to the record's echelon, and counts
 2^(generators - rank) (``enumerate_lifts``), with no Clifford product.  Its
 ``LiftResult`` carries the reduced row.
+``lift_group`` names Ĝ from the same table.
 ``_f2_solve`` is the one F_2 elimination; the oracles call it too.  F
 itself, one integer multiplication table, is built once per record when
 the catalog is loaded (``AlmostBieberbachRecord.holonomy_group``).  The
@@ -196,8 +197,9 @@ class AlmostBieberbachRecord(_RecordFields):
 
     @cached_property
     def holonomy_group(self) -> FiniteMatrixGroup:
-        """F, closed from the holonomy matrices and checked against the
-        relators and the named group by ``holonomy.matrix_group_closure``.
+        """F, closed from the holonomy matrices by
+        ``holonomy.matrix_group_closure``, which runs every record-level
+        check on the way.
 
         Built once, when the catalog is loaded, and kept on the record: every
         later use (the lifted group, the character) reads its table.
@@ -220,7 +222,6 @@ class AlmostBieberbachRecord(_RecordFields):
         Computed on first use and kept on the record object, so loading a
         catalog builds no Ĝ and every parameter row of a record shares it.
         """
-        check_holonomy_exponents(self)
         lifted = lifted_holonomy(self)
         G = lifted.group
         lift = {g: holonomy_lift(lifted, self.matrix_of(g))
@@ -321,23 +322,6 @@ def _parities(record: AlmostBieberbachRecord, params: Sequence[int]) -> Tuple[in
             f"family {record.family} takes {len(names)} parameters, got {len(params)}"
         )
     return tuple(v % 2 for v in params)
-
-
-def check_holonomy_exponents(record: AlmostBieberbachRecord) -> None:
-    """Parameters may appear only in lattice-generator exponents.
-
-    This is what makes a relator's base value a constant of the record and
-    the mod-2 reduction of parameters sound.
-    """
-    holonomy = set(record.presentation.holonomy_generators())
-    for rel in record.presentation.relators:
-        for gen, expr in rel:
-            if gen in holonomy and expr.coeffs:
-                raise InconsistentRecord(
-                    f"family {record.family}: relator {_render_word(rel)} has a parameter "
-                    f"in the exponent of holonomy generator {gen!r}; parameters may "
-                    "appear only in lattice-generator exponents"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -574,33 +558,30 @@ class LiftGroupResult(NamedTuple):
     elements: Tuple[CliffordElement, ...] = ()
 
 
-def _lift_group_abstract(record: AlmostBieberbachRecord) -> LiftGroupResult:
-    """The preimage group identified from ``lifted_holonomy``."""
-    G = lifted_holonomy(record).group
-    return LiftGroupResult(name=groups.identify_group(G), order=len(G), realization="abstract")
-
-
 def lift_group(record: AlmostBieberbachRecord) -> LiftGroupResult:
-    """The preimage group of the holonomy group under the double cover.
+    """The preimage group Ĝ of the holonomy group under the double cover,
+    named and ordered from ``lifted_holonomy``, the count path's Ĝ.
 
-    When every holonomy matrix is a signed permutation the group is closed
-    explicitly inside the Clifford algebra (together with -1), so that its
-    elements can be listed; otherwise it is identified abstractly from the
-    named group's table presentation.
+    When every holonomy matrix is a signed permutation, Ĝ's elements are
+    listed by closing the base preimages and -1 in the Clifford algebra;
+    a closure of another size than |Ĝ| raises InconsistentRecord.
     """
+    G = lifted_holonomy(record).group
+    name, order = groups.identify_group(G), len(G)
+    if not record.signed_perm_holonomy:
+        return LiftGroupResult(name, order, "abstract")
     from .clifford import CliffordElement
 
-    if not record.signed_perm_holonomy:
-        return _lift_group_abstract(record)
     base = record.base_preimages
     one = CliffordElement.scalar(DIM, 1)
-    gens = [base[g] for g in record.presentation.holonomy_generators()]
-    gens.append(-one)
-    elements, right = groups.cayley_graph(gens, operator.mul, one)
-    name = groups.identify_group(groups.FiniteGroup.from_right_action(right))
-    return LiftGroupResult(
-        name=name, order=len(elements), realization="spin", elements=tuple(elements)
-    )
+    gens = [base[g] for g in record.presentation.holonomy_generators()] + [-one]
+    elements = groups.closure(gens, operator.mul, one)
+    if len(elements) != order:
+        raise InconsistentRecord(
+            f"family {record.family}: the spin preimages close to {len(elements)} "
+            f"elements, but the lifted holonomy group has order {order}"
+        )
+    return LiftGroupResult(name, order, "spin", tuple(elements))
 
 
 def count_lifts(record: AlmostBieberbachRecord, params: Sequence[int]) -> LiftResult:

@@ -1,9 +1,10 @@
 """Integral holonomy representations: closure and characters.
 
 The catalog stores one integer matrix per holonomy generator.  This module
-closes them into a finite group F with one integer multiplication table,
-checks the record's relators and faithfulness against the named abstract
-holonomy group, computes the trace class function of the 4-dimensional
+checks them and the record's holonomy exponents, closes them into a finite
+group F with one integer multiplication table, checks the record's
+relators, faithfulness against the named abstract holonomy group and
+orientability, computes the trace class function of the 4-dimensional
 representation, and decomposes it against the built-in character table of
 the named group.  Each record builds F once and keeps it
 (``AlmostBieberbachRecord.holonomy_group``).
@@ -15,7 +16,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from . import chartables, groups, intmat
 from .chartables import CharacterTable, render_decomposition
-from .errors import InconsistentRecord
+from .errors import ClosureBoundExceeded, InconsistentRecord
 from .fp import DIM, AlmostBieberbachRecord, _render_word
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -69,21 +70,54 @@ def _check_relators(
 
 
 def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
-    """Close the holonomy matrices, check the record's relators on them and
-    match them to the named group.
-
-    Raises ClosureBoundExceeded when the matrices generate no small finite
-    group, and InconsistentRecord when a relator does not hold, when the
-    closure order differs from the order of the named group (the
-    representation would not be faithful), or when no generating tuple
-    satisfies the table's presentation.  The generating tuple is the first
-    one in closure order.
+    """Check the record's holonomy matrices, close them into F, check the
+    relators on F and match F to the named group: every record-level check,
+    run on the first build of F, whether the record was loaded or built in
+    code.  Each failure raises InconsistentRecord, in this order: a matrix
+    on a generator that is not a holonomy generator, a matrix that is not
+    unimodular, a holonomy generator without a matrix, a parameter in a
+    holonomy exponent, no small finite closure, a relator that does not
+    hold, a closure order other than the named group's (not faithful), no
+    generating tuple that satisfies the table's presentation (the first one
+    in closure order is kept), and a matrix of determinant -1 (not
+    orientable).
     """
-    table = chartables.get_table(record.holonomy_name)
     names = record.presentation.holonomy_generators()
+    dets = []
+    for name, mat in record.matrices.items():
+        if name not in names:
+            raise InconsistentRecord(
+                f"family {record.family}: matrix for {name!r}, which is not a holonomy generator"
+            )
+        dets.append(intmat.int_det(mat))
+        if abs(dets[-1]) != 1:
+            raise InconsistentRecord(
+                f"family {record.family}: matrix of {name!r} is not unimodular"
+            )
+    for g in names:
+        if g not in record.matrices:
+            raise InconsistentRecord(
+                f"family {record.family}: holonomy generator {g!r} has no matrix"
+            )
+    # a parameter only in lattice exponents makes each relator's sign in
+    # Spin(4) a constant of the record, and the mod-2 reduction sound
+    for rel in record.presentation.relators:
+        for gen, expr in rel:
+            if gen in names and expr.coeffs:
+                raise InconsistentRecord(
+                    f"family {record.family}: relator {_render_word(rel)} has a parameter "
+                    f"in the exponent of holonomy generator {gen!r}; parameters may "
+                    "appear only in lattice-generator exponents"
+                )
+    table = chartables.get_table(record.holonomy_name)
     identity = intmat.int_identity(DIM)
-    mats, right = groups.cayley_graph(
-        [record.matrix_of(g) for g in names] or [identity], intmat.int_mat_mul, identity)
+    try:
+        mats, right = groups.cayley_graph(
+            [record.matrix_of(g) for g in names] or [identity], intmat.int_mat_mul, identity)
+    except ClosureBoundExceeded as exc:
+        raise InconsistentRecord(
+            f"family {record.family}: the holonomy matrices generate no finite group ({exc})"
+        ) from exc
     _check_relators(record, names, right)
     if len(mats) != table.order:
         raise InconsistentRecord(
@@ -105,6 +139,10 @@ def matrix_group_closure(record: AlmostBieberbachRecord) -> FiniteMatrixGroup:
             f"family {record.family}: matrices do not realize the "
             f"{record.holonomy_name} presentation"
         )
+    # every matrix is a holonomy generator's (checked above), so ``dets``
+    # holds the determinant of each: this is the orientability check
+    if any(d != 1 for d in dets):
+        raise InconsistentRecord(f"family {record.family}: non-orientable record")
     return FiniteMatrixGroup(G, tuple(mats), tuple(combo), table)
 
 

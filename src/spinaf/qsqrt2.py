@@ -7,8 +7,10 @@ The form is unique, so equality compares the triples, and a sum or product
 takes integer multiplications and one ``math.gcd``.  A square root is a
 root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt`` of the norm and one
 per branch), which ``spin.preimage`` also takes of its integer pairs.
-``Fraction`` appears only where an element is built from rationals or read
-back (``a``, ``b``).
+Rationals are read as ``numbers.Rational``, and ``fractions`` is imported
+only by ``a`` and ``b`` (and through them by ``repr`` and the hash of a
+non-integer rational element), so making and printing elements does not
+load it.
 This is the smallest field containing all coefficients that show up when
 lifting signed permutation matrices through the double cover, so every
 computation downstream of this module is exact.
@@ -16,11 +18,12 @@ computation downstream of this module is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Tuple, Union
+from numbers import Rational
+from typing import TYPE_CHECKING, Tuple
 
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _new = object.__new__
 _set = object.__setattr__
@@ -39,16 +42,16 @@ def _reduced(a: int, b: int, d: int) -> "QSqrt2":
 class QSqrt2:
     """An element (a + b*sqrt(2))/d of Q(sqrt 2), immutable and hashable.
 
-    ``a`` and ``b`` read the rational coordinates back as Fractions.
+    ``a`` and ``b`` read the rational coordinates back as Fractions,
+    ``ratios`` as integer pairs.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0):
         for x in (a, b):
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, Rational):
                 raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-        a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)
         _set(self, "_a", a.numerator * (d // a.denominator))
         _set(self, "_b", b.numerator * (d // b.denominator))
@@ -59,11 +62,22 @@ class QSqrt2:
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
+
+    def ratios(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """``a`` and ``b`` as (numerator, denominator) pairs in lowest terms,
+        the denominators positive, with no Fraction built."""
+        d = self._d
+        ga, gb = gcd(self._a, d), gcd(self._b, d)
+        return (self._a // ga, d // ga), (self._b // gb, d // gb)
 
     # -- constructors -------------------------------------------------
 
@@ -76,7 +90,7 @@ class QSqrt2:
     def _coerce(self, other) -> "QSqrt2":
         if isinstance(other, QSqrt2):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return QSqrt2(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -178,13 +192,15 @@ class QSqrt2:
         return f"QSqrt2({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return f"{b}√2"
-        sign = "+" if b > 0 else "-"
-        return f"{a} {sign} {abs(b)}√2"
+        # each coordinate as str() of its Fraction writes it
+        (an, ad), (bn, bd) = self.ratios()
+        a = f"{an}/{ad}" if ad > 1 else str(an)
+        b = f"{abs(bn)}/{bd}" if bd > 1 else str(abs(bn))
+        if bn == 0:
+            return a
+        if an == 0:
+            return f"-{b}√2" if bn < 0 else f"{b}√2"
+        return f"{a} {'+' if bn > 0 else '-'} {b}√2"
 
 
 ZERO = QSqrt2(0)

@@ -3,7 +3,11 @@
 Spin(n) consists of the even elements x with x * conj(x) = 1 whose twisted
 conjugation v -> x v conj(x) preserves the span of the generators.  The
 covering map ``lam`` sends such an x to the special orthogonal matrix of
-that action; its kernel is {+1, -1}.  With c_A the coefficient of e_A in x,
+that action; its kernel is {+1, -1}.  ``lam`` checks that the matrix it
+returns is special orthogonal, not that x lies in Spin(n): it does not test
+x * conj(x) = 1, so an even element outside Spin(n) such as
+1 + sqrt2 e1e2e3e4 maps to a matrix too.  ``oracles.is_spin`` is the
+membership test.  With c_A the coefficient of e_A in x,
 x e_j conj(x) sums t(A, B) = c_A c_B e_A e_j conj(e_B) over blade pairs,
 and t(B, A) = -conj(t(A, B)) (Lounesto, *Clifford Algebras and Spinors*,
 2001).  So ``lam`` adds each unordered pair once, doubled off the diagonal,
@@ -87,7 +91,10 @@ def lam(x: CliffordElement) -> Matrix:
     Raises NonVectorError if some generator is not carried to a vector and
     NotInSO if the resulting matrix fails to be special orthogonal (both
     indicate that x is not a spin element); the SO(n) check runs on the
-    integer pairs of :func:`_sandwich`, before any entry is reduced.
+    integer pairs of :func:`_sandwich`, before any entry is reduced.  It
+    does not check that x lies in Spin(n): x * conj(x) = 1 is not tested,
+    and lam(1 + sqrt2 e1e2e3e4) = -I although x * conj(x) is
+    3 + 2 sqrt2 e1e2e3e4.  ``oracles.is_spin`` is the membership test.
     """
     D, rows = _sandwich(x)
     linalg._check_so(D, rows)

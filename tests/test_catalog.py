@@ -118,16 +118,21 @@ def _al_power(family, old, new):
     return mutate
 
 
-@pytest.mark.parametrize("family, mutate", [
+_MUTANTS = [
     pytest.param("143", lambda d: _record(d, "143")["matrices"].update(
         zz=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), id="143-undeclared-generator"),
+    pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
+        a=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), id="4-matrix-on-lattice-generator"),
     pytest.param("169", _al_power("169", 6, 2), id="169-power-2"),
     pytest.param("4", lambda d: _record(d, "4")["matrices"].update(
         al=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), id="4-non-orientable"),
     pytest.param("4", lambda d: _record(d, "4").update(
         relators=[], matrices={"al": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
         id="4-infinite-holonomy"),
-])
+]
+
+
+@pytest.mark.parametrize("family, mutate", _MUTANTS)
 def test_mutant_rejected_at_load_with_exit_2(tmp_path, cli, family, mutate):
     data = _bundled_json()
     mutate(data)
@@ -138,6 +143,24 @@ def test_mutant_rejected_at_load_with_exit_2(tmp_path, cli, family, mutate):
     result = cli("classify", "--catalog", str(p), "--family", family)
     assert result.exit_code == 2
     assert f"error: family {family}:" in result.output
+
+
+@pytest.mark.parametrize("family, mutate", _MUTANTS)
+def test_mutant_built_in_code_is_refused_by_every_command(tmp_path, family, mutate):
+    # the checks run where F is built, so a record that never went through
+    # load_catalog is refused by the count, lift-group and char paths with
+    # the message the loader gives
+    data = _bundled_json()
+    mutate(data)
+    p = tmp_path / "mutant.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InconsistentRecord) as loaded:
+        cat.load_catalog(p)
+    message = f"^{re.escape(str(loaded.value))}$"
+    for run in (lambda r: fp.count_lifts(r, [0] * len(r.presentation.parameters)),
+                fp.lift_group, holonomy.character_of_record):
+        with pytest.raises(InconsistentRecord, match=message):
+            run(cat.record_from_json(_record(data, family)))
 
 
 @pytest.mark.parametrize("family, al", [

@@ -53,7 +53,7 @@ def test_all_tables_pass_exact_orthogonality():
 
 
 def test_table_presentations_present_groups_of_the_table_order():
-    # fp._lift_group_abstract builds the preimage group from these relators
+    # fp.lifted_holonomy builds the preimage group from these relators
     for name, table in TABLES.items():
         pos = {g: i for i, g in enumerate(table.generators)}
         relators = [groups.word_to_letters(base, pos) * power for base, power in table.relators]

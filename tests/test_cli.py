@@ -45,6 +45,13 @@ def test_preimage_det_minus_one_exit_2(cli):
 def test_preimage_malformed_literal(cli):
     result = cli("preimage", "nonsense")
     assert result.exit_code == 2
+    # an entry is an integer, p/q or a plain decimal: an exponent would make
+    # Fraction build a four-million-digit integer first
+    for literal in ("diag:1e4000000,1,1,1", "diag:1_0,1,1,1", "diag:1/0,1,1,1"):
+        result = cli("preimage", literal)
+        assert result.exit_code == 2, literal
+        assert "non-rational matrix entry" in result.output, literal
+    assert cli("preimage", "diag:-1,-1.0,+1,1.").exit_code == 0
 
 
 def test_preimage_json_exact_coefficients(cli):
@@ -359,7 +366,8 @@ def test_classify_char_and_verify_leave_the_spin_modules_out():
             "for args in (['classify', '--family', '1'], ['char', '--family', '1'], ['verify']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(args) == 0, args\n"
-            "loaded = {'spinaf.spin', 'spinaf.clifford'} & set(sys.modules)\n"
+            "loaded = {'spinaf.spin', 'spinaf.clifford', 'spinaf.qsqrt2', 'spinaf.linalg',\n"
+            "          'fractions', 'csv'} & set(sys.modules)\n"
             "assert not loaded, f'{sorted(loaded)} imported'")
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
     # classify needs neither Q(zeta_12) nor Q(sqrt 2), Fraction or csv, and
@@ -398,6 +406,24 @@ def test_no_command_loads_the_oracles():
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(args) == 0, args\n"
             "assert 'spinaf.oracles' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
+
+
+@pytest.mark.parametrize("args, modules", [
+    pytest.param(["export", "--family", "4"], {"fractions", "decimal"}, id="export-4"),
+    pytest.param(["lift-group", "--family", "103", "--format", "json"], {"fractions", "decimal"},
+                 id="lift-group-103"),
+    # family 173's holonomy matrices are no signed permutations: Ĝ is named
+    # from the count path, and nothing is closed in the Clifford algebra
+    pytest.param(["lift-group", "--family", "173", "--format", "json"], {"spinaf.clifford"},
+                 id="lift-group-173"),
+])
+def test_spin_commands_load_only_what_they_use(args, modules):
+    code = ("import contextlib, io, sys; from spinaf.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({args!r}) == 0\n"
+            f"loaded = {modules!r} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'")
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
 
 

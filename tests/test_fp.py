@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import re
 
@@ -189,12 +190,18 @@ def test_f2_solve_against_brute_force():
 
 
 def test_abstract_lift_agrees_with_spin_closure(catalog):
-    # Ĝ from the table presentation and the generator map, against the lift
-    # group closed in the Clifford algebra, on every signed-permutation record
+    # Ĝ named from the table presentation and the generator map, against the
+    # lift group closed in the Clifford algebra and identified on its own, on
+    # every signed-permutation record
     for r in catalog.records:
         if r.signed_perm_holonomy:
-            spin_lift, abstract = fp.lift_group(r), fp._lift_group_abstract(r)
-            assert (abstract.name, abstract.order) == (spin_lift.name, spin_lift.order), r.family
+            one = CliffordElement.scalar(fp.DIM, 1)
+            gens = [r.base_preimages[g] for g in r.presentation.holonomy_generators()] + [-one]
+            elements, right = groups.cayley_graph(gens, operator.mul, one)
+            spin_lift = groups.identify_group(groups.FiniteGroup.from_right_action(right))
+            lifted = fp.lift_group(r)
+            assert (lifted.name, lifted.order) == (spin_lift, len(elements)), r.family
+            assert lifted.elements == tuple(elements), r.family
 
 
 def test_abstract_lift_rejects_a_presentation_of_a_larger_group(catalog, monkeypatch):
@@ -205,7 +212,19 @@ def test_abstract_lift_rejects_a_presentation_of_a_larger_group(catalog, monkeyp
     monkeypatch.setitem(chartables.TABLES, "C2xC2", table._replace(relators=d8))
     fresh = catalog.find("27")._replace()  # no holonomy group built with the real table yet
     with pytest.raises(InconsistentRecord, match="^family 27: .* not twice the holonomy order 4$"):
-        fp._lift_group_abstract(fresh)
+        fp.lift_group(fresh)
+
+
+def test_lift_group_refuses_a_spin_closure_of_another_order(catalog):
+    # with the identity as the preimage of its generator, family 4's Clifford
+    # closure is {1, -1}, not the C4 that lifted_holonomy gives
+    r = catalog.find("4")._replace()
+    one = CliffordElement.scalar(fp.DIM, 1)
+    r.__dict__["base_preimages"] = {g: one for g in r.presentation.generator_names}
+    message = ("family 4: the spin preimages close to 2 elements, "
+               "but the lifted holonomy group has order 4")
+    with pytest.raises(InconsistentRecord, match=f"^{re.escape(message)}$"):
+        fp.lift_group(r)
 
 
 def test_lift_whose_relators_force_c_to_1_is_refused(catalog, monkeypatch):

@@ -145,6 +145,15 @@ def test_repr_and_str_render_fractions():
     assert str(QSqrt2(0, Fraction(-1, 2))) == "-1/2√2"
 
 
+@given(elements)
+def test_ratios_and_str_read_the_fractions(x):
+    # ratios and str build no Fraction; the Fractions a and b are the reference
+    a, b = x.a, x.b
+    assert x.ratios() == ((a.numerator, a.denominator), (b.numerator, b.denominator))
+    expected = str(a) if b == 0 else f"{b}√2" if a == 0 else f"{a} {'+' if b > 0 else '-'} {abs(b)}√2"
+    assert str(x) == expected
+
+
 def test_sqrt_is_the_brute_force_root_in_z_sqrt2():
     # The root of (a + b sqrt2)/d is (c + e sqrt2)/d for (c + e sqrt2)^2 =
     # ad + bd sqrt2 in Z[sqrt 2]; with |a|, |b| <= 40 and d <= 6 the rational

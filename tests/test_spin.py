@@ -174,6 +174,16 @@ def test_lam_refuses_a_non_spin_element():
         spin.lam(CliffordElement.scalar(4, 2))
 
 
+def test_lam_checks_the_matrix_not_spin_membership():
+    # x x̄ = 3 + 2√2 e1e2e3e4, so x is not in Spin(4), yet its sandwich is
+    # -I, which is special orthogonal: lam returns it, and is_spin refuses x
+    x = CliffordElement(4, {0: 1, 0b1111: QSqrt2(0, 1)})
+    assert x * x.conjugate() == CliffordElement(4, {0: 3, 0b1111: QSqrt2(0, 2)})
+    assert spin.lam(x) == linalg.as_matrix([[-1 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert spin.lam(x) == reference_lam(x)
+    assert not oracles.is_spin(x)
+
+
 def leibniz_det(M):
     """The determinant as the sum over permutations."""
     n = len(M)

@@ -21,10 +21,12 @@ same order, so that ``head -n 765`` compares with their output.
 
 Each line is ``<sha256>  <command>``, the digest of the JSON list
 ``[exit code, stdout, stderr]``, so output that moves from one stream to
-the other changes it.  Run it in two checkouts and diff the outputs to show
-that a change leaves every command's output byte-identical:
+the other changes it.  ``tests/data/output_digests.txt`` holds the lines,
+and ``tests/test_output_digests.py`` recomputes them with
+:func:`digest_lines`.  A change that alters an output on purpose
+regenerates that file:
 
-    python3 tools/output_digest.py > digests.txt
+    python3 tools/output_digest.py > tests/data/output_digests.txt
 """
 
 from __future__ import annotations
@@ -99,13 +101,23 @@ def run(args):
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def digest_lines():
+    """One ``<sha256>  <command>`` line per command, in order; the commands
+    share one parsed and checked bundled catalog."""
     catalog, expectations = cat.load_bundled()
     loaded = cat.load_catalog
     cat.load_catalog = lambda path: catalog if Path(path) == cat.bundled_path("catalog.json") else loaded(path)
-    for args in commands(catalog, expectations):
-        digest = hashlib.sha256(json.dumps(run(args)).encode()).hexdigest()
-        print(f"{digest}  {' '.join(args)}")
+    try:
+        for args in commands(catalog, expectations):
+            digest = hashlib.sha256(json.dumps(run(args)).encode()).hexdigest()
+            yield f"{digest}  {' '.join(args)}"
+    finally:
+        cat.load_catalog = loaded
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line)
     return 0
 
 
