@@ -10,9 +10,9 @@ Products look blade signs up in :func:`sign_table`, a 2^n x 2^n table that
 :func:`blade_product` fills once per dimension, on first use, and run in
 integers: one denominator per factor, one gcd per output blade.  The one
 product kernel, :func:`_product`, works on (mask, a, b) lists, so
-``spin.preimage`` multiplies with it without building elements.  Results of
-the algebra's own operations are not re-checked; ``CliffordElement(n, terms)``
-checks its input.  A scalar operand is a QSqrt2 or a ``numbers.Rational``,
+``rotors.frame_preimage`` multiplies with it without building elements.
+Results of the algebra's own operations are not re-checked;
+``CliffordElement(n, terms)`` checks its input.  A scalar operand is a QSqrt2 or a ``numbers.Rational``,
 so the module does not import ``fractions``.
 """
 

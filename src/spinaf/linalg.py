@@ -5,9 +5,10 @@ common denominator d (:func:`_integral`); only returned entries take a gcd.
 The product and the orthogonality test run over sparse rows, the nonzero
 entries of each row (:func:`_sparse`), since most inputs are signed
 permutations; the test still compares every entry of A A^T, both parts.
-``spin`` runs the SO(n) check :func:`_check_so` on pairs it already has,
-and ``is_orthogonal``, ``det`` and ``check_special_orthogonal`` wrap the
-same pair code.  The integer 4 x 4 kernel of catalog loads is
+``rotors`` runs the SO(n) check :func:`_check_so` on pairs it already has,
+``spin`` only to name why a 4 x 4 matrix is not in SO(4), and
+``is_orthogonal``, ``det`` and ``check_special_orthogonal`` wrap the same
+pair code.  The integer 4 x 4 kernel of catalog loads is
 :mod:`spinaf.intmat`.
 """
 

@@ -8,9 +8,10 @@ takes integer multiplications and one ``math.gcd``.  A square root is a
 root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt`` of the norm and one
 per branch), which ``spin.preimage`` also takes of its integer pairs.
 Rationals are read as ``numbers.Rational``, and ``fractions`` is imported
-only by ``a`` and ``b`` (and through them by ``repr`` and the hash of a
-non-integer rational element), so making and printing elements does not
-load it.
+only by ``a`` and ``b`` (and through them by ``repr``), so making, hashing
+and printing elements does not load it: a rational element hashes as the
+Fraction it equals by Python's numeric hash (``sys.hash_info``), computed
+from a and d with one modular inverse.
 This is the smallest field containing all coefficients that show up when
 lifting signed permutation matrices through the double cover, so every
 computation downstream of this module is exact.
@@ -18,6 +19,7 @@ computation downstream of this module is exact.
 
 from __future__ import annotations
 
+import sys
 from math import gcd, isqrt, lcm
 from numbers import Rational
 from typing import TYPE_CHECKING, Tuple
@@ -180,10 +182,20 @@ class QSqrt2:
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        # a rational element hashes as the int or Fraction it equals
-        if self._b == 0:
-            return hash(self._a) if self._d == 1 else hash(self.a)
-        return hash((self._a, self._b, self._d))
+        # a rational element hashes as the int or Fraction a/d it equals:
+        # hash(|a|) times the inverse of d modulo the hash modulus, with a's
+        # sign, inf when d has no inverse, and -1 read as -2
+        a, d = self._a, self._d
+        if self._b:
+            return hash((a, self._b, d))
+        if d == 1:
+            return hash(a)
+        try:
+            h = hash(hash(abs(a)) * pow(d, -1, sys.hash_info.modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return not self.is_zero()

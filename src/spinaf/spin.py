@@ -7,21 +7,30 @@ that action; its kernel is {+1, -1}.  ``lam`` checks that the matrix it
 returns is special orthogonal, not that x lies in Spin(n): it does not test
 x * conj(x) = 1, so an even element outside Spin(n) such as
 1 + sqrt2 e1e2e3e4 maps to a matrix too.  ``oracles.is_spin`` is the
-membership test.  With c_A the coefficient of e_A in x,
-x e_j conj(x) sums t(A, B) = c_A c_B e_A e_j conj(e_B) over blade pairs,
-and t(B, A) = -conj(t(A, B)) (Lounesto, *Clifford Algebras and Spinors*,
-2001).  So ``lam`` adds each unordered pair once, doubled off the diagonal,
-on output blades of grade 1 or 2 mod 4, and skips grades 0 and 3 mod 4,
-where the two orders cancel.
+membership test.
 
-Preimages are computed exactly by one closed formula for every special
-orthogonal matrix over Q(sqrt 2): the frame-to-rotor construction (see
-Doran & Lasenby, *Geometric Algebra for Physicists*, 2003), in integers
-from M's pairs to x: the normalising factor is a square root in Z[sqrt 2],
-and no Fraction is built on the way.  Each SO(n) check runs once, on integer
-pairs: ``lam`` checks its own before reducing any entry, ``preimage``
-checks its input, and its guard lam(x) = M compares pairs with M's by
-cross-multiplication, which puts lam(x) in SO(n) without a second check.
+Every command works in dimension 4, where Spin(4) is S^3 x S^3 acting on
+H = R^4 by v -> p v conj(q) (Mebius, arXiv:math/0501249, 2005).  A fixed
++-1 map Phi takes the eight even coefficients of x to the quaternion pair
+(p, q), and lam(x) = sum p_a q_b B_ab, where B_ab is the signed permutation
+matrix of v -> u_a v conj(u_b) for the units u = (1, i, j, k).  Its M^T M
+is |p|^2 |q|^2 I and its determinant (|p|^2 |q|^2)^2, so the SO(4) check is
+|p|^2 |q|^2 = 1.  Backwards, the associate matrix A_ab = <M, B_ab> / 4
+equals p_a q_b: M is in SO(4) exactly when A has rank 1 and
+sum A_ab^2 = 1, and a column and a row of A give (p, q) up to one scalar,
+so the preimage takes one square root and no frame sums.
+
+``lam`` takes that path on the even elements of C_4 and ``preimage`` on
+4 x 4 matrices.  Every other input, an odd or mixed element of C_4 or any
+n != 4, takes the general-n sandwich and frame-to-rotor preimage of
+:mod:`spinaf.rotors`, with their NonVectorError and determinant -1
+messages; the choice depends only on n and the parity of x.  Both paths
+run in integers, from pairs over one denominator to x: the normalising
+factor is a square root in Z[sqrt 2], and no Fraction is built on the way.
+Each SO(n) check runs once: ``lam`` checks its own pairs before reducing
+any entry, ``preimage`` checks its input, and its guard lam(x) = M compares
+pairs with M's by cross-multiplication, which puts lam(x) in SO(n) without
+a second check.
 """
 
 from __future__ import annotations
@@ -31,58 +40,77 @@ from functools import cache
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .clifford import CliffordElement, _element, _integral, _product, blade_str, sign_table
-from .errors import NonVectorError, NotInImage, UnsupportedScalar
+from .clifford import CliffordElement, _element, _integral
+from .errors import NotInImage, NotInSO, UnsupportedScalar
 from .linalg import Matrix
 from .qsqrt2 import ZERO, _integer_root, _reduced, _sign
 
+# Phi: the even blade e_A of C_4 as (u, s, t), adding s c_A to unit u of p
+# and t c_A to unit u of q, with vector e_(c+1) as unit c of (1, i, j, k).
+# The two blades of a unit have orthogonal sign rows, so c_A is
+# (s p_u + t q_u) / 2.  Keys ascend, so reading it lists the blades in order.
+_PHI = {0: (0, 1, 1), 3: (1, 1, -1), 5: (2, 1, -1), 6: (3, 1, 1),
+        9: (3, 1, -1), 10: (2, -1, -1), 12: (1, 1, 1), 15: (0, -1, 1)}
+
 
 @cache
-def _sandwich_table(n: int) -> Tuple[List[int], tuple]:
-    """The accumulator slots of lam in C_n and its table of blade pairs.
+def _mebius_table() -> tuple:
+    """The 64 nonzero entries of the 16 signed permutation matrices B_ab of
+    v -> u_a v conj(u_b): entry [4 r + c] lists 4 a + b, plus 16 where the
+    entry is -1, for the four B_ab with a nonzero entry (r, c).  The 16 x 16
+    matrix of B_ab[r][c] over (4 a + b, 4 r + c) is symmetric, so the same
+    quadruples sum both sum p_a q_b B_ab and 4 A_ab = <M, B_ab>."""
+    def sign(a, c):  # u_a u_c = sign(a, c) u_(a ^ c)
+        return 1 if a == 0 or c == 0 or (c - a) % 3 == 1 else -1
 
-    Each blade of grade 1 or 2 mod 4 has n slots, one per column j, vectors
-    first (e_(i+1) of column j at i n + j).  Entry [A][B] lists (slot, c) for
-    each column whose blade e_A e_j conj(e_B) = +-e_m has a slot: c is that
-    sign for A = B and twice it otherwise, where (B, A) adds the same."""
-    negative = sign_table(n)
-    blades = [1 << i for i in range(n)]
-    blades += [m for m in range(1 << n) if m.bit_count() % 4 in (1, 2) and m.bit_count() > 1]
-    slots = {m: s * n for s, m in enumerate(blades)}
-    columns = [(j, 1 << j) for j in range(n)]
-    table = []
-    for A in range(1 << n):
-        row = []
-        for B in range(1 << n):
-            # e_A e_j conj(e_B) = r (-1)^[j in B] e_A e_B e_j with r = -1 for
-            # |B| = 2, 3 mod 4: conj(e_B) is (-1)^|B| times the reversal of
-            # e_B, and e_j passes e_B with (-1)^(|B| - [j in B])
-            flip, AB, c = negative[A][B] ^ (B.bit_count() & 2 > 0), A ^ B, 1 if A == B else 2
-            row.append(tuple((slots[AB ^ bit] + j, -c if flip ^ negative[AB][bit] ^ (B & bit > 0) else c)
-                             for j, bit in columns if AB ^ bit in slots))
-        table.append(tuple(row))
-    return blades, tuple(table)
+    table = [[] for _ in range(16)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                negative = sign(a, c) * sign(a ^ c, b) * (-1 if b else 1) < 0
+                table[4 * (a ^ b ^ c) + c].append(4 * a + b + 16 * negative)
+    return tuple(map(tuple, table))
 
 
-def _sandwich(x: CliffordElement) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """lam(x) before its SO(n) check, as integer pair rows over D = d^2 for
-    the denominator d of x, from one pass over its unordered blade pairs.
-    Raises NonVectorError if some generator is not carried to a vector."""
-    n = x.n
-    blades, table = _sandwich_table(n)
+def _signed_sums(pairs: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """The sums of the pairs that the quadruples of :func:`_mebius_table`
+    list, 16 + k reading the negated pair k, as two lists of parts."""
+    a, b = [p for p, _ in pairs], [q for _, q in pairs]
+    a += [-v for v in a]
+    b += [-v for v in b]
+    table = _mebius_table()
+    return [a[i] + a[j] + a[k] + a[l] for i, j, k, l in table], [b[i] + b[j] + b[k] + b[l] for i, j, k, l in table]
+
+
+def _quaternions(x: CliffordElement) -> Tuple[int, List[int], List[int], List[int], List[int]]:
+    """Phi(x) = (p, q) for an even x in C_4, over the denominator d of x:
+    (d, pa, pb, qa, qb) with p_u = (pa[u] + pb[u] sqrt2) / d and q alike."""
     d, xs = _integral(x._terms)
-    acc_a, acc_b = [0] * (n * len(blades)), [0] * (n * len(blades))
-    for i, (A, a1, b1) in enumerate(xs):
-        row = table[A]
-        for B, a2, b2 in xs[i:]:
-            p, q = a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
-            for k, c in row[B]:
-                acc_a[k] += c * p
-                acc_b[k] += c * q
-    if any(acc_a[n * n:]) or any(acc_b[n * n:]):
-        k = next(k for k in range(n * n, len(acc_a)) if acc_a[k] or acc_b[k])
-        raise NonVectorError(f"element has a non-vector component on blade {blade_str(blades[k // n])}")
-    return d * d, [list(zip(acc_a[i:i + n], acc_b[i:i + n])) for i in range(0, n * n, n)]
+    pa, pb, qa, qb = [0] * 4, [0] * 4, [0] * 4, [0] * 4
+    for m, a, b in xs:
+        u, s, t = _PHI[m]
+        pa[u] += s * a
+        pb[u] += s * b
+        qa[u] += t * a
+        qb[u] += t * b
+    return d, pa, pb, qa, qb
+
+
+def _mebius(pa: List[int], pb: List[int], qa: List[int], qb: List[int]) -> List[List[Tuple[int, int]]]:
+    """The matrix of v -> p v conj(q) as integer pair rows: entry (r, c) sums
+    the p_a q_b of the B_ab whose entry (r, c) is nonzero, with its sign."""
+    e = list(zip(*_signed_sums([(p * r + 2 * q * s, p * s + q * r) for p, q in zip(pa, pb) for r, s in zip(qa, qb)])))
+    return [e[0:4], e[4:8], e[8:12], e[12:16]]
+
+
+def _norm(a: List[int], b: List[int]) -> Tuple[int, int]:
+    """The pair of the sum of the squares of the entries (a[k] + b[k] sqrt2)."""
+    return sum(map(operator.mul, a, a)) + 2 * sum(map(operator.mul, b, b)), 2 * sum(map(operator.mul, a, b))
+
+
+def _times(a: List[int], b: List[int], g: int, h: int) -> List[Tuple[int, int]]:
+    """The pairs of the products (a[k] + b[k] sqrt2)(g + h sqrt2)."""
+    return [(p * g + 2 * q * h, p * h + q * g) for p, q in zip(a, b)]
 
 
 def lam(x: CliffordElement) -> Matrix:
@@ -90,14 +118,26 @@ def lam(x: CliffordElement) -> Matrix:
 
     Raises NonVectorError if some generator is not carried to a vector and
     NotInSO if the resulting matrix fails to be special orthogonal (both
-    indicate that x is not a spin element); the SO(n) check runs on the
-    integer pairs of :func:`_sandwich`, before any entry is reduced.  It
-    does not check that x lies in Spin(n): x * conj(x) = 1 is not tested,
-    and lam(1 + sqrt2 e1e2e3e4) = -I although x * conj(x) is
+    indicate that x is not a spin element); the SO(n) check runs on integer
+    pairs, before any entry is reduced.  An even x in C_4 goes through Phi,
+    and its check |p|^2 |q|^2 = 1 raises NotInSO("matrix is not
+    orthogonal"), the one way :func:`_mebius` of (p, q) leaves SO(4); any
+    other x takes ``rotors.sandwich`` and ``linalg._check_so``.  It does not
+    check that x lies in Spin(n): x * conj(x) = 1 is not tested, and
+    lam(1 + sqrt2 e1e2e3e4) = -I although x * conj(x) is
     3 + 2 sqrt2 e1e2e3e4.  ``oracles.is_spin`` is the membership test.
     """
-    D, rows = _sandwich(x)
-    linalg._check_so(D, rows)
+    if x.n == 4 and _PHI.keys() >= x._terms.keys():
+        d, pa, pb, qa, qb = _quaternions(x)
+        (s, t), (u, v), D = _norm(pa, pb), _norm(qa, qb), d * d
+        if s * v + t * u or s * u + 2 * t * v != D * D:
+            raise NotInSO("matrix is not orthogonal")
+        rows = _mebius(pa, pb, qa, qb)
+    else:
+        from .rotors import sandwich
+
+        D, rows = sandwich(x)
+        linalg._check_so(D, rows)
     return tuple([tuple([_reduced(a, b, D) if a or b else ZERO for a, b in row]) for row in rows])
 
 
@@ -105,50 +145,55 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     """Both preimages (x, -x) of a special orthogonal matrix, where x's first
     nonzero coefficient in blade-mask order is positive.
 
-    With F_A = (M e_a1)...(M e_ak) the image x e_A x^-1 of each blade e_A,
-    the frame-to-rotor identity reads
-
-        sum_A F_A e_B e_A^-1 = 2^n <x^-1 e_B>_0 x,
-
-    so the first even blade e_B giving a nonzero sum y yields x = y / |y|,
-    where |y|^2 is the scalar y * conj(y).  Raises NotInSO when M is not in
-    SO(n) and UnsupportedScalar when |y| lies outside Q(sqrt 2).
-
-    Grouping the blades A by their least generator j nests the sum:
-    T_(n+1) = e_B, T_j = T_(j+1) + (M e_j) T_(j+1) e_j^-1 and y = T_1, so
-    it takes n products, not one image per blade.  It runs on integer
-    pairs: with M over one denominator d, T_j is over d^(n+1-j).  The
-    denominator d^n of y is dropped, because y / |y| is the same for every
-    positive multiple of y, and |y| is the root of y * conj(y) in Z[sqrt 2]
-    (``qsqrt2._integer_root``), so no Fraction and no field inverse is
-    built on the way to x.
+    A 4 x 4 matrix is read through its associate matrix, any other size by
+    ``rotors.frame_preimage``; both give the same x.  Raises NotInSO, with
+    ``linalg.check_special_orthogonal``'s message, when M is not in SO(n),
+    and UnsupportedScalar when x needs a square root outside Q(sqrt 2).
     """
-    n = len(M)
     d, rows = linalg._integral(M)
-    linalg._check_so(d, rows)
-    negative = sign_table(n)
-    # the column M e_(j+1) as a (mask, a, b) list over d
-    columns = [[(1 << i, a, b) for i, (a, b) in enumerate(col) if a or b] for col in zip(*rows)]
-    for B in range(1 << n):
-        if B.bit_count() % 2:
-            continue
-        # T_j over d^(n+1-j), from T_(n+1) = e_B, with e_j^-1 = -e_j
-        y = [(B, 1, 0)]
-        for j in range(n - 1, -1, -1):
-            bit, acc = 1 << j, {m: [a * d, b * d] for m, a, b in y}
-            for m, a, b in _product(n, columns[j], y):
-                if not negative[m][bit]:
-                    a, b = -a, -b
-                pair = acc.setdefault(m ^ bit, [0, 0])
-                pair[0] += a
-                pair[1] += b
-            y = [(m, a, b) for m, (a, b) in acc.items() if a or b]
-        if y:
-            break
-    else:  # pragma: no cover - some <x^-1 e_B>_0 is nonzero for x != 0
-        raise NotInImage("internal error: every frame sum vanished")
-    # |y|^2 = y * conj(y) is the sum of the squared coefficients of y, an
-    # element of Z[sqrt 2], and |y| its integer root c + e sqrt2 > 0
+    if len(M) == 4:
+        x = _quaternion_preimage(d, rows)
+    else:
+        from .rotors import frame_preimage
+
+        x = frame_preimage(d, rows)
+    return x, -x
+
+
+def _quaternion_preimage(d: int, rows: List[List[Tuple[int, int]]]) -> CliffordElement:
+    """x from the associate matrix A_ab = <M, B_ab> / 4 of M (Mebius 2005).
+
+    M is in SO(4) exactly when A has rank 1 and sum A_ab^2 = 1, and then
+    A = p q^T for the (p, q) = Phi(x) of x, with |p| = |q| = 1; otherwise
+    ``linalg._check_so`` raises its NotInSO.  With a pivot A_(a0 b0) != 0,
+    P = column b0 times A_(a0 b0) and Q = row a0 times |column b0|^2 are
+    the same multiple p_a0 q_b0^2 of p and q, so y = Phi^-1(P, Q) is a
+    multiple of x; the guard lam(x) = M compares :func:`_mebius` of x."""
+    A, B = _signed_sums([e for row in rows for e in row])  # 4 d A, row-major
+    s, t = _norm(A, B)
+    a0, b0 = divmod(next((k for k in range(16) if A[k] or B[k]), 0), 4)
+    g, h = A[4 * a0 + b0], B[4 * a0 + b0]
+    ca, cb, wa, wb = A[b0::4], B[b0::4], A[4 * a0:4 * a0 + 4], B[4 * a0:4 * a0 + 4]
+    # sum A_ab^2 = 1, and rank 1: A_ab A_(a0 b0) = A_(a b0) A_(a0 b) for every (a, b)
+    if t or s != 16 * d * d or _times(A, B, g, h) != [e for u, v in zip(ca, cb) for e in _times(wa, wb, u, v)]:
+        linalg._check_so(d, rows)
+        raise NotInImage("internal error: an SO(4) matrix has no rank-1 associate")  # pragma: no cover
+    # both over (4 d)^3: the column times 4 d A_(a0 b0), the row times |column|^2
+    P, Q = _times(ca, cb, 4 * d * g, 4 * d * h), _times(wa, wb, *_norm(ca, cb))
+    y = [(m, i * P[u][0] + j * Q[u][0], i * P[u][1] + j * Q[u][1]) for m, (u, i, j) in _PHI.items()]
+    x = _normalised(4, [(m, a, b) for m, a, b in y if a or b])
+    dx, pa, pb, qa, qb = _quaternions(x)
+    _check_cover(d, rows, dx * dx, _mebius(pa, pb, qa, qb))
+    return x
+
+
+def _normalised(n: int, y: List[Tuple[int, int, int]]) -> CliffordElement:
+    """x = y / |y| for a nonzero multiple y of a spin element, given as
+    (mask, a, b) integer pairs, with the sign that makes x's lowest blade
+    positive.  |y|^2 = y * conj(y) is the sum of the squared coefficients of
+    y, in Z[sqrt 2], and |y| its integer root c + e sqrt2 > 0
+    (``qsqrt2._integer_root``), so no Fraction and no field inverse is
+    built.  Raises UnsupportedScalar when |y| lies outside Q(sqrt 2)."""
     root = _integer_root(sum(a * a + 2 * b * b for _, a, b in y), sum(2 * a * b for _, a, b in y))
     if root is None:
         raise UnsupportedScalar("normalising the preimage requires a square root outside Q(sqrt 2)")
@@ -157,13 +202,15 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     c, e = root
     N = c * c - 2 * e * e
     t = _sign(*min(y)[1:]) * (1 if N > 0 else -1)
-    x = _element(n, {m: _reduced(t * (a * c - 2 * b * e), t * (b * c - a * e), abs(N)) for m, a, b in y})
-    # the guard lam(x) = M, on integer pairs by cross-multiplication; M is
-    # in SO(n), so equality also puts lam(x) there
-    D, cover = _sandwich(x)
+    return _element(n, {m: _reduced(t * (a * c - 2 * b * e), t * (b * c - a * e), abs(N)) for m, a, b in y})
+
+
+def _check_cover(d: int, rows: List[List[Tuple[int, int]]], D: int, cover: List[List[Tuple[int, int]]]) -> None:
+    """The guard lam(x) = M on integer pairs, by cross-multiplication: M's
+    rows over d against x's over D.  M is in SO(n), so equality also puts
+    lam(x) there."""
     if any(a * d != r * D or b * d != s * D for u, v in zip(cover, rows) for (a, b), (r, s) in zip(u, v)):
         raise NotInImage("internal error: constructed element does not cover the matrix")
-    return x, -x
 
 
 def subgroup_closure(gens: Sequence[CliffordElement]) -> List[CliffordElement]:

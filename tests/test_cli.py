@@ -409,10 +409,16 @@ def test_no_command_loads_the_oracles():
     subprocess.run([sys.executable, "-c", code], check=True, env=ENV)
 
 
+# every 4 x 4 preimage takes the quaternion path, so no command loads the
+# general-n code of spinaf.rotors
 @pytest.mark.parametrize("args, modules", [
-    pytest.param(["export", "--family", "4"], {"fractions", "decimal"}, id="export-4"),
-    pytest.param(["lift-group", "--family", "103", "--format", "json"], {"fractions", "decimal"},
+    pytest.param(["export", "--family", "4"], {"fractions", "decimal", "spinaf.rotors"}, id="export-4"),
+    pytest.param(["lift-group", "--family", "103", "--format", "json"], {"fractions", "decimal", "spinaf.rotors"},
                  id="lift-group-103"),
+    # the Clifford closures of these three hash coefficients of denominator 2
+    *[pytest.param(["lift-group", "--family", f], {"fractions", "decimal", "spinaf.rotors"}, id=f"lift-group-{f}")
+      for f in ("158", "159", "161")],
+    pytest.param(["preimage", "diag:1,1,-1,-1"], {"fractions", "decimal", "spinaf.rotors"}, id="preimage"),
     # family 173's holonomy matrices are no signed permutations: Ĝ is named
     # from the count path, and nothing is closed in the Clifford algebra
     pytest.param(["lift-group", "--family", "173", "--format", "json"], {"spinaf.clifford"},

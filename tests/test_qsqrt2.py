@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +139,25 @@ def test_rationals_embed_with_their_value_and_hash(q):
     assert hash(x) == hash(q)
     assert x.is_rational()
     assert (x.a, x.b) == (q, 0)
+
+
+def test_rational_hash_is_the_fraction_hash_without_fractions():
+    # the numeric hash of a/d: the modulus case d = 0 mod P (no inverse,
+    # inf), and -(P + 2)/2, whose hash would be -1 and reads -2
+    P = sys.hash_info.modulus
+    values = [Fraction(a, d) for a in range(-12, 13) for d in (2, 3, 7, 12, P - 1, P + 1, 2**64 + 1)]
+    values += [Fraction(a, P * k) for a in (-5, -1, 1, 3) for k in (1, 2, 3)]
+    values += [Fraction(-(P + 2), 2), Fraction(P + 2, 2), Fraction(-(2 * P + 3), 3)]
+    assert hash(Fraction(-(P + 2), 2)) == -2
+    assert any(hash(q) == sys.hash_info.inf for q in values)
+    for q in values:
+        assert hash(QSqrt2(q)) == hash(q), q
+    code = ("import sys; from spinaf.qsqrt2 import QSqrt2\n"
+            "half = QSqrt2(1) / 2\n"
+            "assert hash(half) == hash(0.5) and hash(-half) == hash(-0.5)\n"
+            "assert 'fractions' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_repr_and_str_render_fractions():

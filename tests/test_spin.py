@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spinaf import intmat, linalg, oracles, spin
+from spinaf import intmat, linalg, oracles, rotors, spin
 from spinaf.clifford import CliffordElement, blade_str
 from spinaf.errors import NonVectorError, NotInImage, NotInSO, UnsupportedScalar
 from spinaf.qsqrt2 import QSqrt2
@@ -265,7 +265,7 @@ def test_lam_is_the_sandwich_by_clifford_products(n):
         except (NonVectorError, NotInSO) as exc:
             return type(exc), str(exc)
 
-    errors, in_so = set(), False
+    errors, in_so, paths = set(), False, set()
     for x in sandwich_elements(n, random.Random(n)):
         expected = outcome(reference_lam, x)
         assert outcome(spin.lam, x) == expected, x
@@ -273,6 +273,8 @@ def test_lam_is_the_sandwich_by_clifford_products(n):
             errors.add(expected)
         else:
             in_so = True
+        parity = "even" if x.is_even() else "odd" if x.grade_involution() == -x else "mixed"
+        paths.add((parity, expected[0] if isinstance(expected[0], type) else "SO(n)"))
     assert in_so and (NotInSO, "matrix is not orthogonal") in errors
     # x e1 conj(x) is a multiple of e1 for every x in C_1
     assert any(kind is NonVectorError for kind, _ in errors) == (n > 1)
@@ -280,6 +282,10 @@ def test_lam_is_the_sandwich_by_clifford_products(n):
     # determinant (-1)^(n-1), so only even n see determinant -1
     if n % 2 == 0:
         assert (NotInSO, "matrix is orthogonal but has determinant -1") in errors
+    if n == 4:
+        # lam takes the quaternion pairs on even elements, in SO(4) and
+        # scaled or perturbed out of it, and the sandwich on the others
+        assert {("even", "SO(n)"), ("even", NotInSO), ("odd", NotInSO), ("mixed", NonVectorError)} <= paths
     if n == 6:
         # the pairs of C_6 also survive on blades of grade 5 and 6
         named = [message.rsplit(" ", 1)[1] for kind, message in errors if kind is NonVectorError]
@@ -300,16 +306,83 @@ def test_preimage_returns_the_canonical_sign_first(n):
 
 @pytest.mark.parametrize("part", ["rational", "sqrt2"])
 def test_preimage_guard_catches_a_wrong_cover(monkeypatch, part):
-    # lam(x) = M is compared on integer pairs; perturb one part of one entry
-    sandwich = spin._sandwich
+    # lam(x) = M is compared on integer pairs: the 4 x 4 preimage computes
+    # lam(x) by _mebius; perturb one part of one entry
+    mebius = spin._mebius
 
-    def perturbed(x):
-        D, rows = sandwich(x)
+    def perturbed(*pq):
+        rows = mebius(*pq)
         a, b = rows[2][1]
         rows[2][1] = (a + 1, b) if part == "rational" else (a, b + 1)
-        return D, rows
+        return rows
 
     M = spin.lam(mixed_plane_rotation())
-    monkeypatch.setattr(spin, "_sandwich", perturbed)
+    monkeypatch.setattr(spin, "_mebius", perturbed)
     with pytest.raises(NotInImage, match="^internal error: constructed element does not cover the matrix$"):
         spin.preimage(M)
+
+
+def qsqrt2_rotations():
+    """Matrices of SO(4) over Q(sqrt 2) that are not signed permutations:
+    the mixed plane rotation and its products with signed permutations."""
+    R = spin.lam(mixed_plane_rotation())
+    perms = random.Random(7).sample(signed_perm_matrices(), 12)
+    return [R] + [linalg.mat_mul(P, R) for P in perms] + [linalg.mat_mul(R, linalg.mat_mul(P, R)) for P in perms]
+
+
+def test_quaternion_preimage_is_the_frame_preimage():
+    # the n = 4 path against the general-n frame sums, which preimage takes
+    # for every other n
+    mats = signed_perm_matrices() + qsqrt2_rotations()
+    assert not all(intmat.is_signed_perm(M) for M in mats)
+    for M in mats:
+        x, neg = spin.preimage(M)
+        assert x == rotors.frame_preimage(*linalg._integral(M)) and neg == -x
+        assert spin.lam(x) == M
+
+
+def perturbed_signed_perms(rng):
+    """Signed permutations of either determinant and SO(4) rotations over
+    Q(sqrt 2), with 0 to 2 entries replaced, a row negated or the matrix
+    doubled."""
+    half, root = QSqrt2(Fraction(1, 2)), QSqrt2(0, Fraction(1, 2))
+    perms = []
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            perms.append([[signs[j] if perm[j] == i else 0 for j in range(4)] for i in range(4)])
+    bases = rng.sample(perms, 40) + [[list(row) for row in M] for M in qsqrt2_rotations()[:8]]
+    out = []
+    for M in bases:
+        out.append(linalg.as_matrix(M))
+        for _ in range(6):
+            N = [list(row) for row in M]
+            for _ in range(rng.randint(1, 2)):
+                N[rng.randrange(4)][rng.randrange(4)] = rng.choice((0, 1, -1, 2, half, root, -root))
+            out.append(linalg.as_matrix(N))
+        i = rng.randrange(4)
+        out.append(linalg.as_matrix([[-e for e in row] if k == i else row for k, row in enumerate(M)]))
+        out.append(linalg.as_matrix([[2 * e for e in row] for row in M]))
+    return out
+
+
+def test_associate_membership_is_the_so4_check():
+    # rank-1 associate matrix with sum A_ab^2 = 1 against A A^T = I and
+    # det = 1, NotInSO message and all
+    def outcome(f, M):
+        try:
+            f(M)
+        except NotInSO as exc:
+            return str(exc)
+        except UnsupportedScalar:  # M passed the check, its lift needs a root outside Q(sqrt 2)
+            pass
+        return None
+
+    mats = perturbed_signed_perms(random.Random(4))
+    assert len(mats) >= 400
+    seen = []
+    for M in mats:
+        expected = outcome(linalg.check_special_orthogonal, M)
+        assert outcome(spin.preimage, M) == expected, M
+        seen.append(expected)
+    assert seen.count(None) >= 40
+    assert {"matrix is not orthogonal", "matrix is orthogonal but has determinant -1"} <= set(seen)
