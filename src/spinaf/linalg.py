@@ -1,15 +1,15 @@
 """Small exact matrices over Q(sqrt 2): tuples of row tuples of QSqrt2
 entries, at most 8 x 8.  The product, the determinant and the SO(n) check
 run on the integer pairs (a, b) of the entries (a + b sqrt2)/d over one
-common denominator d (:func:`_integral`); only returned entries take a gcd.
-The product and the orthogonality test run over sparse rows, the nonzero
-entries of each row (:func:`_sparse`), since most inputs are signed
-permutations; the test still compares every entry of A A^T, both parts.
+common denominator d; only returned entries take a gcd.  Most inputs are
+signed permutations, so ``mat_mul`` reads each factor once into its
+nonzero (column, a, b) entries (:func:`_entries`), and the orthogonality
+test dots the nonzero entries of a row with the dense rows of
+:func:`_integral`, still comparing every entry of A A^T, both parts.
 ``rotors`` runs the SO(n) check :func:`_check_so` on pairs it already has,
 ``spin`` only to name why a 4 x 4 matrix is not in SO(4), and
 ``is_orthogonal``, ``det`` and ``check_special_orthogonal`` wrap the same
-pair code.  The integer 4 x 4 kernel of catalog loads is
-:mod:`spinaf.intmat`.
+pair code.  The integer 4 x 4 kernel of catalog loads is :mod:`spinaf.intmat`.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ def _integral(A: Matrix) -> Tuple[int, List[List[Tuple[int, int]]]]:
     return d, [[(x._a * (d // x._d), x._b * (d // x._d)) for x in row] for row in A]
 
 
-def _sparse(rows: List[List[Tuple[int, int]]]) -> List[List[Tuple[int, int, int]]]:
-    """Each row's nonzero entries as (column, a, b)."""
-    return [[(k, a, b) for k, (a, b) in enumerate(row) if a or b] for row in rows]
+def _entries(A: Matrix) -> Tuple[int, List[List[Tuple[int, int, int]]]]:
+    """A common denominator d of the entries of A and each row's nonzero
+    entries as (column, a, b), the entry being (a + b sqrt2)/d."""
+    d = lcm(*[x._d for row in A for x in row])
+    return d, [[(k, x._a * (d // x._d), x._b * (d // x._d)) for k, x in enumerate(row) if x._a or x._b] for row in A]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -51,12 +53,12 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     n = len(A)
     if len(B) != n:
         raise DimensionError("matrix size mismatch")
-    (da, rows), (db, rows_b) = _integral(A), _integral(B)
-    sparse_b, d, out = _sparse(rows_b), da * db, []
-    for u in _sparse(rows):
+    (da, rows), (db, rows_b) = _entries(A), _entries(B)
+    d, out = da * db, []
+    for u in rows:
         acc_a, acc_b = [0] * n, [0] * n
         for k, p, q in u:
-            for j, r, s in sparse_b[k]:
+            for j, r, s in rows_b[k]:
                 acc_a[j] += p * r + 2 * q * s
                 acc_b[j] += p * s + q * r
         out.append(tuple([_reduced(a, b, d) if a or b else ZERO for a, b in zip(acc_a, acc_b)]))
@@ -93,8 +95,8 @@ def det(A: Matrix) -> QSqrt2:
 def _orthogonal(d: int, rows: List[List[Tuple[int, int]]]) -> bool:
     """Whether the matrix of integer pair rows over d has A A^T = d^2 I,
     row i dotted with itself and the rows below over its nonzero entries."""
-    for i, u in enumerate(_sparse(rows)):
-        a = b = 0
+    for i, row in enumerate(rows):
+        u, a, b = [(k, p, q) for k, (p, q) in enumerate(row) if p or q], 0, 0
         for _, p, q in u:
             a += p * p + 2 * q * q
             b += p * q

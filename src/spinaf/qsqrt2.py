@@ -3,15 +3,15 @@
 An element is stored as three integers a, b, d with value (a + b*sqrt(2))/d,
 d > 0 and gcd(a, b, d) = 1, the integral form of a number-field element
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, §4.2).
-The form is unique, so equality compares the triples, and a sum or product
-takes integer multiplications and one ``math.gcd``.  A square root is a
-root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt`` of the norm and one
-per branch), which ``spin.preimage`` also takes of its integer pairs.
-Rationals are read as ``numbers.Rational``, and ``fractions`` is imported
-only by ``a`` and ``b`` (and through them by ``repr``), so making, hashing
-and printing elements does not load it: a rational element hashes as the
-Fraction it equals by Python's numeric hash (``sys.hash_info``), computed
-from a and d with one modular inverse.
+The form is unique, so equality compares the triples, a sum or product
+takes integer multiplications and one ``math.gcd``, and a negation none.
+A square root is a root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt``
+of the norm and one per branch), which ``spin.preimage`` also takes of its
+integer pairs.  Rationals are read as ``numbers.Rational``, and
+``fractions`` is imported only by ``a`` and ``b`` (and through them by
+``repr``), so making, hashing and printing elements does not load it: a
+rational element hashes as the Fraction it equals by Python's numeric hash
+(``sys.hash_info``), computed from a and d with one modular inverse.
 This is the smallest field containing all coefficients that show up when
 lifting signed permutation matrices through the double cover, so every
 computation downstream of this module is exact.
@@ -106,7 +106,11 @@ class QSqrt2:
     __radd__ = __add__
 
     def __neg__(self) -> "QSqrt2":
-        return _reduced(-self._a, -self._b, self._d)
+        x = _new(QSqrt2)  # (-a, -b, d) is in lowest terms: no gcd
+        _set(x, "_a", -self._a)
+        _set(x, "_b", -self._b)
+        _set(x, "_d", self._d)
+        return x
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -176,7 +180,7 @@ class QSqrt2:
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QSqrt2) else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d

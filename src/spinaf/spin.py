@@ -18,29 +18,30 @@ is |p|^2 |q|^2 I and its determinant (|p|^2 |q|^2)^2, so the SO(4) check is
 |p|^2 |q|^2 = 1.  Backwards, the associate matrix A_ab = <M, B_ab> / 4
 equals p_a q_b: M is in SO(4) exactly when A has rank 1 and
 sum A_ab^2 = 1, and a column and a row of A give (p, q) up to one scalar,
-so the preimage takes one square root and no frame sums.
+so the preimage takes one square root and no frame sums.  Both directions
+scatter nonzero pairs only (:func:`_scatter`): a nonzero product p_a q_b,
+or a nonzero entry of M, goes with its sign into four slots, so a signed
+permutation scatters 16 terms, not the 64 of the dense sums.
 
 ``lam`` takes that path on the even elements of C_4 and ``preimage`` on
-4 x 4 matrices.  Every other input, an odd or mixed element of C_4 or any
-n != 4, takes the general-n sandwich and frame-to-rotor preimage of
-:mod:`spinaf.rotors`, with their NonVectorError and determinant -1
-messages; the choice depends only on n and the parity of x.  Both paths
-run in integers, from pairs over one denominator to x: the normalising
-factor is a square root in Z[sqrt 2], and no Fraction is built on the way.
-Each SO(n) check runs once: ``lam`` checks its own pairs before reducing
-any entry, ``preimage`` checks its input, and its guard lam(x) = M compares
-pairs with M's by cross-multiplication, which puts lam(x) in SO(n) without
-a second check.
+4 x 4 matrices; an odd or mixed element of C_4 and any n != 4 take the
+general-n sandwich and frame-to-rotor preimage of :mod:`spinaf.rotors`,
+with their NonVectorError and determinant -1 messages.  Both paths run in
+integers, from pairs over one denominator to x, with no Fraction.  Each
+SO(n) check runs once: ``lam`` checks its own pairs before reducing any
+entry, ``preimage`` its input, and the guard lam(x) = M compares pairs with
+M's by cross-multiplication, which puts lam(x) in SO(n) too.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .clifford import CliffordElement, _element, _integral
+from .clifford import CliffordElement, _element
 from .errors import NotInImage, NotInSO, UnsupportedScalar
 from .linalg import Matrix
 from .qsqrt2 import ZERO, _integer_root, _reduced, _sign
@@ -56,39 +57,45 @@ _PHI = {0: (0, 1, 1), 3: (1, 1, -1), 5: (2, 1, -1), 6: (3, 1, 1),
 @cache
 def _mebius_table() -> tuple:
     """The 64 nonzero entries of the 16 signed permutation matrices B_ab of
-    v -> u_a v conj(u_b): entry [4 r + c] lists 4 a + b, plus 16 where the
-    entry is -1, for the four B_ab with a nonzero entry (r, c).  The 16 x 16
-    matrix of B_ab[r][c] over (4 a + b, 4 r + c) is symmetric, so the same
-    quadruples sum both sum p_a q_b B_ab and 4 A_ab = <M, B_ab>."""
+    v -> u_a v conj(u_b): entry [4 r + c] lists 4 a + b for the four B_ab
+    with a nonzero entry (r, c), as the pair (where it is +1, where -1).
+    The 16 x 16 matrix of B_ab[r][c] over (4 a + b, 4 r + c) is symmetric,
+    so the same slots scatter both sum p_a q_b B_ab and 4 A_ab = <M, B_ab>."""
     def sign(a, c):  # u_a u_c = sign(a, c) u_(a ^ c)
         return 1 if a == 0 or c == 0 or (c - a) % 3 == 1 else -1
 
-    table = [[] for _ in range(16)]
+    table = [([], []) for _ in range(16)]
     for a in range(4):
         for b in range(4):
             for c in range(4):
                 negative = sign(a, c) * sign(a ^ c, b) * (-1 if b else 1) < 0
-                table[4 * (a ^ b ^ c) + c].append(4 * a + b + 16 * negative)
-    return tuple(map(tuple, table))
+                table[4 * (a ^ b ^ c) + c][negative].append(4 * a + b)
+    return tuple((tuple(plus), tuple(minus)) for plus, minus in table)
 
 
-def _signed_sums(pairs: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
-    """The sums of the pairs that the quadruples of :func:`_mebius_table`
-    list, 16 + k reading the negated pair k, as two lists of parts."""
-    a, b = [p for p, _ in pairs], [q for _, q in pairs]
-    a += [-v for v in a]
-    b += [-v for v in b]
-    table = _mebius_table()
-    return [a[i] + a[j] + a[k] + a[l] for i, j, k, l in table], [b[i] + b[j] + b[k] + b[l] for i, j, k, l in table]
+def _scatter(entries: List[Tuple[int, int, int]]) -> Tuple[List[int], List[int]]:
+    """Each nonzero entry (k, a, b) added, with its sign, into the four slots
+    that :func:`_mebius_table` lists for k, as two lists of 16 parts."""
+    A, B, table = [0] * 16, [0] * 16, _mebius_table()
+    for k, a, b in entries:
+        plus, minus = table[k]
+        for i in plus:
+            A[i] += a
+            B[i] += b
+        for i in minus:
+            A[i] -= a
+            B[i] -= b
+    return A, B
 
 
 def _quaternions(x: CliffordElement) -> Tuple[int, List[int], List[int], List[int], List[int]]:
     """Phi(x) = (p, q) for an even x in C_4, over the denominator d of x:
     (d, pa, pb, qa, qb) with p_u = (pa[u] + pb[u] sqrt2) / d and q alike."""
-    d, xs = _integral(x._terms)
+    d = lcm(*[c._d for c in x._terms.values()])
     pa, pb, qa, qb = [0] * 4, [0] * 4, [0] * 4, [0] * 4
-    for m, a, b in xs:
+    for m, c in x._terms.items():
         u, s, t = _PHI[m]
+        a, b = c._a * (d // c._d), c._b * (d // c._d)
         pa[u] += s * a
         pb[u] += s * b
         qa[u] += t * a
@@ -97,9 +104,11 @@ def _quaternions(x: CliffordElement) -> Tuple[int, List[int], List[int], List[in
 
 
 def _mebius(pa: List[int], pb: List[int], qa: List[int], qb: List[int]) -> List[List[Tuple[int, int]]]:
-    """The matrix of v -> p v conj(q) as integer pair rows: entry (r, c) sums
-    the p_a q_b of the B_ab whose entry (r, c) is nonzero, with its sign."""
-    e = list(zip(*_signed_sums([(p * r + 2 * q * s, p * s + q * r) for p, q in zip(pa, pb) for r, s in zip(qa, qb)])))
+    """The matrix of v -> p v conj(q) as integer pair rows: each nonzero
+    product p_a q_b scattered into the entries where B_ab is nonzero."""
+    q = [(b, r, s) for b, (r, s) in enumerate(zip(qa, qb)) if r or s]
+    e = list(zip(*_scatter([(4 * a + b, p * r + 2 * t * s, p * s + t * r)
+                            for a, (p, t) in enumerate(zip(pa, pb)) if p or t for b, r, s in q])))
     return [e[0:4], e[4:8], e[8:12], e[12:16]]
 
 
@@ -148,8 +157,12 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     A 4 x 4 matrix is read through its associate matrix, any other size by
     ``rotors.frame_preimage``; both give the same x.  Raises NotInSO, with
     ``linalg.check_special_orthogonal``'s message, when M is not in SO(n),
-    and UnsupportedScalar when x needs a square root outside Q(sqrt 2).
+    and UnsupportedScalar when x needs a square root outside Q(sqrt 2).  An
+    entry (a + b sqrt2)/d with |a| or |b| above d, outside SO(n) since M's
+    Galois conjugate is orthogonal too, is refused before anything squares.
     """
+    if any(abs(x._a) > x._d or abs(x._b) > x._d for row in M for x in row):
+        raise NotInSO("matrix is not orthogonal")
     d, rows = linalg._integral(M)
     if len(M) == 4:
         x = _quaternion_preimage(d, rows)
@@ -169,7 +182,7 @@ def _quaternion_preimage(d: int, rows: List[List[Tuple[int, int]]]) -> CliffordE
     P = column b0 times A_(a0 b0) and Q = row a0 times |column b0|^2 are
     the same multiple p_a0 q_b0^2 of p and q, so y = Phi^-1(P, Q) is a
     multiple of x; the guard lam(x) = M compares :func:`_mebius` of x."""
-    A, B = _signed_sums([e for row in rows for e in row])  # 4 d A, row-major
+    A, B = _scatter([(k, a, b) for k, (a, b) in enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a or b])  # 4 d A
     s, t = _norm(A, B)
     a0, b0 = divmod(next((k for k in range(16) if A[k] or B[k]), 0), 4)
     g, h = A[4 * a0 + b0], B[4 * a0 + b0]

@@ -386,3 +386,103 @@ def test_associate_membership_is_the_so4_check():
         seen.append(expected)
     assert seen.count(None) >= 40
     assert {"matrix is not orthogonal", "matrix is orthogonal but has determinant -1"} <= set(seen)
+
+
+def test_preimage_refuses_huge_entries_before_squaring(monkeypatch):
+    # an entry (a + b√2)/d of M in SO(n) has |a|, |b| <= d, since M's Galois
+    # conjugate is orthogonal too; a larger entry is refused before the
+    # associate's norm or the SO(n) check squares anything
+    def squares(*args):
+        raise AssertionError("a huge entry was squared")
+
+    monkeypatch.setattr(spin, "_norm", squares)
+    monkeypatch.setattr(linalg, "_check_so", squares)
+    huge = 10 ** 400000
+
+    def diag(*entries):
+        n = len(entries)
+        return linalg.as_matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    for M in [diag(huge, 1, 1, 1), diag(1, 1, -huge), diag(1, QSqrt2(0, huge), 1, 1),
+              diag(1, 1, QSqrt2(Fraction(huge + 1, huge), 0), 1)]:
+        with pytest.raises(NotInSO, match="^matrix is not orthogonal$"):
+            spin.preimage(M)
+
+
+def hamilton(x, y):
+    """The quaternion product of coefficient 4-tuples over (1, i, j, k)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def dense_mebius_basis():
+    """B[a][b][r][c]: the matrix of v -> u_a v conj(u_b) from quaternion
+    products, column c the image of u_c."""
+    units = [tuple(int(i == u) for i in range(4)) for u in range(4)]
+    conj = [(u[0], -u[1], -u[2], -u[3]) for u in units]
+    return [[[[hamilton(hamilton(units[a], units[c]), conj[b])[r] for c in range(4)] for r in range(4)]
+             for b in range(4)] for a in range(4)]
+
+
+def test_scatter_is_the_dense_mebius_sum(monkeypatch):
+    # _mebius against sum p_a q_b B_ab, and the associate 4 d A that preimage
+    # scatters from M against the dense <M, B_ab>, every slot of both
+    B = dense_mebius_basis()
+
+    def dense_mebius(pa, pb, qa, qb):
+        prod = [[(pa[a] * qa[b] + 2 * pb[a] * qb[b], pa[a] * qb[b] + pb[a] * qa[b]) for b in range(4)]
+                for a in range(4)]
+        return [[tuple(sum(B[a][b][r][c] * prod[a][b][i] for a in range(4) for b in range(4)) for i in (0, 1))
+                 for c in range(4)] for r in range(4)]
+
+    def dense_associate(rows):
+        return [tuple(sum(B[a][b][r][c] * rows[r][c][i] for r in range(4) for c in range(4)) for i in (0, 1))
+                for a in range(4) for b in range(4)]
+
+    scatter, seen = spin._scatter, []
+
+    def recording(entries):
+        seen.append(scatter(entries))
+        return seen[-1]
+
+    def associate(M):
+        # the first scatter of preimage(M) is the associate, whatever follows
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(spin, "_scatter", recording)
+            try:
+                spin.preimage(M)
+            except (NotInSO, UnsupportedScalar):
+                pass
+        return list(zip(*seen[0]))
+
+    def matrix(rows, d):
+        return tuple(tuple(QSqrt2(Fraction(a, d), Fraction(b, d)) for a, b in row) for row in rows)
+
+    rng = random.Random(28)
+
+    def part(nonzero):
+        return [rng.randint(-5, 5) or 1 for _ in range(4)] if nonzero else [0] * 4
+
+    perms = [spin._quaternions(spin.preimage(M)[0])[1:] for M in signed_perm_matrices()]
+    sqrt2_only = [(part(ra), part(not ra), part(rb), part(not rb))
+                  for ra, rb in [(False, False), (True, False), (False, True)] for _ in range(8)]
+    dense = [(part(True), part(True), part(True), part(True)) for _ in range(24)]
+    assert len(perms) == 192
+    kinds = set()
+    for pq in perms + sqrt2_only + dense:
+        rows = dense_mebius(*pq)
+        assert spin._mebius(*pq) == rows, pq
+        M = matrix(rows, max(abs(v) for row in rows for e in row for v in e))
+        d, ints = linalg._integral(M)
+        assert associate(M) == dense_associate(ints), pq
+        kinds |= {(a != 0, b != 0) for row in ints for a, b in row}
+    # random dense matrices over Q(sqrt 2), none of them in SO(4)
+    for _ in range(24):
+        d = rng.randint(1, 9)
+        M = matrix([[(rng.randint(-d, d), rng.randint(-d, d)) for _ in range(4)] for _ in range(4)], d)
+        assert associate(M) == dense_associate(linalg._integral(M)[1]), M
+    # M's entries were rational, sqrt 2 only and both
+    assert {(True, False), (False, True), (True, True)} <= kinds

@@ -119,6 +119,27 @@ MUTANTS = (
            "    _check_cover(d, rows, dx * dx, _mebius(pa, pb, qa, qb))",
            "    _mebius(pa, pb, qa, qb)",
            ("tests/test_spin.py",)),
+    # the sparse Spin(4) and 4 x 4 kernels
+    Mutant("scatter-drops-sqrt2-only-products", "src/spinaf/spin.py",
+           " if r or s]",
+           " if r]",
+           ("tests/test_spin.py",)),
+    Mutant("associate-drops-sqrt2-only-entries", "src/spinaf/spin.py",
+           "enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a or b])",
+           "enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a])",
+           ("tests/test_spin.py",)),
+    Mutant("scatter-ignores-negated-slots", "src/spinaf/spin.py",
+           "        for i in minus:\n            A[i] -= a\n            B[i] -= b\n",
+           "",
+           ("tests/test_spin.py",)),
+    Mutant("mat-mul-reader-drops-sqrt2-only-entries", "src/spinaf/linalg.py",
+           " if x._a or x._b]",
+           " if x._a]",
+           ("tests/test_linalg.py",)),
+    Mutant("huge-entry-bound-disabled", "src/spinaf/spin.py",
+           "    if any(abs(x._a) > x._d or abs(x._b) > x._d for row in M for x in row):",
+           "    if False:",
+           ("tests/test_spin.py",)),
 )
 
 
