@@ -5,6 +5,8 @@ d > 0 and gcd(a, b, d) = 1, the integral form of a number-field element
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, §4.2).
 The form is unique, so equality compares the triples, a sum or product
 takes integer multiplications and one ``math.gcd``, and a negation none.
+``ZERO``, ``ONE`` and ``MINUS_ONE`` are shared: a result +-d/d takes no gcd
+and returns a unit, and negation swaps the two (``==`` reads the triple).
 A square root is a root in Z[sqrt 2] (:func:`_integer_root`: one ``isqrt``
 of the norm and one per branch), which ``spin.preimage`` also takes of its
 integer pairs.  Rationals are read as ``numbers.Rational``, and
@@ -32,7 +34,9 @@ _set = object.__setattr__
 
 
 def _reduced(a: int, b: int, d: int) -> "QSqrt2":
-    """The element (a + b*sqrt(2))/d for d > 0, in lowest terms."""
+    """The element (a + b*sqrt(2))/d for d > 0, in lowest terms, +-1 shared."""
+    if not b and (a == d or a == -d):
+        return ONE if a > 0 else MINUS_ONE
     g = gcd(a, b, d)
     x = _new(QSqrt2)
     _set(x, "_a", a // g)
@@ -106,6 +110,8 @@ class QSqrt2:
     __radd__ = __add__
 
     def __neg__(self) -> "QSqrt2":
+        if self is ONE or self is MINUS_ONE:
+            return MINUS_ONE if self is ONE else ONE
         x = _new(QSqrt2)  # (-a, -b, d) is in lowest terms: no gcd
         _set(x, "_a", -self._a)
         _set(x, "_b", -self._b)
@@ -219,8 +225,8 @@ class QSqrt2:
         return f"{a} {'+' if bn > 0 else '-'} {b}√2"
 
 
-ZERO = QSqrt2(0)
-"""The shared zero; every QSqrt2 is immutable, so one instance serves all."""
+ZERO, ONE, MINUS_ONE = QSqrt2(0), QSqrt2(1), QSqrt2(-1)
+"""The shared zero and units; every QSqrt2 is immutable, so one instance serves all."""
 
 
 def _sign(a: int, b: int) -> int:

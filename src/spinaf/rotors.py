@@ -117,5 +117,6 @@ def frame_preimage(d: int, rows: List[List[Tuple[int, int]]]) -> CliffordElement
     else:  # pragma: no cover - some <x^-1 e_B>_0 is nonzero for x != 0
         raise NotInImage("internal error: every frame sum vanished")
     x = _normalised(n, y)
-    _check_cover(d, rows, *sandwich(x))
+    D, cover = sandwich(x)
+    _check_cover(d, [e for row in rows for e in row], D, [e for row in cover for e in row])
     return x

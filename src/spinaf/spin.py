@@ -21,7 +21,10 @@ sum A_ab^2 = 1, and a column and a row of A give (p, q) up to one scalar,
 so the preimage takes one square root and no frame sums.  Both directions
 scatter nonzero pairs only (:func:`_scatter`): a nonzero product p_a q_b,
 or a nonzero entry of M, goes with its sign into four slots, so a signed
-permutation scatters 16 terms, not the 64 of the dense sums.
+permutation scatters 16 terms, not the 64 of the dense sums.  ``lam``
+reduces the 16 flat slots straight to entries (a unit takes no gcd), the
+guard reads them as they are, and the rank-1 test of A reads its support.
+A row of entries all below 1/n in size is refused before anything squares.
 
 ``lam`` takes that path on the even elements of C_4 and ``preimage`` on
 4 x 4 matrices; an odd or mixed element of C_4 and any n != 4 take the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .clifford import CliffordElement, _element
@@ -103,13 +106,13 @@ def _quaternions(x: CliffordElement) -> Tuple[int, List[int], List[int], List[in
     return d, pa, pb, qa, qb
 
 
-def _mebius(pa: List[int], pb: List[int], qa: List[int], qb: List[int]) -> List[List[Tuple[int, int]]]:
-    """The matrix of v -> p v conj(q) as integer pair rows: each nonzero
-    product p_a q_b scattered into the entries where B_ab is nonzero."""
+def _mebius(pa: List[int], pb: List[int], qa: List[int], qb: List[int]) -> Tuple[List[int], List[int]]:
+    """The matrix of v -> p v conj(q) as :func:`_scatter`'s two lists of 16
+    parts, entry (r, c) in slot 4 r + c: each nonzero product p_a q_b
+    scattered into the entries where B_ab is nonzero."""
     q = [(b, r, s) for b, (r, s) in enumerate(zip(qa, qb)) if r or s]
-    e = list(zip(*_scatter([(4 * a + b, p * r + 2 * t * s, p * s + t * r)
-                            for a, (p, t) in enumerate(zip(pa, pb)) if p or t for b, r, s in q])))
-    return [e[0:4], e[4:8], e[8:12], e[12:16]]
+    return _scatter([(4 * a + b, p * r + 2 * t * s, p * s + t * r)
+                     for a, (p, t) in enumerate(zip(pa, pb)) if p or t for b, r, s in q])
 
 
 def _norm(a: List[int], b: List[int]) -> Tuple[int, int]:
@@ -141,12 +144,12 @@ def lam(x: CliffordElement) -> Matrix:
         (s, t), (u, v), D = _norm(pa, pb), _norm(qa, qb), d * d
         if s * v + t * u or s * u + 2 * t * v != D * D:
             raise NotInSO("matrix is not orthogonal")
-        rows = _mebius(pa, pb, qa, qb)
-    else:
-        from .rotors import sandwich
+        e = [_reduced(a, b, D) if a or b else ZERO for a, b in zip(*_mebius(pa, pb, qa, qb))]
+        return tuple(e[0:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:16])
+    from .rotors import sandwich
 
-        D, rows = sandwich(x)
-        linalg._check_so(D, rows)
+    D, rows = sandwich(x)
+    linalg._check_so(D, rows)
     return tuple([tuple([_reduced(a, b, D) if a or b else ZERO for a, b in row]) for row in rows])
 
 
@@ -159,12 +162,23 @@ def preimage(M: Matrix) -> Tuple[CliffordElement, CliffordElement]:
     ``linalg.check_special_orthogonal``'s message, when M is not in SO(n),
     and UnsupportedScalar when x needs a square root outside Q(sqrt 2).  An
     entry (a + b sqrt2)/d with |a| or |b| above d, outside SO(n) since M's
-    Galois conjugate is orthogonal too, is refused before anything squares.
+    Galois conjugate is orthogonal too, is refused before anything squares,
+    and so is a row with n (|a| + 2 |b|) < d in every entry, whose squares
+    sum below 1.  A huge common denominator with a large entry in every row,
+    which SO(n) allows, still takes the squaring path.
     """
-    if any(abs(x._a) > x._d or abs(x._b) > x._d for row in M for x in row):
-        raise NotInSO("matrix is not orthogonal")
+    n = len(M)
+    for row in M:
+        tiny = True
+        for x in row:
+            a, b, e = abs(x._a), abs(x._b), x._d
+            if a > e or b > e:
+                raise NotInSO("matrix is not orthogonal")
+            tiny = tiny and n * (a + 2 * b) < e
+        if tiny:
+            raise NotInSO("matrix is not orthogonal")
     d, rows = linalg._integral(M)
-    if len(M) == 4:
+    if n == 4:
         x = _quaternion_preimage(d, rows)
     else:
         from .rotors import frame_preimage
@@ -179,16 +193,26 @@ def _quaternion_preimage(d: int, rows: List[List[Tuple[int, int]]]) -> CliffordE
     M is in SO(4) exactly when A has rank 1 and sum A_ab^2 = 1, and then
     A = p q^T for the (p, q) = Phi(x) of x, with |p| = |q| = 1; otherwise
     ``linalg._check_so`` raises its NotInSO.  With a pivot A_(a0 b0) != 0,
-    P = column b0 times A_(a0 b0) and Q = row a0 times |column b0|^2 are
-    the same multiple p_a0 q_b0^2 of p and q, so y = Phi^-1(P, Q) is a
-    multiple of x; the guard lam(x) = M compares :func:`_mebius` of x."""
-    A, B = _scatter([(k, a, b) for k, (a, b) in enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a or b])  # 4 d A
+    and no zero divisors in Z[sqrt 2], A has rank 1 exactly when its support
+    is the (a, b) with A_(a b0), A_(a0 b) != 0 and there
+    A_ab A_(a0 b0) = A_(a b0) A_(a0 b).  P = column b0 times A_(a0 b0) and
+    Q = row a0 times |column b0|^2 are the same multiple p_a0 q_b0^2 of p
+    and q, so y = Phi^-1(P, Q) is a multiple of x; the guard lam(x) = M
+    compares :func:`_mebius` of x with M's 16 pairs."""
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    A, B = _scatter([(k, a, b) for k, (a, b) in enumerate(flat) if a or b])  # 4 d A
     s, t = _norm(A, B)
-    a0, b0 = divmod(next((k for k in range(16) if A[k] or B[k]), 0), 4)
+    support = [k for k in range(16) if A[k] or B[k]]
+    a0, b0 = divmod(support[0] if support else 0, 4)
     g, h = A[4 * a0 + b0], B[4 * a0 + b0]
     ca, cb, wa, wb = A[b0::4], B[b0::4], A[4 * a0:4 * a0 + 4], B[4 * a0:4 * a0 + 4]
-    # sum A_ab^2 = 1, and rank 1: A_ab A_(a0 b0) = A_(a b0) A_(a0 b) for every (a, b)
-    if t or s != 16 * d * d or _times(A, B, g, h) != [e for u, v in zip(ca, cb) for e in _times(wa, wb, u, v)]:
+    # sum A_ab^2 = 1, and rank 1: the slots (a, b) with A_(a b0), A_(a0 b) != 0
+    # are the support, and A_ab A_(a0 b0) = A_(a b0) A_(a0 b) on them
+    rank = [(4 * a + b, p, q, u, v) for a, p, q in zip(range(4), ca, cb) if p or q
+            for b, u, v in zip(range(4), wa, wb) if u or v]
+    if t or s != 16 * d * d or len(support) != len(rank) or any(
+            A[k] * g + 2 * B[k] * h != p * u + 2 * q * v or A[k] * h + B[k] * g != p * v + q * u
+            for k, p, q, u, v in rank):
         linalg._check_so(d, rows)
         raise NotInImage("internal error: an SO(4) matrix has no rank-1 associate")  # pragma: no cover
     # both over (4 d)^3: the column times 4 d A_(a0 b0), the row times |column|^2
@@ -196,7 +220,7 @@ def _quaternion_preimage(d: int, rows: List[List[Tuple[int, int]]]) -> CliffordE
     y = [(m, i * P[u][0] + j * Q[u][0], i * P[u][1] + j * Q[u][1]) for m, (u, i, j) in _PHI.items()]
     x = _normalised(4, [(m, a, b) for m, a, b in y if a or b])
     dx, pa, pb, qa, qb = _quaternions(x)
-    _check_cover(d, rows, dx * dx, _mebius(pa, pb, qa, qb))
+    _check_cover(d, flat, dx * dx, zip(*_mebius(pa, pb, qa, qb)))
     return x
 
 
@@ -218,11 +242,11 @@ def _normalised(n: int, y: List[Tuple[int, int, int]]) -> CliffordElement:
     return _element(n, {m: _reduced(t * (a * c - 2 * b * e), t * (b * c - a * e), abs(N)) for m, a, b in y})
 
 
-def _check_cover(d: int, rows: List[List[Tuple[int, int]]], D: int, cover: List[List[Tuple[int, int]]]) -> None:
+def _check_cover(d: int, pairs: Iterable[Tuple[int, int]], D: int, cover: Iterable[Tuple[int, int]]) -> None:
     """The guard lam(x) = M on integer pairs, by cross-multiplication: M's
-    rows over d against x's over D.  M is in SO(n), so equality also puts
-    lam(x) there."""
-    if any(a * d != r * D or b * d != s * D for u, v in zip(cover, rows) for (a, b), (r, s) in zip(u, v)):
+    entries over d against x's over D, both flat in row order, zeros
+    included.  M is in SO(n), so equality also puts lam(x) there."""
+    if any(a * d != r * D or b * d != s * D for (a, b), (r, s) in zip(cover, pairs)):
         raise NotInImage("internal error: constructed element does not cover the matrix")
 
 

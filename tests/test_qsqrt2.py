@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from spinaf.qsqrt2 import ZERO, QSqrt2
+from spinaf.qsqrt2 import MINUS_ONE, ONE, ZERO, QSqrt2, _reduced
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -130,6 +130,27 @@ def test_zero_is_one_triple():
     for zero in (ZERO, QSqrt2(Fraction(0, 5), 0), QSqrt2(1) - QSqrt2(1),
                  QSqrt2(Fraction(1, 3), 2) * 0, QSqrt2(0).sqrt()):
         assert normal_form(zero) == (0, 0, 1)
+
+
+def test_units_are_shared_and_behave_as_one_and_minus_one():
+    # ONE and MINUS_ONE are the instances every d/d and -d/d reduces to, and
+    # they read, hash, print and compute as QSqrt2(1) and QSqrt2(-1)
+    r2 = QSqrt2.sqrt2()
+    for unit, value in [(ONE, 1), (MINUS_ONE, -1)]:
+        other = QSqrt2(value)
+        assert unit is not other and normal_form(unit) == normal_form(other) == (value, 0, 1)
+        assert unit == other == value and hash(unit) == hash(other) == hash(value)
+        assert (str(unit), repr(unit), bool(unit)) == (str(other), repr(other), True)
+        assert -unit == -other == -value and -unit is (MINUS_ONE if value == 1 else ONE)
+        for y in (ZERO, ONE, MINUS_ONE, r2, QSqrt2(Fraction(2, 3), -1)):
+            assert (unit + y, unit - y, unit * y, y * unit, y - unit) == (other + y, other - y, other * y,
+                                                                          y * other, y - other)
+            assert unit * y == value * y and unit + y == value + y
+        assert unit * unit is ONE and unit.inverse() is unit and unit.sqrt() == (ONE if value == 1 else None)
+    for d in (1, 4, 10 ** 30):
+        assert _reduced(d, 0, d) is ONE and _reduced(-d, 0, d) is MINUS_ONE
+    assert _reduced(3, 1, 3) == QSqrt2(1, Fraction(1, 3)) and _reduced(2, 0, 4) == QSqrt2(Fraction(1, 2))
+    assert ONE - ONE == ZERO and (r2 * r2) / 2 is ONE and (r2 - 1) * (r2 + 1) is ONE
 
 
 @given(st.one_of(st.integers(-10**6, 10**6), rationals))

@@ -304,19 +304,20 @@ def test_preimage_returns_the_canonical_sign_first(n):
         assert p == oracles.canonical_sign(x) and neg == -p, x
 
 
-@pytest.mark.parametrize("part", ["rational", "sqrt2"])
+@pytest.mark.parametrize("part", ["rational", "sqrt2", "zero-slot"])
 def test_preimage_guard_catches_a_wrong_cover(monkeypatch, part):
-    # lam(x) = M is compared on integer pairs: the 4 x 4 preimage computes
-    # lam(x) by _mebius; perturb one part of one entry
+    # lam(x) = M is compared on integer pairs, zeros included: the 4 x 4
+    # preimage computes lam(x) by _mebius; perturb one part of the nonzero
+    # entry (2, 1), or the rational part of the zero entry (0, 3)
     mebius = spin._mebius
 
     def perturbed(*pq):
-        rows = mebius(*pq)
-        a, b = rows[2][1]
-        rows[2][1] = (a + 1, b) if part == "rational" else (a, b + 1)
-        return rows
+        A, B = mebius(*pq)
+        (B if part == "sqrt2" else A)[3 if part == "zero-slot" else 9] += 1
+        return A, B
 
     M = spin.lam(mixed_plane_rotation())
+    assert M[2][1] and not M[0][3]
     monkeypatch.setattr(spin, "_mebius", perturbed)
     with pytest.raises(NotInImage, match="^internal error: constructed element does not cover the matrix$"):
         spin.preimage(M)
@@ -388,23 +389,39 @@ def test_associate_membership_is_the_so4_check():
     assert {"matrix is not orthogonal", "matrix is orthogonal but has determinant -1"} <= set(seen)
 
 
+def test_associate_support_decides_rank_one():
+    # M = 3/5 I + 4/5 B_12 has rows of norm 1 and sum A_ab^2 = 1, and its
+    # associate has the two nonzero slots (0, 0) and (1, 2); the pivot's row
+    # and column have one nonzero slot each, so only the slot count refuses it
+    B = dense_mebius_basis()
+    M = linalg.as_matrix([[Fraction(3 * (r == c) + 4 * B[1][2][r][c], 5) for c in range(4)] for r in range(4)])
+    assert all(sum(e * e for e in row) == 1 for row in M)
+    with pytest.raises(NotInSO) as expected:
+        linalg.check_special_orthogonal(M)
+    with pytest.raises(NotInSO, match=f"^{expected.value}$"):
+        spin.preimage(M)
+
+
 def test_preimage_refuses_huge_entries_before_squaring(monkeypatch):
     # an entry (a + b√2)/d of M in SO(n) has |a|, |b| <= d, since M's Galois
-    # conjugate is orthogonal too; a larger entry is refused before the
-    # associate's norm or the SO(n) check squares anything
+    # conjugate is orthogonal too, and a row whose entries all have
+    # n (|a| + 2 |b|) < d has squares summing below 1; both are refused before
+    # the common denominator is taken or anything is squared
     def squares(*args):
         raise AssertionError("a huge entry was squared")
 
-    monkeypatch.setattr(spin, "_norm", squares)
-    monkeypatch.setattr(linalg, "_check_so", squares)
+    for module, name in [(linalg, "_integral"), (spin, "_norm"), (linalg, "_check_so")]:
+        monkeypatch.setattr(module, name, squares)
     huge = 10 ** 400000
+    tiny = Fraction(1, huge)
 
     def diag(*entries):
         n = len(entries)
         return linalg.as_matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     for M in [diag(huge, 1, 1, 1), diag(1, 1, -huge), diag(1, QSqrt2(0, huge), 1, 1),
-              diag(1, 1, QSqrt2(Fraction(huge + 1, huge), 0), 1)]:
+              diag(1, 1, QSqrt2(Fraction(huge + 1, huge), 0), 1),
+              diag(tiny, 1, 1, 1), diag(1, -tiny, 1), diag(1, 1, QSqrt2(tiny, 3 * tiny), 1)]:
         with pytest.raises(NotInSO, match="^matrix is not orthogonal$"):
             spin.preimage(M)
 
@@ -474,7 +491,7 @@ def test_scatter_is_the_dense_mebius_sum(monkeypatch):
     kinds = set()
     for pq in perms + sqrt2_only + dense:
         rows = dense_mebius(*pq)
-        assert spin._mebius(*pq) == rows, pq
+        assert list(zip(*spin._mebius(*pq))) == [e for row in rows for e in row], pq
         M = matrix(rows, max(abs(v) for row in rows for e in row for v in e))
         d, ints = linalg._integral(M)
         assert associate(M) == dense_associate(ints), pq

@@ -108,16 +108,24 @@ MUTANTS = (
            "        if False:",
            ("tests/test_spin.py",)),
     Mutant("preimage-norm-check-dropped", "src/spinaf/spin.py",
-           "    if t or s != 16 * d * d or _times(",
-           "    if _times(",
+           "    if t or s != 16 * d * d or len(support)",
+           "    if len(support)",
            ("tests/test_spin.py",)),
     Mutant("preimage-rank-one-check-dropped", "src/spinaf/spin.py",
-           " or _times(A, B, g, h) != [e for u, v in zip(ca, cb) for e in _times(wa, wb, u, v)]:",
-           ":",
+           "    if t or s != 16 * d * d or len(support) != len(rank) or any(",
+           "    if t or s != 16 * d * d or False and any(",
+           ("tests/test_spin.py",)),
+    Mutant("rank-one-check-without-the-slot-count", "src/spinaf/spin.py",
+           " or len(support) != len(rank) or any(",
+           " or any(",
            ("tests/test_spin.py",)),
     Mutant("preimage-guard-dropped", "src/spinaf/spin.py",
-           "    _check_cover(d, rows, dx * dx, _mebius(pa, pb, qa, qb))",
+           "    _check_cover(d, flat, dx * dx, zip(*_mebius(pa, pb, qa, qb)))",
            "    _mebius(pa, pb, qa, qb)",
+           ("tests/test_spin.py",)),
+    Mutant("guard-skips-zero-slots", "src/spinaf/spin.py",
+           " for (a, b), (r, s) in zip(cover, pairs)):",
+           " for (a, b), (r, s) in zip(cover, pairs) if r or s):",
            ("tests/test_spin.py",)),
     # the sparse Spin(4) and 4 x 4 kernels
     Mutant("scatter-drops-sqrt2-only-products", "src/spinaf/spin.py",
@@ -125,8 +133,8 @@ MUTANTS = (
            " if r]",
            ("tests/test_spin.py",)),
     Mutant("associate-drops-sqrt2-only-entries", "src/spinaf/spin.py",
-           "enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a or b])",
-           "enumerate(rows[0] + rows[1] + rows[2] + rows[3]) if a])",
+           "enumerate(flat) if a or b])",
+           "enumerate(flat) if a])",
            ("tests/test_spin.py",)),
     Mutant("scatter-ignores-negated-slots", "src/spinaf/spin.py",
            "        for i in minus:\n            A[i] -= a\n            B[i] -= b\n",
@@ -137,9 +145,18 @@ MUTANTS = (
            " if x._a]",
            ("tests/test_linalg.py",)),
     Mutant("huge-entry-bound-disabled", "src/spinaf/spin.py",
-           "    if any(abs(x._a) > x._d or abs(x._b) > x._d for row in M for x in row):",
-           "    if False:",
+           "            if a > e or b > e:\n",
+           "            if False:\n",
            ("tests/test_spin.py",)),
+    Mutant("tiny-row-refusal-disabled", "src/spinaf/spin.py",
+           "        if tiny:\n",
+           "        if False:\n",
+           ("tests/test_spin.py",)),
+    # the shared units of Q(sqrt 2)
+    Mutant("reduced-minus-one-is-one", "src/spinaf/qsqrt2.py",
+           "        return ONE if a > 0 else MINUS_ONE",
+           "        return ONE",
+           ("tests/test_qsqrt2.py",)),
 )
 
 
